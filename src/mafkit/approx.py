@@ -9,6 +9,11 @@ unrooted.  The maximum ratio over the run bounds the output order against the
 optimum, so the whole algorithm is a 3-approximation on rooted instances and
 a 4-approximation on unrooted ones.
 
+The case analysis is ``Forest.sibling_case``, shared with the exact search:
+a meta-step cuts the pendant edges of the case's pair plus the first edge of
+each of its ``cuts``, except that an unrooted path step takes the two
+smallest edges off the whole path interior.
+
 Every step is recorded with the removed edges, the working-forest subset, and
 an essential subset (a removal set of the same effect in which every edge
 genuinely splits a component); ``check_metastep_ratio`` re-audits a record's
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forest import Forest, Instance, MafError
-from .reduction import find_applicable
+from .reduction import reduce_pair
 
 RULE1 = "rule1"
 GROUP = "group"
@@ -30,6 +35,7 @@ MS32 = "ms32"
 
 _ESSENTIAL_CAPS_ROOTED = {RULE1: None, GROUP: 0, MS2: 3, MS31: 2, MS32: 3}
 _ESSENTIAL_CAPS_UNROOTED = {RULE1: None, GROUP: 0, MS2: 4, MS31: 2, MS32: 4}
+_CASE_KINDS = {"siblings": MS2, "split": MS31, "path": MS32}
 
 
 def declared_ratio(kind: str, rooted: bool) -> int:
@@ -78,12 +84,18 @@ def essential_subset(forest: Forest, eids) -> tuple[int, ...]:
     set still produces the same forest.  At the end every survivor genuinely
     splits a component, so the result is an essential edge set realizing the
     original removal.
+
+    Forests are compared by order alone.  Putting one removed edge back
+    either joins two labeled components, which lowers the order by one, or
+    re-attaches an unlabeled piece that contraction deletes again, which
+    leaves the forest unchanged.  So a trial set gives the same forest
+    exactly when it gives the same order.
     """
     keep = sorted(eids)
-    target = forest.remove_edges(keep).canonical_key()
+    target = forest.order_without(keep)
     for e in sorted(eids):
         trial = [x for x in keep if x != e]
-        if forest.remove_edges(trial).canonical_key() == target:
+        if forest.order_without(trial) == target:
             keep = trial
     return tuple(keep)
 
@@ -142,24 +154,22 @@ def _approximate(instance: Instance) -> ApproxResult:
         # the working forest and each fresh partner share the label universe;
         # grouping below extends both tables in lockstep
         budget = 8 * (len(f1.original_label_ids()) + 1) ** 2
-        while not f1.same_structure(fi):
+        while True:
             budget -= 1
             if budget < 0:
                 raise MafError("approximation made no progress")
-            hit = find_applicable(f1, fi)
-            if hit is not None:
-                eid, _ = hit
-                nfi = fi.remove_edges([eid])
-                trace.append(_record(RULE1, idx, f1, f1, (), (eid,)))
-                fi = nfi
-                continue
-            hit = find_applicable(fi, f1)
-            if hit is not None:
-                eid, _ = hit
-                nf1 = f1.remove_edges([eid])
-                trace.append(_record(RULE1, idx, f1, nf1, (eid,), ()))
-                f1 = nf1
-                continue
+            _, fi, removals = reduce_pair(f1, fi)
+            # replay the working-forest removals: each record keeps its own
+            # before and after forests
+            for rem in removals:
+                if rem.q_index == 0:
+                    nf1 = f1.remove_edges([rem.edge])
+                    trace.append(_record(RULE1, idx, f1, nf1, (rem.edge,), ()))
+                    f1 = nf1
+                else:
+                    trace.append(_record(RULE1, idx, f1, f1, (), (rem.edge,)))
+            if f1.same_structure(fi):
+                break
 
             mss = fi.find_mss()
             if mss is None:
@@ -172,32 +182,16 @@ def _approximate(instance: Instance) -> ApproxResult:
                 f1, fi = nf1, nfi
                 continue
 
-            ordered = sorted(
-                mss.labels, key=lambda l: (f1.labels.min_original(l), l)
-            )
-            if case.kind == "siblings":
-                a, b = ordered[0], ordered[1]
-                extra = case.surplus_edges[:1] if f1.rooted else case.surplus_edges[:2]
-                kind = MS2
-            elif case.kind == "split":
-                a, b = case.pair
-                extra = ()
-                kind = MS31
+            a, b = case.pair
+            if case.kind == "path" and not f1.rooted:
+                extra = f1.offpath_edges(case.path)[:2]
             else:
-                a, b = case.pair
-                path = case.path
-                if f1.rooted:
-                    lca = f1.rooted_lca(path[0], path[-1])
-                    ep = f1.offpath_edges(path, exclude=lca)
-                    extra = ep[:1]
-                else:
-                    ep = f1.offpath_edges(path)
-                    extra = ep[:2]
-                kind = MS32
+                extra = tuple(e for cut in case.cuts for e in cut[:1])
             removed_f1 = (f1.pendant_edge(a), f1.pendant_edge(b), *extra)
             removed_fi = (fi.pendant_edge(a), fi.pendant_edge(b))
             nf1 = f1.remove_edges(removed_f1)
             nfi = fi.remove_edges(removed_fi)
+            kind = _CASE_KINDS[case.kind]
             trace.append(_record(kind, idx, f1, nf1, removed_f1, removed_fi))
             f1, fi = nf1, nfi
         f1 = f1.expand_labels()

@@ -5,7 +5,8 @@ approximation to get an order k', starts the exact search at the lower bound
 ⌊k'/3⌋ (⌊k'/4⌋ unrooted), and walks k upward until a certificate appears.
 ``maf amaf`` runs the approximation alone, ``maf gen`` writes simulated
 instances, and ``maf bench`` sweeps a directory and emits one CSV row per
-instance and method plus per-(n,m) aggregate rows.
+instance and method plus per-(n,m) aggregate rows; a file that fails to parse
+or to solve gets an ``error`` row and the sweep goes on.
 
 Exit codes: 0 success, 1 no solution under an explicit --k cap, 2 input
 error, 3 internal error.
@@ -24,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .approx import approx_rmaf, approx_umaf
 from .datagen import GenSpec, generate_instance
 from .forest import Instance, MafError, certify
-from .fpt import find_min_k
+from .fpt import NoSolutionError, find_min_k
 from .newick import NewickError, format_instance, parse_instance, serialize
 from .oracle import OracleSizeError, brute_force_maf
 
@@ -98,11 +99,11 @@ def cmd_pmaf(args) -> int:
         k_lo = 1
     try:
         res = find_min_k(instance, k_lo, k_hi)
-    except MafError:
-        if args.k is not None:
-            print(f"no agreement forest of order <= {args.k}", file=sys.stderr)
-            return EXIT_NO_SOLUTION
-        raise
+    except NoSolutionError:
+        if args.k is None:
+            raise
+        print(f"no agreement forest of order <= {args.k}", file=sys.stderr)
+        return EXIT_NO_SOLUTION
     wall_ms = (time.perf_counter() - t0) * 1000.0
     cert = serialize(res.af.forest)
     print(f"order {res.order}")
@@ -158,49 +159,47 @@ def _bench_file(job):
         base.update(instance=name, **kw)
         rows.append(base)
 
+    exact_order = None
+    approx_order = None
     try:
         instance = _read_instance(path, rooted)
+        n, m = instance.taxa_count(), instance.m
+        common = dict(n=n, m=m, rooted="1" if rooted else "0")
+        if mode in ("all", "approx", "fpt"):
+            t0 = time.perf_counter()
+            ares = _approximate(instance)
+            ms = (time.perf_counter() - t0) * 1000.0
+            approx_order = ares.order
+            if mode != "fpt":
+                row(method="approx", order=ares.order, wall_ms=f"{ms:.2f}", **common)
+        if mode in ("all", "fpt"):
+            ratio = 3 if rooted else 4
+            k_lo = max(1, (approx_order or 1) // ratio)
+            t0 = time.perf_counter()
+            res = find_min_k(instance, k_lo)
+            ms = (time.perf_counter() - t0) * 1000.0
+            exact_order = res.order
+            row(
+                method="fpt",
+                order=res.order,
+                wall_ms=f"{ms:.2f}",
+                nodes=res.stats.nodes,
+                leaves=res.stats.leaves,
+                max_depth=res.stats.max_depth,
+                **common,
+            )
+        if mode in ("all", "oracle"):
+            try:
+                t0 = time.perf_counter()
+                ores = brute_force_maf(instance)
+                ms = (time.perf_counter() - t0) * 1000.0
+                exact_order = ores.opt_order
+                row(method="oracle", order=ores.opt_order, wall_ms=f"{ms:.2f}", **common)
+            except OracleSizeError as exc:
+                row(method="oracle", note=str(exc), **common)
     except (OSError, MafError) as exc:
         row(method="error", note=str(exc))
         return rows
-
-    n, m = instance.taxa_count(), instance.m
-    common = dict(n=n, m=m, rooted="1" if rooted else "0")
-    exact_order = None
-    approx_order = None
-
-    if mode in ("all", "approx", "fpt"):
-        t0 = time.perf_counter()
-        ares = _approximate(instance)
-        ms = (time.perf_counter() - t0) * 1000.0
-        approx_order = ares.order
-        if mode != "fpt":
-            row(method="approx", order=ares.order, wall_ms=f"{ms:.2f}", **common)
-    if mode in ("all", "fpt"):
-        ratio = 3 if rooted else 4
-        k_lo = max(1, (approx_order or 1) // ratio)
-        t0 = time.perf_counter()
-        res = find_min_k(instance, k_lo)
-        ms = (time.perf_counter() - t0) * 1000.0
-        exact_order = res.order
-        row(
-            method="fpt",
-            order=res.order,
-            wall_ms=f"{ms:.2f}",
-            nodes=res.stats.nodes,
-            leaves=res.stats.leaves,
-            max_depth=res.stats.max_depth,
-            **common,
-        )
-    if mode in ("all", "oracle"):
-        try:
-            t0 = time.perf_counter()
-            ores = brute_force_maf(instance)
-            ms = (time.perf_counter() - t0) * 1000.0
-            exact_order = ores.opt_order
-            row(method="oracle", order=ores.opt_order, wall_ms=f"{ms:.2f}", **common)
-        except OracleSizeError as exc:
-            row(method="oracle", note=str(exc), **common)
 
     if approx_order is not None and exact_order:
         ratio_val = approx_order / exact_order

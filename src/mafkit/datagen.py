@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .forest import RHO, Forest, Instance, LabelTable, MafError
+from .forest import RHO, Forest, Instance, LabelTable, MafError, find_root
 
 
 class GenerationError(MafError):
@@ -126,23 +126,16 @@ def contract_random_edges(f: Forest, count: int, seed) -> Forest:
     chosen = set(rng.sample(pool, count))
 
     parent = {v: v for v in f.vertices()}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for eid in chosen:
         u, v = f.edge_ends(eid)
-        parent[find(v)] = find(u)
-    leaf_labels = {find(f.vertex_of_label(l)): l for l in f.label_ids()}
+        parent[find_root(parent, v)] = find_root(parent, u)
+    leaf_labels = {find_root(parent, f.vertex_of_label(l)): l for l in f.label_ids()}
     edges = []
     for eid in sorted(f.edge_ids()):
         if eid in chosen:
             continue
         u, v = f.edge_ends(eid)
-        edges.append((find(u), find(v)))
+        edges.append((find_root(parent, u), find_root(parent, v)))
     return Forest.build(f.rooted, f.labels, leaf_labels, edges)
 
 

@@ -154,38 +154,55 @@ class EdgeSplit:
 
 @dataclass(frozen=True)
 class SiblingSet:
-    """A maximal sibling set: its labels, its hub vertex and surplus edges.
+    """A maximal sibling set: its labels and its hub vertex.
 
     ``hub`` is the common parent (rooted) or common neighbor (unrooted); it is
-    absent for an unrooted single-edge tree.  ``surplus_edges`` are the hub's
-    edges that lead neither to the set nor, in the rooted case, to the hub's
-    parent.
+    absent for an unrooted single-edge tree.
     """
 
     labels: frozenset[int]
     hub: int | None
-    surplus_edges: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class SiblingCase:
     """How a sibling set of one forest sits inside another forest.
 
-    ``kind`` is one of:
+    This is the case analysis both solvers share.  ``kind`` is one of:
 
-    * ``"mss"``       -- the labels form a maximal sibling set here too;
+    * ``"mss"``       -- the labels form a maximal sibling set here too
+      (Case 1, group them);
     * ``"siblings"``  -- all labels are siblings but the hub has surplus
-      edges (``surplus_edges``, the E_V / V-edge set);
-    * ``"split"``     -- ``pair`` are not even in the same component;
+      edges, the E_V / V-edge set (Case 2);
+    * ``"split"``     -- ``pair`` are not even in the same component
+      (Case 3.1);
     * ``"path"``      -- ``pair`` share a component but are not siblings;
-      ``path`` is the vertex path between them.
+      ``path`` is the vertex path between them (Case 3.2).
+
+    Every kind but ``"mss"`` names the two labels whose pendant edges are
+    cut in ``pair`` (for ``"siblings"`` the two smallest by original label).
+    ``cuts`` lists the further edge sets of this forest that the exact
+    search branches on, one branch each:
+
+    * rooted siblings: all surplus edges;
+    * unrooted siblings: the first surplus edge, then the second;
+    * rooted path: the edges off the path, sparing its least common ancestor;
+    * unrooted path: the edges off ``path[1]``, then those off ``path[-2]``;
+    * split: none.
     """
 
     kind: str
-    hub: int | None = None
-    surplus_edges: tuple[int, ...] = ()
     pair: tuple[int, int] | None = None
     path: tuple[int, ...] = ()
+    cuts: tuple[tuple[int, ...], ...] = ()
+
+
+def find_root(parent, x):
+    """Root of ``x`` in a union-find ``parent`` map, halving the path walked."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +474,22 @@ class Forest:
         """Number of connected components."""
         return len(self.components())
 
+    def order_without(self, eids) -> int:
+        """``remove_edges(eids).order()``, counted without building the forest.
+
+        Contraction keeps exactly the components that hold a label, so the
+        order is the number of union-find roots over labeled vertices once
+        every other edge is joined.
+        """
+        removed = set(eids)
+        if not removed <= self._edges.keys():
+            raise ForestError(f"unknown edge ids {sorted(removed - self._edges.keys())}")
+        parent = {v: v for v in self._adj}
+        for eid, (u, v) in self._edges.items():
+            if eid not in removed:
+                parent[find_root(parent, v)] = find_root(parent, u)
+        return len({find_root(parent, v) for v in self._label_vertex.values()})
+
     def component_index_of_vertex(self, v) -> int:
         self.components()
         return self._comp_of_v[v]
@@ -569,24 +602,24 @@ class Forest:
                 if all(w in self._vlabel for _, w in kids):
                     s = frozenset(self._vlabel[w] for _, w in kids)
                     if len(s) >= 2:
-                        cands.append(SiblingSet(s, p, ()))
+                        cands.append(SiblingSet(s, p))
             else:
                 leaf_edges = [(e, w) for e, w in self._adj[p].items() if w in self._vlabel]
                 extra = [e for e, w in self._adj[p].items() if w not in self._vlabel]
                 if len(leaf_edges) >= 2 and len(extra) <= 1:
                     s = frozenset(self._vlabel[w] for _, w in leaf_edges)
-                    cands.append(SiblingSet(s, p, tuple(sorted(extra))))
+                    cands.append(SiblingSet(s, p))
                     if not extra and len(s) >= 3:
                         # a full star also admits every one-leaf-short subset
                         # (degree |S|+1), which the selection rule may prefer
-                        for e_omit, w_omit in leaf_edges:
+                        for _, w_omit in leaf_edges:
                             sub = s - {self._vlabel[w_omit]}
-                            cands.append(SiblingSet(sub, p, (e_omit,)))
+                            cands.append(SiblingSet(sub, p))
         if not self.rooted:
             for idx, comp in enumerate(self.components()):
                 if len(comp) == 2:
                     s = frozenset(self._vlabel[v] for v in comp)
-                    cands.append(SiblingSet(s, None, ()))
+                    cands.append(SiblingSet(s, None))
         if not cands:
             return None
 
@@ -754,7 +787,7 @@ class Forest:
             if not self.rooted and len(order) == 2:
                 va, vb = verts[order[0]], verts[order[1]]
                 if next(iter(self._adj[va].values())) == vb:
-                    return SiblingCase("mss", hub=None)
+                    return SiblingCase("mss")
             hub = (
                 self.parent_vertex(verts[order[0]])
                 if self.rooted
@@ -766,15 +799,24 @@ class Forest:
                 extra = [e for e in self._adj[hub] if e != pe and e not in leaf_edges]
             else:
                 extra = [e for e in self._adj[hub] if e not in leaf_edges]
-            extra.sort()
+            extra = tuple(sorted(extra))
             if (self.rooted and not extra) or (not self.rooted and len(extra) <= 1):
-                return SiblingCase("mss", hub=hub)
-            return SiblingCase("siblings", hub=hub, surplus_edges=tuple(extra))
+                return SiblingCase("mss")
+            cuts = (extra,) if self.rooted else (extra[:1], extra[1:2])
+            return SiblingCase("siblings", pair=(order[0], order[1]), cuts=cuts)
         a, b = pair
         path = self.tree_path(verts[a], verts[b])
         if path is None:
             return SiblingCase("split", pair=pair)
-        return SiblingCase("path", pair=pair, path=tuple(path))
+        if self.rooted:
+            lca = self.rooted_lca(path[0], path[-1])
+            cuts = (self.offpath_edges(path, exclude=lca),)
+        else:
+            cuts = (
+                self.offpath_edges(path, at=path[1]),
+                self.offpath_edges(path, at=path[-2]),
+            )
+        return SiblingCase("path", pair=pair, path=tuple(path), cuts=cuts)
 
     def rooted_lca(self, v1, v2):
         """Lowest common ancestor of two vertices of one rooted component."""
@@ -811,13 +853,6 @@ class Forest:
         return tuple(sorted(out))
 
     # -- misc ---------------------------------------------------------------
-
-    def describe(self) -> str:
-        parts = []
-        for i in range(self.order()):
-            names = sorted(self.labels.name(l) for l in self.component_labels(i))
-            parts.append("{" + ",".join(names) + "}")
-        return " ".join(parts)
 
     def __repr__(self):
         kind = "rooted" if self.rooted else "unrooted"

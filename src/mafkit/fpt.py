@@ -9,9 +9,11 @@ with a 4^k bound.  Once the second forest runs out of sibling sets the pair
 collapses to its unique maximal agreement forest and the recursion moves on
 to the next input forest.
 
-Every branch cuts at least one edge of the working forest, so its component
-count grows strictly along any root-to-leaf path; searches prune as soon as
-it exceeds k.
+The case analysis itself lives in ``Forest.sibling_case``, which the
+approximation shares: the search branches on cutting either label of the
+case's pair and on each of its ``cuts``.  Every branch cuts at least one edge
+of the working forest, so its component count grows strictly along any
+root-to-leaf path; searches prune as soon as it exceeds k.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from .forest import (
 from .reduction import reduce_pair
 
 
+class NoSolutionError(ForestError):
+    """No agreement forest exists within the order cap searched."""
+
+
 @dataclass
 class SearchStats:
     """Counters describing one bounded search."""
@@ -43,9 +49,6 @@ class SearchStats:
     case32: int = 0
     rule1_edges: int = 0
     collapses: int = 0
-
-    def branchings(self) -> int:
-        return self.case2 + self.case31 + self.case32
 
     def summary(self) -> str:
         return (
@@ -113,50 +116,19 @@ def _search(forests, k, stats, depth):
             forests[1] = f2.group_labels(mss.labels)
             continue
 
-        ordered = sorted(
-            mss.labels, key=lambda l: (f1.labels.min_original(l), l)
-        )
         if case.kind == "siblings":
             stats.case2 += 1
-            a, b = ordered[0], ordered[1]
-            branches = [
-                (_cut(f1, a), _cut(f2, a)),
-                (_cut(f1, b), _cut(f2, b)),
-            ]
-            if f1.rooted:
-                branches.append((f1.remove_edges(case.surplus_edges), f2))
-            else:
-                branches.append((f1.remove_edges(case.surplus_edges[:1]), f2))
-                branches.append((f1.remove_edges(case.surplus_edges[1:2]), f2))
         elif case.kind == "split":
             stats.case31 += 1
-            a, b = case.pair
-            branches = [
-                (_cut(f1, a), _cut(f2, a)),
-                (_cut(f1, b), _cut(f2, b)),
-            ]
         else:
             stats.case32 += 1
-            a, b = case.pair
-            path = case.path
-            branches = [
-                (_cut(f1, a), _cut(f2, a)),
-                (_cut(f1, b), _cut(f2, b)),
-            ]
-            if f1.rooted:
-                lca = f1.rooted_lca(path[0], path[-1])
-                ep = f1.offpath_edges(path, exclude=lca)
-                branches.append((f1.remove_edges(ep), f2))
-            else:
-                branches.append(
-                    (f1.remove_edges(f1.offpath_edges(path, at=path[1])), f2)
-                )
-                branches.append(
-                    (f1.remove_edges(f1.offpath_edges(path, at=path[-2])), f2)
-                )
+        a, b = case.pair
+        branches = [(_cut(f1, a), _cut(f2, a)), (_cut(f1, b), _cut(f2, b))]
+        branches += [(f1.remove_edges(cut), f2) for cut in case.cuts]
 
         # every branch so far cut at least one working-forest edge
-        assert f1.order() >= depth + 1, "component count fell behind branch depth"
+        if f1.order() < depth + 1:
+            raise ForestError("component count fell behind branch depth")
         stats.max_depth = max(stats.max_depth, depth + 1)
         rest = forests[2:]
         for nf1, nf2 in branches:
@@ -208,7 +180,8 @@ def find_min_k(instance: Instance, k_lo: int = 1, k_hi: int | None = None) -> Mi
     Feasibility is monotone in k and the search cost grows exponentially with
     it, so walking k upward from the lower bound keeps the cheap attempts
     cheap.  ``k_hi`` defaults to the label count, which always admits the
-    all-singletons forest.
+    all-singletons forest; ``NoSolutionError`` reports that no order up to
+    ``k_hi`` is feasible.
     """
     solve = solve_rmaf if instance.rooted else solve_umaf
     if k_hi is None:
@@ -224,4 +197,4 @@ def find_min_k(instance: Instance, k_lo: int = 1, k_hi: int | None = None) -> Mi
                 stats=stats,
                 attempts=tuple(attempts),
             )
-    raise ForestError(f"no agreement forest of order <= {k_hi}")
+    raise NoSolutionError(f"no agreement forest of order <= {k_hi}")

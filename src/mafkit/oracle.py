@@ -45,31 +45,6 @@ def brute_force_maf(instance: Instance, max_edges: int = 18) -> OracleResult:
     others = instance.forests[1:]
     base = f1.order()
 
-    # flat arrays for fast component counting under edge deletion
-    verts = sorted(f1.vertices())
-    vidx = {v: i for i, v in enumerate(verts)}
-    nv = len(verts)
-    labeled = [f1.label_of(v) is not None for v in verts]
-    ends = {e: (vidx[a], vidx[b]) for e, (a, b) in ((e, f1.edge_ends(e)) for e in eids)}
-
-    def order_after(removed):
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in eids:
-            if e in removed:
-                continue
-            a, b = ends[e]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(i) for i in range(nv) if labeled[i]})
-
     best_order = None
     best_forest = None
     examined = 0
@@ -80,7 +55,7 @@ def brute_force_maf(instance: Instance, max_edges: int = 18) -> OracleResult:
         for combo in itertools.combinations(eids, t):
             examined += 1
             removed = frozenset(combo)
-            ob = order_after(removed)
+            ob = f1.order_without(removed)
             if best_order is not None and ob >= best_order:
                 continue
             cand = f1.remove_edges(removed)

@@ -9,6 +9,7 @@ before doing any case analysis or branching.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .forest import Forest, Instance
@@ -26,14 +27,6 @@ class Removal:
     edge: int
     p_index: int
     witness: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    removals: tuple[Removal, ...] = ()
-
-    def __len__(self):
-        return len(self.removals)
 
 
 def find_applicable(fp: Forest, fq: Forest):
@@ -63,27 +56,35 @@ def find_applicable(fp: Forest, fq: Forest):
     return None
 
 
+def _fixpoint(forests):
+    """Apply the rule over all ordered pairs (p, q) until none applies.
+
+    Pairs are scanned in ``itertools.permutations`` order, edges in id order;
+    the first hit is applied and the scan restarts.  The order is fixed
+    because confluence is not assumed.
+    """
+    forests = list(forests)
+    removals = []
+    while True:
+        for p, q in itertools.permutations(range(len(forests)), 2):
+            found = find_applicable(forests[p], forests[q])
+            if found is not None:
+                break
+        else:
+            return forests, tuple(removals)
+        eid, wit = found
+        forests[q] = forests[q].remove_edges([eid])
+        removals.append(Removal(q_index=q, edge=eid, p_index=p, witness=wit))
+
+
 def reduce_pair(f1: Forest, f2: Forest):
     """Apply the rule in both directions to fixpoint.
 
-    Scans direction (p=0, q=1) then (p=1, q=0), edges in id order, applies the
-    first hit and restarts; the scan order is fixed because confluence is not
-    assumed.  Returns the reduced pair and the removal trace.
+    Scans direction (p=0, q=1) then (p=1, q=0).  Returns the reduced pair and
+    the removals in the order they were applied.
     """
-    forests = [f1, f2]
-    removals = []
-    while True:
-        hit = None
-        for p, q in ((0, 1), (1, 0)):
-            found = find_applicable(forests[p], forests[q])
-            if found is not None:
-                hit = (p, q, *found)
-                break
-        if hit is None:
-            return forests[0], forests[1], ReductionTrace(tuple(removals))
-        p, q, eid, wit = hit
-        forests[q] = forests[q].remove_edges([eid])
-        removals.append(Removal(q_index=q, edge=eid, p_index=p, witness=wit))
+    (f1, f2), removals = _fixpoint((f1, f2))
+    return f1, f2, removals
 
 
 def reduce_instance(instance: Instance):
@@ -92,27 +93,8 @@ def reduce_instance(instance: Instance):
     The set of maximum agreement forests is preserved; tests assert this by
     comparing brute-force optima before and after.
     """
-    forests = list(instance.forests)
-    removals = []
-    m = len(forests)
-    while True:
-        hit = None
-        for p in range(m):
-            for q in range(m):
-                if p == q:
-                    continue
-                found = find_applicable(forests[p], forests[q])
-                if found is not None:
-                    hit = (p, q, *found)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        p, q, eid, wit = hit
-        forests[q] = forests[q].remove_edges([eid])
-        removals.append(Removal(q_index=q, edge=eid, p_index=p, witness=wit))
+    forests, removals = _fixpoint(instance.forests)
     reduced = Instance(
         rooted=instance.rooted, forests=tuple(forests), name=instance.name
     )
-    return reduced, ReductionTrace(tuple(removals))
+    return reduced, removals

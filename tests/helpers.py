@@ -26,6 +26,20 @@ def brute_is_subforest(sub, sup):
     return s.canonical_key() in all_removal_keys(sup)
 
 
+def greedy_essential_by_key(forest, eids):
+    """Essential subset by the canonical-key greedy: build every trial forest.
+
+    Reference for ``essential_subset``, which compares orders instead.
+    """
+    keep = sorted(eids)
+    target = forest.remove_edges(keep).canonical_key()
+    for e in sorted(eids):
+        trial = [x for x in keep if x != e]
+        if forest.remove_edges(trial).canonical_key() == target:
+            keep = trial
+    return tuple(keep)
+
+
 def random_instance(rng, rooted, n=None, m=None, x=None):
     n = n if n is not None else rng.randint(4, 7)
     m = m if m is not None else rng.randint(2, 3)

@@ -4,6 +4,7 @@ import csv
 import io
 
 import mafkit as mk
+from mafkit import cli
 from mafkit.cli import CSV_FIELDS, main
 
 
@@ -52,6 +53,19 @@ def test_pmaf_cap_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "pmaf", str(p), "--k", "1")
     assert code == 1
     assert "no agreement forest" in err
+
+
+def test_pmaf_cap_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "i.nwk"
+    p.write_text("((a,b),c);\n((a,c),b);\n")
+
+    def broken(*args, **kwargs):
+        raise mk.ForestError("invariant violated")
+
+    monkeypatch.setattr(cli, "find_min_k", broken)
+    code, _, err = run(capsys, "pmaf", str(p), "--k", "1")
+    assert code == 3
+    assert "internal error" in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -127,6 +141,28 @@ def test_bench_jobs_matches_serial(tmp_path, capsys):
     _, serial, _ = run(capsys, "bench", str(tmp_path))
     _, parallel, _ = run(capsys, "bench", str(tmp_path), "--jobs", "2")
     assert strip_time(serial) == strip_time(parallel)
+
+
+def test_bench_error_row_keeps_the_sweep_going(tmp_path, capsys, monkeypatch):
+    main(["gen", "-n", "5", "-m", "2", "-x", "1", "--seed", "1", "--out", str(tmp_path / "a.nwk")])
+    main(["gen", "-n", "5", "-m", "2", "-x", "1", "--seed", "2", "--out", str(tmp_path / "b.nwk")])
+    solve = cli.find_min_k
+
+    def broken_on_b(instance, *args, **kwargs):
+        if instance.name == "b.nwk":
+            raise mk.ForestError("invariant violated")
+        return solve(instance, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_min_k", broken_on_b)
+    code, out, _ = run(capsys, "bench", str(tmp_path), "--mode", "fpt", "--jobs", "1")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    errors = [r for r in rows if r["method"] == "error"]
+    assert [(r["instance"], r["note"]) for r in errors] == [("b.nwk", "invariant violated")]
+    good = [r for r in rows if r["instance"] == "a.nwk"]
+    assert [r["method"] for r in good] == ["fpt"] and good[0]["order"]
+    agg = [r for r in rows if r["method"] == "aggregate"]
+    assert [r["note"] for r in agg] == ["instances=1"]
 
 
 def test_env_seed_default(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,13 @@ import pytest
 import mafkit as mk
 from mafkit.forest import Forest, LabelTable
 
-from helpers import all_removal_keys, brute_is_subforest, names, random_forest
+from helpers import (
+    all_removal_keys,
+    brute_is_subforest,
+    greedy_essential_by_key,
+    names,
+    random_forest,
+)
 
 
 def parse1(text, rooted=True):
@@ -87,6 +93,8 @@ def test_remove_unknown_edge():
     f = parse1("((a,b),c);")
     with pytest.raises(mk.ForestError):
         f.remove_edges([999])
+    with pytest.raises(mk.ForestError):
+        f.order_without([999])
 
 
 def test_removal_properties(rng):
@@ -95,6 +103,7 @@ def test_removal_properties(rng):
         eids = sorted(f.edge_ids())
         sub = rng.sample(eids, rng.randint(0, len(eids)))
         g = f.remove_edges(sub)
+        assert f.order_without(sub) == g.order()
         assert g.order() <= f.order() + len(sub)
         assert g.label_ids() == f.label_ids()
         # removal never merges: new components refine old ones
@@ -111,6 +120,7 @@ def test_essential_subset_restores_equality(rng):
             continue
         sub = rng.sample(eids, rng.randint(1, min(4, len(eids))))
         ess = mk.essential_subset(f, sub)
+        assert ess == greedy_essential_by_key(f, sub)
         assert set(ess) <= set(sub)
         assert f.remove_edges(ess).same_structure(f.remove_edges(sub))
         assert f.remove_edges(ess).order() == f.order() + len(ess)

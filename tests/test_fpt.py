@@ -1,5 +1,8 @@
 """Parameterized solvers: exactness, bounds, soundness, base cases."""
 
+import ast
+import pathlib
+
 import pytest
 
 import mafkit as mk
@@ -112,6 +115,11 @@ def test_find_min_k_reports_smallest(rooted_pair, identical_rooted):
     assert len(res.attempts) == 2  # k=1 failed, k=2 succeeded
 
 
+def test_find_min_k_signals_infeasible_cap(rooted_pair):
+    with pytest.raises(mk.NoSolutionError):
+        mk.find_min_k(rooted_pair, k_hi=1)
+
+
 def test_find_min_k_with_higher_floor(rooted_pair):
     # starting above the optimum still returns a valid certificate
     res = mk.find_min_k(rooted_pair, k_lo=3)
@@ -123,3 +131,15 @@ def test_stats_summary_mentions_counts(rooted_pair):
     _, stats = mk.solve_rmaf(rooted_pair, 2)
     text = stats.summary()
     assert "nodes=" in text and "leaves=" in text
+
+
+def test_package_checks_survive_optimized_mode():
+    # ``python -O`` strips assert statements, so invariants must raise
+    package = pathlib.Path(mk.__file__).parent
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -12,7 +12,7 @@ def test_singleton_triggers_leaf_removal():
     fp = full.remove_edges([full.pendant_edge(b)])  # b is a singleton here
     f1, f2, trace = mk.reduce_pair(fp, full)
     assert len(trace) >= 1
-    first = trace.removals[0]
+    first = trace[0]
     assert first.q_index == 1
     assert first.edge == full.pendant_edge(b)
     assert f1.same_structure(f2)
@@ -38,7 +38,7 @@ def test_component_union_side_removed():
     fp = full.remove_edges([mid])
     f1, f2, trace = mk.reduce_pair(fp, full)
     assert len(trace) == 1
-    assert trace.removals[0].q_index == 1
+    assert trace[0].q_index == 1
     assert f1.label_partition() == f2.label_partition()
     # optimum unchanged: both pairs have agreement order 2
     before = mk.brute_force_maf(mk.Instance(rooted=False, forests=(fp, full)))
@@ -74,6 +74,6 @@ def test_trace_witnesses_recorded():
     full = inst.forests[0]
     fp = full.remove_edges([full.pendant_edge(full.labels.id_of("b"))])
     _, _, trace = mk.reduce_pair(fp, full)
-    for rem in trace.removals:
+    for rem in trace:
         assert rem.witness  # the covering component label sets at removal time
         assert rem.p_index != rem.q_index
