@@ -107,8 +107,13 @@ def check_metastep_ratio(rec: MetaStepRecord, before: Forest | None = None) -> b
         ess = set(rec.essential)
         if not ess <= set(rec.removed_f1):
             return False
-        after_full = before.remove_edges(rec.removed_f1)
-        after_ess = before.remove_edges(rec.essential)
+        if rec.removed_f1:
+            after_full = before.remove_edges(rec.removed_f1)
+            after_ess = before.remove_edges(rec.essential)
+        else:
+            # nothing leaves the working forest, so both removals give
+            # ``before`` back; the identities below are checked all the same
+            after_full = after_ess = before
         if not after_full.same_structure(after_ess):
             return False
         if after_full.order() != before.order() + len(rec.essential):

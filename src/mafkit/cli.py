@@ -231,7 +231,7 @@ def cmd_bench(args) -> int:
             continue
         groups.setdefault((r["n"], r["m"]), []).append(r)
     agg_rows = []
-    for (n, m), rs in sorted(groups.items(), key=lambda kv: (str(kv[0]))):
+    for (n, m), rs in sorted(groups.items(), key=lambda kv: kv[0]):
         orders = [
             int(r["order"])
             for r in rs

@@ -584,6 +584,41 @@ class Forest:
         )
         return EdgeSplit(eid, s1, s2)
 
+    def zero_sum_edges(self, weight) -> list[int]:
+        """Sorted ids of the edges one of whose sides has weight 0 mod 2^64.
+
+        ``weight`` maps every label id of this forest to an integer.  Each
+        component is walked once with an explicit stack, from its root when
+        rooted and from its smallest vertex when unrooted; the side below an
+        edge sums the weights of the subtree, and the other side is the
+        component total minus that sum.
+        """
+        mask = (1 << 64) - 1
+        out = []
+        for idx, comp in enumerate(self.components()):
+            start = self.component_root(idx) if self.rooted else min(comp)
+            preorder = []
+            stack = [(start, None, None)]
+            while stack:
+                v, in_edge, up = stack.pop()
+                preorder.append((v, in_edge, up))
+                for e, w in self._adj[v].items():
+                    if e != in_edge:
+                        stack.append((w, e, v))
+            below = {v: weight[self._vlabel[v]] if v in self._vlabel else 0
+                     for v in comp}
+            sums = []
+            for v, in_edge, up in reversed(preorder):
+                if up is not None:
+                    below[up] += below[v]
+                    sums.append((in_edge, below[v]))
+            total = below[start]
+            out.extend(
+                e for e, s in sums if not s & mask or not (total - s) & mask
+            )
+        out.sort()
+        return out
+
     def find_mss(self) -> SiblingSet | None:
         """Deterministically pick a maximal sibling set, if any exists.
 

@@ -5,11 +5,21 @@ exactly a union of whole components of another forest: no agreement forest
 can keep such an edge, so removals preserve the full set of maximum agreement
 forests.  Solvers drive forest pairs to the fixpoint ("strongly reducible")
 before doing any case analysis or branching.
+
+A scan finds such edges in time linear in the forest, not with one search
+per edge.  Every label gets a random 64-bit weight, drawn so that the weights
+within each component of the witness forest sum to 0 mod 2^64.  A side that
+is a union of whole components then sums to exactly 0, so one post-order
+pass that flags every edge with a zero-sum side (``Forest.zero_sum_edges``)
+never misses a removable edge.  A side can also sum to 0 by chance; the exact
+containment check run on each flagged edge rejects it.  So the answer is the
+one a scan of every edge would give, whatever the weights.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from .forest import Forest, Instance
@@ -29,12 +39,37 @@ class Removal:
     witness: tuple[frozenset[int], ...]
 
 
+# the answer does not depend on the weights, only the number of false
+# candidates does; a fixed seed keeps that number repeatable
+_WEIGHT_SEED = 0x5EED
+
+
+def _label_weights(comp_labels) -> dict[int, int]:
+    """Random 64-bit label weights that sum to 0 mod 2^64 per component."""
+    rng = random.Random(_WEIGHT_SEED)
+    weight = {}
+    for labels in comp_labels:
+        *head, last = sorted(labels)
+        total = 0
+        for lid in head:
+            weight[lid] = rng.getrandbits(64)
+            total += weight[lid]
+        weight[last] = -total % (1 << 64)
+    return weight
+
+
 def find_applicable(fp: Forest, fq: Forest):
     """First edge of ``fq`` (by id) removable with ``fp`` as witness, or None.
 
     Returns ``(edge_id, witness_component_label_sets)``.  A side qualifies
     when every one of its labels lies in an ``fp`` component whose label set
     is fully contained in that side.
+
+    Only the edges that ``fq.zero_sum_edges`` flags under the weights of
+    ``fp``'s components are split and checked, in id order, side1 before
+    side2.  Every qualifying side sums to exactly 0, so no qualifying edge
+    goes unflagged; a side that sums to 0 by chance fails the exact
+    ``covered`` check, so it cannot change the answer.
     """
     comp_labels = fp.label_partition()
 
@@ -47,7 +82,7 @@ def find_applicable(fp: Forest, fq: Forest):
             comps.add(c)
         return tuple(comp_labels[c] for c in sorted(comps))
 
-    for eid in sorted(fq.edge_ids()):
+    for eid in fq.zero_sum_edges(_label_weights(comp_labels)):
         split = fq.split_labels(eid)
         for side in (split.side1, split.side2):
             wit = covered(side)
@@ -56,12 +91,29 @@ def find_applicable(fp: Forest, fq: Forest):
     return None
 
 
+def _all_equal(forests) -> bool:
+    """True when every forest has the structure of the first.
+
+    Edge and component counts are compared first, so canonical keys are
+    built only for forests that may well be equal.
+    """
+    first = forests[0]
+    return all(
+        len(f.edge_ids()) == len(first.edge_ids())
+        and f.order() == first.order()
+        and f.same_structure(first)
+        for f in forests[1:]
+    )
+
+
 def _fixpoint(forests):
     """Apply the rule over all ordered pairs (p, q) until none applies.
 
     Pairs are scanned in ``itertools.permutations`` order, edges in id order;
     the first hit is applied and the scan restarts.  The order is fixed
-    because confluence is not assumed.
+    because confluence is not assumed.  A removal that makes all forests
+    equal ends the loop at once: in equal forests every side of an edge is a
+    proper part of one component, so the next round could not hit.
     """
     forests = list(forests)
     removals = []
@@ -71,10 +123,13 @@ def _fixpoint(forests):
             if found is not None:
                 break
         else:
-            return forests, tuple(removals)
+            break
         eid, wit = found
         forests[q] = forests[q].remove_edges([eid])
         removals.append(Removal(q_index=q, edge=eid, p_index=p, witness=wit))
+        if _all_equal(forests):
+            break
+    return forests, tuple(removals)
 
 
 def reduce_pair(f1: Forest, f2: Forest):

@@ -40,6 +40,31 @@ def greedy_essential_by_key(forest, eids):
     return tuple(keep)
 
 
+def find_applicable_by_bfs(fp, fq):
+    """Reference for ``find_applicable``: split and check every edge of ``fq``.
+
+    One breadth-first split per edge, in id order, side1 before side2.
+    """
+    comp_labels = fp.label_partition()
+
+    def covered(side):
+        comps = set()
+        for lid in side:
+            c = fp.component_index_of_label(lid)
+            if not comp_labels[c] <= side:
+                return None
+            comps.add(c)
+        return tuple(comp_labels[c] for c in sorted(comps))
+
+    for eid in sorted(fq.edge_ids()):
+        split = fq.split_labels(eid)
+        for side in (split.side1, split.side2):
+            wit = covered(side)
+            if wit is not None:
+                return eid, wit
+    return None
+
+
 def random_instance(rng, rooted, n=None, m=None, x=None):
     n = n if n is not None else rng.randint(4, 7)
     m = m if m is not None else rng.randint(2, 3)

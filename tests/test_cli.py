@@ -165,6 +165,17 @@ def test_bench_error_row_keeps_the_sweep_going(tmp_path, capsys, monkeypatch):
     assert [r["note"] for r in agg] == ["instances=1"]
 
 
+def test_bench_aggregates_in_numeric_size_order(tmp_path, capsys):
+    for n in (20, 9, 12):
+        main(["gen", "-n", str(n), "-m", "2", "-x", "1", "--seed", "1",
+              "--out", str(tmp_path / f"t{n}.nwk")])
+    code, out, _ = run(capsys, "bench", str(tmp_path), "--mode", "approx")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    aggs = [r["instance"] for r in rows if r["method"] == "aggregate"]
+    assert aggs == ["t9-2", "t12-2", "t20-2"]
+
+
 def test_env_seed_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MAF_SEED", "77")
     out1 = tmp_path / "a.nwk"

@@ -166,6 +166,20 @@ def test_split_sides_partition_component(rng):
             assert not (split.side1 & split.side2)
 
 
+def test_zero_sum_edges_match_split_sums(rng):
+    # weights in -2..2 make zero-sum sides common, negative totals included
+    for _ in range(40):
+        f = random_forest(rng, rng.randint(3, 10), rooted=rng.random() < 0.5)
+        weight = {lid: rng.randint(-2, 2) for lid in f.label_ids()}
+        want = []
+        for eid in sorted(f.edge_ids()):
+            split = f.split_labels(eid)
+            if any(sum(weight[l] for l in side) % 2**64 == 0
+                   for side in (split.side1, split.side2)):
+                want.append(eid)
+        assert f.zero_sum_edges(weight) == want
+
+
 # -- is_subforest ------------------------------------------------------------
 
 

@@ -1,8 +1,11 @@
 """Reduction rule: applicability, fixpoints, optimum preservation."""
 
 import mafkit as mk
+from mafkit import reduction
+from mafkit.forest import Forest
+from mafkit.reduction import find_applicable
 
-from helpers import random_instance
+from helpers import find_applicable_by_bfs, random_instance
 
 
 def test_singleton_triggers_leaf_removal():
@@ -69,6 +72,24 @@ def test_reduce_instance_preserves_optimum(rng):
         assert len(trace) <= total_edges
 
 
+def test_fixpoint_stops_once_forests_are_equal(monkeypatch):
+    inst = mk.parse_instance("((a,b),c);\n((a,b),c);", rooted=True)
+    full = inst.forests[0]
+    fp = full.remove_edges([full.pendant_edge(full.labels.id_of("b"))])
+    scans = []
+    scan = reduction.find_applicable
+
+    def counting_scan(p, q):
+        scans.append(scan(p, q))
+        return scans[-1]
+
+    monkeypatch.setattr(reduction, "find_applicable", counting_scan)
+    f1, f2, trace = mk.reduce_pair(fp, full)
+    # the one hit makes the pair equal: no closing round of idle scans
+    assert len(trace) == 1 and f1.same_structure(f2)
+    assert len(scans) == 1 and scans[0] is not None
+
+
 def test_trace_witnesses_recorded():
     inst = mk.parse_instance("((a,b),c);\n((a,b),c);", rooted=True)
     full = inst.forests[0]
@@ -77,3 +98,99 @@ def test_trace_witnesses_recorded():
     for rem in trace:
         assert rem.witness  # the covering component label sets at removal time
         assert rem.p_index != rem.q_index
+
+
+# -- the zero-sum scan against the per-edge reference ------------------------
+
+
+def random_pair(rng, rooted):
+    """Two forests over one label table: grouped, cut, with singletons."""
+    inst = random_instance(rng, rooted, n=rng.randint(4, 12), m=2, x=rng.randint(0, 3))
+    fp, fq = inst.forests
+    # group sibling sets the trees share, in lockstep as the solvers do
+    for _ in range(rng.randint(0, 3)):
+        mss = fq.find_mss()
+        if mss is None or fp.sibling_case(mss.labels).kind != "mss":
+            break
+        fp, fq = fp.group_labels(mss.labels), fq.group_labels(mss.labels)
+
+    def cut(f):
+        eids = sorted(f.edge_ids())
+        f = f.remove_edges(rng.sample(eids, rng.randint(0, min(3, len(eids)))))
+        leaves = sorted(l for l in f.label_ids() if f.degree(f.vertex_of_label(l)) == 1)
+        if leaves and rng.random() < 0.5:
+            f = f.remove_edges([f.pendant_edge(rng.choice(leaves))])
+        return f
+
+    return cut(fp), cut(fq)
+
+
+def scans_match_reference(fp, fq):
+    """Compare both directions at every step of the fixpoint; count hits.
+
+    The walk runs until a round finds nothing, so it also checks that
+    ``reduce_pair``, which stops once the pair is equal, removes the same.
+    """
+    forests = [fp, fq]
+    removals = []
+    while True:
+        for p, q in ((0, 1), (1, 0)):
+            got = find_applicable(forests[p], forests[q])
+            assert got == find_applicable_by_bfs(forests[p], forests[q])
+            if got is not None:
+                break
+        else:
+            break
+        removals.append(mk.Removal(q_index=q, edge=got[0], p_index=p, witness=got[1]))
+        forests[q] = forests[q].remove_edges([got[0]])
+    assert mk.reduce_pair(fp, fq)[2] == tuple(removals)
+    return len(removals)
+
+
+def test_scan_matches_per_edge_reference(rng):
+    hits = 0
+    for _ in range(150):
+        fp, fq = random_pair(rng, rooted=rng.random() < 0.5)
+        hits += scans_match_reference(fp, fq)
+    assert hits > 100
+
+
+def test_scan_with_colliding_weights_matches_reference(rng, monkeypatch):
+    # all-zero weights flag every edge: only the exact check tells hits apart
+    def zeros(comp_labels):
+        return {lid: 0 for labels in comp_labels for lid in labels}
+
+    monkeypatch.setattr(reduction, "_label_weights", zeros)
+    hits = 0
+    for _ in range(80):
+        fp, fq = random_pair(rng, rooted=rng.random() < 0.5)
+        weight = zeros(fp.label_partition())
+        assert fq.zero_sum_edges(weight) == sorted(fq.edge_ids())
+        hits += scans_match_reference(fp, fq)
+    assert hits > 50
+
+
+def test_scan_splits_only_the_edges_it_removes(monkeypatch):
+    # guards the linear scan: one split per hit, none per scanned edge
+    inst = mk.generate_instance(mk.GenSpec(n=100, m=5, x=2, seed=43, rooted=True))
+    calls = {"split": 0, "hits": 0}
+    split, scan = Forest.split_labels, reduction.find_applicable
+
+    def counting_split(self, eid):
+        calls["split"] += 1
+        return split(self, eid)
+
+    def counting_scan(fp, fq):
+        found = scan(fp, fq)
+        calls["hits"] += found is not None
+        return found
+
+    monkeypatch.setattr(Forest, "split_labels", counting_split)
+    monkeypatch.setattr(reduction, "find_applicable", counting_scan)
+    f1, f2 = inst.forests[:2]
+    leaves = sorted(f1.label_ids())[1:6]
+    cut = f1.remove_edges([f1.pendant_edge(l) for l in leaves])
+    mk.reduce_pair(cut, f2)
+    mk.approx_rmaf(inst)
+    assert calls["hits"] > 0
+    assert calls["split"] == calls["hits"]
