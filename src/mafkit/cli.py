@@ -9,7 +9,7 @@ instance and method plus per-(n,m) aggregate rows; a file that fails to parse
 or to solve gets an ``error`` row and the sweep goes on.
 
 Exit codes: 0 success, 1 no solution under an explicit --k cap, 2 input
-error, 3 internal error.
+error, 3 internal error (any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import io
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .approx import approx_rmaf, approx_umaf
@@ -200,6 +201,12 @@ def _bench_file(job):
     except (OSError, MafError) as exc:
         row(method="error", note=str(exc))
         return rows
+    except Exception as exc:
+        # a fault outside the package's own errors (say, a RecursionError on
+        # a very deep tree) must not take the rest of the sweep down with it
+        traceback.print_exc()
+        row(method="error", note=f"{type(exc).__name__}: {exc}")
+        return rows
 
     if approx_order is not None and exact_order:
         ratio_val = approx_order / exact_order
@@ -314,6 +321,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except MafError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception:
+        # exit 1 means "no solution"; an unforeseen fault must not look like it
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

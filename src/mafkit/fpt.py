@@ -3,11 +3,12 @@
 The search works on the first two forests of the instance at a time: reduce
 the pair, shrink matching maximal sibling sets into grouped leaves, and when
 the structures disagree branch on the ways a maximal agreement forest of the
-pair can treat the sibling set.  Rooted branching is at most three-way, so a
-completed search visits at most 3^k leaves; unrooted branching is four-way
-with a 4^k bound.  Once the second forest runs out of sibling sets the pair
-collapses to its unique maximal agreement forest and the recursion moves on
-to the next input forest.
+pair can treat the sibling set.  A grouping leaves a reduced pair reduced
+(the lemma in ``reduction``), so the pair is not reduced again after one.
+Rooted branching is at most three-way, so a completed search visits at most
+3^k leaves; unrooted branching is four-way with a 4^k bound.  Once the
+second forest runs out of sibling sets the pair collapses to its unique
+maximal agreement forest and the recursion moves on to the next input forest.
 
 The case analysis itself lives in ``Forest.sibling_case``, which the
 approximation shares: the search branches on cutting either label of the
@@ -100,20 +101,21 @@ def _search(forests, k, stats, depth):
         stats.nodes += 1
         f1, f2, trace = reduce_pair(f1, forests[1])
         stats.rule1_edges += len(trace)
+        # a grouping keeps the pair reduced (see ``reduction``), so it goes
+        # straight back to the case analysis; it still counts as a node
+        while (mss := f2.find_mss()) is not None:
+            case = f1.sibling_case(mss.labels)
+            if case.kind != "mss":
+                break
+            stats.case1 += 1
+            stats.nodes += 1
+            f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
         forests[0], forests[1] = f1, f2
 
-        mss = f2.find_mss()
         if mss is None:
             stats.collapses += 1
             collapsed = unique_maximal_af(f1, f2)
             forests = [collapsed.expand_labels()] + forests[2:]
-            continue
-
-        case = f1.sibling_case(mss.labels)
-        if case.kind == "mss":
-            stats.case1 += 1
-            forests[0] = f1.group_labels(mss.labels)
-            forests[1] = f2.group_labels(mss.labels)
             continue
 
         if case.kind == "siblings":

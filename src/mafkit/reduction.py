@@ -14,6 +14,20 @@ pass that flags every edge with a zero-sum side (``Forest.zero_sum_edges``)
 never misses a removable edge.  A side can also sum to 0 by chance; the exact
 containment check run on each flagged edge rejects it.  So the answer is the
 one a scan of every edge would give, whatever the weights.
+
+Grouping keeps a pair reduced.  Let (F, G) admit no removal in either
+direction, and let S be a sibling set maximal in both; F' and G' group S
+into one leaf s.  The edges of F' are those of F minus the pendant edges of
+S, and each side of such an edge, with s read as S, is the corresponding
+side in F, because S and its hub lie on one side of it.  The components of
+F' map one to one onto those of F in the same way.  So a side of a G' edge
+that is a union of whole F' components would expand to a side of a G edge
+that is a union of whole F components, and the same holds the other way
+round: (F', G') admits no removal either.  If moreover F ≇ G, then F' ≇ G',
+because undoing the grouping of s (as ``expand_labels`` does) turns
+isomorphic F', G' back into isomorphic F, G.  Both solvers rely on this: a
+Case-1 grouping goes straight back to the case analysis, with no
+``reduce_pair`` and no equality test in between.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .forest import Forest, Instance
+from .forest import Forest, Instance, LabelUniverseError
 
 
 @dataclass(frozen=True)
@@ -114,8 +128,14 @@ def _fixpoint(forests):
     because confluence is not assumed.  A removal that makes all forests
     equal ends the loop at once: in equal forests every side of an edge is a
     proper part of one component, so the next round could not hit.
+
+    Every forest must carry the same label ids (grouping applied to all of
+    them alike); ``LabelUniverseError`` is raised otherwise.
     """
     forests = list(forests)
+    labels = forests[0].label_ids()
+    if any(f.label_ids() != labels for f in forests[1:]):
+        raise LabelUniverseError("forests to reduce carry different label ids")
     removals = []
     while True:
         for p, q in itertools.permutations(range(len(forests)), 2):

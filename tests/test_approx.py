@@ -3,6 +3,7 @@
 import pytest
 
 import mafkit as mk
+from mafkit import approx
 from mafkit.approx import GROUP, MS2, MS31, MS32, RULE1
 from mafkit.forest import Forest, LabelTable
 
@@ -151,3 +152,39 @@ def test_output_is_over_original_labels(rng):
 def test_step_counts_sum_to_trace(rooted_pair):
     res = mk.approx_rmaf(rooted_pair)
     assert sum(res.step_counts().values()) == len(res.trace)
+
+
+def test_groupings_do_not_rescan(rng, monkeypatch):
+    # right after a GROUP record the pair is still reduced and unequal, so
+    # neither the reduction nor the working-pair equality test runs
+    events = []
+    busy = []
+    record, reduce_pair, same = approx._record, approx.reduce_pair, Forest.same_structure
+
+    def logged(name, fn):
+        def wrapper(*args):
+            busy.append(name)
+            try:
+                got = fn(*args)
+            finally:
+                busy.pop()
+            if not busy:
+                events.append(args[0] if name == "record" else name)
+            return got
+        return wrapper
+
+    monkeypatch.setattr(approx, "_record", logged("record", record))
+    monkeypatch.setattr(approx, "reduce_pair", logged("reduce", reduce_pair))
+    monkeypatch.setattr(Forest, "same_structure", logged("same", same))
+    groupings = 0
+    for _ in range(40):
+        inst = random_instance(rng, rooted=rng.random() < 0.5, n=rng.randint(10, 20),
+                               m=rng.randint(2, 4), x=rng.randint(1, 3))
+        events.clear()
+        approximate(inst)
+        for before, after in zip(events, events[1:]):
+            if before == GROUP:
+                groupings += 1
+                assert after not in ("reduce", "same")
+        assert "reduce" in events and "same" in events
+    assert groupings > 100

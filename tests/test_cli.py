@@ -68,6 +68,20 @@ def test_pmaf_cap_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_unexpected_exception_exits_internal_with_traceback(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "i.nwk"
+    p.write_text("((a,b),c);\n((a,c),b);\n")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver fell over")
+
+    monkeypatch.setattr(cli, "approx_rmaf", broken)
+    for command in ("amaf", "pmaf"):
+        code, _, err = run(capsys, command, str(p))
+        assert code == 3
+        assert "Traceback" in err and "RuntimeError: solver fell over" in err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "i.nwk"
     p.write_text("((a,b),c);\n((a,x),b);\n")
@@ -163,6 +177,25 @@ def test_bench_error_row_keeps_the_sweep_going(tmp_path, capsys, monkeypatch):
     assert [r["method"] for r in good] == ["fpt"] and good[0]["order"]
     agg = [r for r in rows if r["method"] == "aggregate"]
     assert [r["note"] for r in agg] == ["instances=1"]
+
+
+def test_bench_error_row_for_unexpected_exception(tmp_path, capsys, monkeypatch):
+    main(["gen", "-n", "5", "-m", "2", "-x", "1", "--seed", "1", "--out", str(tmp_path / "a.nwk")])
+    main(["gen", "-n", "5", "-m", "2", "-x", "1", "--seed", "2", "--out", str(tmp_path / "b.nwk")])
+    approximate = cli._approximate
+
+    def broken_on_a(instance):
+        if instance.name == "a.nwk":
+            raise RecursionError("maximum recursion depth exceeded")
+        return approximate(instance)
+
+    monkeypatch.setattr(cli, "_approximate", broken_on_a)
+    code, out, err = run(capsys, "bench", str(tmp_path), "--mode", "approx")
+    assert code == 0 and "Traceback" in err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    errors = [(r["instance"], r["note"]) for r in rows if r["method"] == "error"]
+    assert errors == [("a.nwk", "RecursionError: maximum recursion depth exceeded")]
+    assert [r["method"] for r in rows if r["instance"] == "b.nwk"] == ["approx"]
 
 
 def test_bench_aggregates_in_numeric_size_order(tmp_path, capsys):

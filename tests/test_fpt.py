@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 import mafkit as mk
+from mafkit import fpt
 
 from helpers import random_instance
 
@@ -143,3 +144,26 @@ def test_package_checks_survive_optimized_mode():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_groupings_do_not_rescan(rng, monkeypatch):
+    # a Case-1 grouping leaves the pair reduced, so only the other nodes
+    # run the reduction: one call per node that is not a grouping
+    calls = []
+    reduce_pair = fpt.reduce_pair
+
+    def counting(f1, f2):
+        calls.append(1)
+        return reduce_pair(f1, f2)
+
+    monkeypatch.setattr(fpt, "reduce_pair", counting)
+    groupings = 0
+    for _ in range(40):
+        inst = random_instance(rng, rooted=rng.random() < 0.5, n=rng.randint(5, 9),
+                               m=rng.randint(2, 4))
+        for k in range(1, mk.find_min_k(inst).order + 1):
+            calls.clear()
+            _, stats = fpt._solve(inst, k)
+            assert len(calls) == stats.nodes - stats.case1
+            groupings += stats.case1
+    assert groupings > 100

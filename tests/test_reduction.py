@@ -1,5 +1,7 @@
 """Reduction rule: applicability, fixpoints, optimum preservation."""
 
+import pytest
+
 import mafkit as mk
 from mafkit import reduction
 from mafkit.forest import Forest
@@ -194,3 +196,111 @@ def test_scan_splits_only_the_edges_it_removes(monkeypatch):
     mk.approx_rmaf(inst)
     assert calls["hits"] > 0
     assert calls["split"] == calls["hits"]
+
+
+# -- grouping keeps a reduced pair reduced (the lemma the solvers rely on) ----
+
+
+def group_checked(f1, f2):
+    """Group every sibling set maximal in both forests of a reduced pair.
+
+    After each grouping the per-edge reference must find nothing in either
+    direction, and the pair must be equal exactly when it was before.
+    Returns the grouped pair and the number of groupings.
+    """
+    groupings = 0
+    while (mss := f2.find_mss()) is not None and f1.sibling_case(mss.labels).kind == "mss":
+        equal = f1.same_structure(f2)
+        f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
+        assert find_applicable_by_bfs(f1, f2) is None
+        assert find_applicable_by_bfs(f2, f1) is None
+        assert f1.same_structure(f2) == equal
+        groupings += 1
+    return f1, f2, groupings
+
+
+def test_grouping_keeps_pair_reduced_and_unequal(rng):
+    # walk each partner of the first forest as the solvers do: reduce,
+    # group, cut one label of a conflicting sibling set, and again
+    groupings = {True: 0, False: 0}  # by whether the pair was equal
+    for _ in range(120):
+        inst = random_instance(rng, rooted=rng.random() < 0.5,
+                               n=rng.randint(5, 12), m=rng.randint(2, 4), x=rng.randint(1, 3))
+        f1 = inst.forests[0]
+        for fi in inst.forests[1:]:
+            while True:
+                f1, fi, _ = mk.reduce_pair(f1, fi)
+                equal = f1.same_structure(fi)
+                f1, fi, n = group_checked(f1, fi)
+                groupings[equal] += n
+                mss = fi.find_mss()
+                if mss is None or f1.same_structure(fi):
+                    break
+                a = f1.sibling_case(mss.labels).pair[rng.randrange(2)]
+                f1 = f1.remove_edges([f1.pendant_edge(a)])
+                fi = fi.remove_edges([fi.pendant_edge(a)])
+            f1 = f1.expand_labels()
+    assert groupings[False] > 200 and groupings[True] > 500
+
+
+def cut_off(forest, names):
+    """``forest`` with the edge whose one side is exactly ``names`` removed."""
+    want = frozenset(forest.labels.id_of(n) for n in names)
+    eid = next(e for e in sorted(forest.edge_ids())
+               if want in (forest.split_labels(e).side1, forest.split_labels(e).side2))
+    return forest.remove_edges([eid])
+
+
+def hand_built_pair(text, names):
+    f1, f2 = mk.parse_instance(text, rooted=False).forests
+    f1, f2 = cut_off(f1, names), cut_off(f2, names)
+    assert find_applicable_by_bfs(f1, f2) is None
+    assert find_applicable_by_bfs(f2, f1) is None
+    assert not f1.same_structure(f2)
+    return f1, f2
+
+
+def test_grouping_a_single_edge_tree_keeps_pair_reduced():
+    f1, f2 = hand_built_pair("((a,b),((c,d),(e,f)));\n((a,b),((c,e),(d,f)));", "ab")
+    mss = f2.find_mss()
+    assert mss.hub is None and f1.sibling_case(mss.labels).kind == "mss"
+    g1, g2, n = group_checked(f1, f2)
+    assert n >= 1 and g1.order() == f1.order()
+
+
+def test_grouping_a_full_star_keeps_pair_reduced():
+    f1, f2 = hand_built_pair(
+        "((a,b,c),((d,e),(f,g)));\n((a,b,c),((d,f),(e,g)));", "abc")
+    star = frozenset(f1.labels.id_of(n) for n in "abc")
+    # the whole star, whose hub has no other neighbor, is maximal in both
+    assert f1.sibling_case(star).kind == "mss" == f2.sibling_case(star).kind
+    g1, g2 = f1.group_labels(star), f2.group_labels(star)
+    s = max(g1.label_ids())
+    assert g1.degree(g1.vertex_of_label(s)) == 0 == g2.degree(g2.vertex_of_label(s))
+    assert find_applicable_by_bfs(g1, g2) is None
+    assert find_applicable_by_bfs(g2, g1) is None
+    assert not g1.same_structure(g2)
+    # and the grouping find_mss prefers, two of the three star leaves
+    assert group_checked(f1, f2)[2] >= 1
+
+
+# -- forests must share their label ids ---------------------------------------
+
+
+def test_reduce_pair_rejects_different_label_ids():
+    for rooted in (True, False):
+        f = mk.parse_instance("((a,b),(c,d));", rooted=rooted).forests[0]
+        grouped = f.group_labels(f.find_mss())
+        with pytest.raises(mk.LabelUniverseError):
+            mk.reduce_pair(f, grouped)
+        with pytest.raises(mk.LabelUniverseError):
+            mk.reduce_pair(grouped, f)
+
+
+def test_reduce_instance_rejects_different_label_ids():
+    for rooted in (True, False):
+        f = mk.parse_instance("((a,b),(c,d));", rooted=rooted).forests[0]
+        grouped = f.group_labels(f.find_mss())
+        inst = mk.Instance(rooted=rooted, forests=(f, f, grouped))
+        with pytest.raises(mk.LabelUniverseError):
+            mk.reduce_instance(inst)
