@@ -95,6 +95,8 @@ def essential_subset(forest: Forest, eids) -> tuple[int, ...]:
     exactly when it gives the same order.
     """
     keep = sorted(eids)
+    if not keep:
+        return ()
     target = forest.order_without(keep)
     for e in sorted(eids):
         trial = [x for x in keep if x != e]

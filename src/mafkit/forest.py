@@ -11,10 +11,20 @@ are kept irreducible at all times -- unlabeled degree-2 vertices are spliced
 out and unlabeled debris is dropped, with the one exception that a component
 root may keep degree 2 (it stands for the least common ancestor of the
 component's labels).
+
+A derived value is built from its parent, not from scratch, and a value is
+never written again once it has been returned.  So a derived value shares
+every adjacency row it does not change with its parent: it copies the outer
+maps and copies a row only the first time it writes it.  A grouping also
+patches its parent's sibling-set table (see :meth:`Forest.find_mss`) where
+the grouping can change it, instead of leaving it to be built again.  Other
+derived data (components, label partition, canonical key) is built at most
+once per value, on first use.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -130,7 +140,13 @@ class LabelTable:
             # regrouping the same parts later in another branch is fine; the
             # id must stay distinct, so disambiguate the cosmetic name
             name = f"{name}#{new_id}"
-        return LabelTable(self._labels + (Label(new_id, name, parts),)), new_id
+        # derive from this table; the maps are copied, not shared, because
+        # sibling branches give the same new id to different groups
+        table = object.__new__(LabelTable)
+        table._labels = self._labels + (Label(new_id, name, parts),)
+        table._by_name = {**self._by_name, name: new_id}
+        table._orig_cache = dict(self._orig_cache)
+        return table, new_id
 
     def same_originals(self, other: "LabelTable") -> bool:
         n = self.n_original()
@@ -226,13 +242,18 @@ class Forest:
         "_parent_edge",
         "_next_v",
         "_next_e",
+        "_label_vertex",
+        "_own",
         "_comps",
         "_comp_of_v",
         "_canon",
-        "_label_vertex",
+        "_mss",
+        "_partition",
+        "_weights",
     )
 
-    def __init__(self, rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e):
+    def __init__(self, rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e,
+                 label_vertex):
         self.rooted = rooted
         self.labels = labels
         self._vlabel = vlabel          # vertex -> label id
@@ -241,10 +262,14 @@ class Forest:
         self._parent_edge = parent_edge  # rooted: child vertex -> edge id
         self._next_v = next_v
         self._next_e = next_e
+        self._label_vertex = label_vertex  # label id -> vertex
+        self._own = set()              # vertices whose adjacency row is private
         self._comps = None
         self._comp_of_v = None
         self._canon = None
-        self._label_vertex = {lid: v for v, lid in vlabel.items()}
+        self._mss = None               # sibling-set table, see find_mss
+        self._partition = None
+        self._weights = None           # label weights as a reduction witness
 
     # -- construction
 
@@ -253,9 +278,10 @@ class Forest:
         """Assemble a forest from raw parts.
 
         ``leaf_labels`` maps vertex id -> label id, ``edge_list`` is an
-        iterable of vertex pairs (parent first when rooted).  The result is
-        normalized by forced contraction unless ``normalize`` is False, which
-        exists so tests can build reducible inputs on purpose.
+        iterable of vertex pairs (parent first when rooted) that must not
+        close a cycle.  The result is normalized by forced contraction unless
+        ``normalize`` is False, which exists so tests can build reducible
+        inputs on purpose.
         """
         vlabel = dict(leaf_labels)
         adj: dict[int, dict[int, int]] = {v: {} for v in vlabel}
@@ -275,10 +301,16 @@ class Forest:
                 parent_edge[v] = eid
         next_v = max(adj, default=-1) + 1
         next_e = len(edges)
-        f = cls(rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e)
+        label_vertex = {lid: v for v, lid in vlabel.items()}
+        f = cls(rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e,
+                label_vertex)
         if normalize:
             f._normalize(list(adj))
         f._check(strict=normalize)
+        # contraction keeps the cycle rank, so the vertex and edge counts give
+        # the component count (``order``) exactly when there is no cycle
+        if len(f.components()) != f.order():
+            raise ForestError("edge list has a cycle")
         return f
 
     @classmethod
@@ -288,23 +320,34 @@ class Forest:
         return cls.build(rooted, labels, leaf_labels, [])
 
     def _copy(self) -> "Forest":
+        """Writable child value sharing every adjacency row with this one."""
         return Forest(
             self.rooted,
             self.labels,
             dict(self._vlabel),
-            {v: dict(d) for v, d in self._adj.items()},
+            dict(self._adj),
             dict(self._edges),
             dict(self._parent_edge),
             self._next_v,
             self._next_e,
+            dict(self._label_vertex),
         )
 
     # -- internal mutation, used only on fresh copies ----------------------
+
+    def _row(self, v) -> dict[int, int]:
+        """``v``'s adjacency row, copied first if still shared with the parent."""
+        if v in self._own:
+            return self._adj[v]
+        self._own.add(v)
+        row = self._adj[v] = dict(self._adj[v])
+        return row
 
     def _add_vertex(self, lid=None) -> int:
         v = self._next_v
         self._next_v += 1
         self._adj[v] = {}
+        self._own.add(v)
         if lid is not None:
             self._vlabel[v] = lid
             self._label_vertex[lid] = v
@@ -323,8 +366,8 @@ class Forest:
         eid = self._next_e
         self._next_e += 1
         self._edges[eid] = (u, v)
-        self._adj[u][eid] = v
-        self._adj[v][eid] = u
+        self._row(u)[eid] = v
+        self._row(v)[eid] = u
         if self.rooted:
             if v in self._parent_edge:
                 raise ForestError(f"vertex {v} has two parents")
@@ -333,8 +376,8 @@ class Forest:
 
     def _del_edge(self, eid):
         u, v = self._edges.pop(eid)
-        del self._adj[u][eid]
-        del self._adj[v][eid]
+        del self._row(u)[eid]
+        del self._row(v)[eid]
         if self.rooted and self._parent_edge.get(v) == eid:
             del self._parent_edge[v]
 
@@ -358,6 +401,8 @@ class Forest:
                     queue.append(w)
                 elif deg == 2 and not self.rooted:
                     (e1, w1), (e2, w2) = sorted(self._adj[v].items())
+                    if w1 == w2:
+                        raise ForestError("edge list has a cycle")
                     self._del_edge(e1)
                     self._del_edge(e2)
                     self._drop_vertex(v)
@@ -372,6 +417,8 @@ class Forest:
                 elif deg == 2:
                     parent = self._adj[v][pe]
                     ce, child = next((e, w) for e, w in self._adj[v].items() if e != pe)
+                    if parent == child:
+                        raise ForestError("edge list has a cycle")
                     self._del_edge(pe)
                     self._del_edge(ce)
                     self._drop_vertex(v)
@@ -447,32 +494,30 @@ class Forest:
 
     def components(self) -> tuple[frozenset[int], ...]:
         if self._comps is None:
-            seen = set()
+            adj = self._adj
             comps = []
             comp_of = {}
-            for v0 in sorted(self._adj):
-                if v0 in seen:
+            for v0 in sorted(adj):
+                if v0 in comp_of:
                     continue
-                comp = {v0}
-                queue = deque((v0,))
-                while queue:
-                    v = queue.popleft()
-                    for w in self._adj[v].values():
-                        if w not in comp:
-                            comp.add(w)
-                            queue.append(w)
-                seen |= comp
                 idx = len(comps)
+                comp_of[v0] = idx
+                comp = [v0]
+                stack = [v0]
+                while stack:
+                    for w in adj[stack.pop()].values():
+                        if w not in comp_of:
+                            comp_of[w] = idx
+                            comp.append(w)
+                            stack.append(w)
                 comps.append(frozenset(comp))
-                for v in comp:
-                    comp_of[v] = idx
             self._comps = tuple(comps)
             self._comp_of_v = comp_of
         return self._comps
 
     def order(self) -> int:
-        """Number of connected components."""
-        return len(self.components())
+        """Number of connected components: vertices minus edges, in a forest."""
+        return len(self._adj) - len(self._edges)
 
     def order_without(self, eids) -> int:
         """``remove_edges(eids).order()``, counted without building the forest.
@@ -510,7 +555,11 @@ class Forest:
         raise ForestError("component without root")
 
     def label_partition(self) -> tuple[frozenset[int], ...]:
-        return tuple(self.component_labels(i) for i in range(self.order()))
+        if self._partition is None:
+            self._partition = tuple(
+                self.component_labels(i) for i in range(self.order())
+            )
+        return self._partition
 
     def tree_path(self, v1, v2):
         """Vertex path between v1 and v2, or None if in different components."""
@@ -626,43 +675,54 @@ class Forest:
         then the ρ pendant edge); unrooted forests have none iff they are
         edgeless.  Among the candidates the one whose smallest contained
         original label id is least wins, ties broken by size then id tuple.
+
+        The candidates are kept in a table with their selection keys, one
+        entry per vertex: a hub's best candidate, or an unrooted single-edge
+        tree under its smaller vertex.  The table is built on the first call
+        and carried through :meth:`group_labels`.
         """
-        cands = []
-        for p in self._adj:
-            if p in self._vlabel:
-                continue
-            if self.rooted:
-                pe = self._parent_edge.get(p)
-                kids = [(e, w) for e, w in self._adj[p].items() if e != pe]
-                if all(w in self._vlabel for _, w in kids):
-                    s = frozenset(self._vlabel[w] for _, w in kids)
-                    if len(s) >= 2:
-                        cands.append(SiblingSet(s, p))
-            else:
-                leaf_edges = [(e, w) for e, w in self._adj[p].items() if w in self._vlabel]
-                extra = [e for e, w in self._adj[p].items() if w not in self._vlabel]
-                if len(leaf_edges) >= 2 and len(extra) <= 1:
-                    s = frozenset(self._vlabel[w] for _, w in leaf_edges)
-                    cands.append(SiblingSet(s, p))
-                    if not extra and len(s) >= 3:
-                        # a full star also admits every one-leaf-short subset
-                        # (degree |S|+1), which the selection rule may prefer
-                        for _, w_omit in leaf_edges:
-                            sub = s - {self._vlabel[w_omit]}
-                            cands.append(SiblingSet(sub, p))
-        if not self.rooted:
-            for idx, comp in enumerate(self.components()):
-                if len(comp) == 2:
-                    s = frozenset(self._vlabel[v] for v in comp)
-                    cands.append(SiblingSet(s, None))
-        if not cands:
+        if self._mss is None:
+            self._mss = {
+                v: entry for v in self._adj if (entry := self._mss_entry(v)) is not None
+            }
+        if not self._mss:
             return None
+        return min(self._mss.values(), key=lambda entry: entry[0])[1]
 
-        def key(ss):
-            ids = sorted(ss.labels)
-            return (min(self.labels.min_original(l) for l in ids), len(ids), tuple(ids))
+    def _mss_entry(self, v):
+        """Least ``(key, SiblingSet)`` among the candidates filed under ``v``."""
+        if v in self._vlabel:
+            # unrooted single-edge tree, filed under its smaller vertex
+            row = self._adj[v]
+            if self.rooted or len(row) != 1:
+                return None
+            w = next(iter(row.values()))
+            if w < v or w not in self._vlabel:
+                return None
+            cands = [SiblingSet(frozenset((self._vlabel[v], self._vlabel[w])), None)]
+        elif self.rooted:
+            pe = self._parent_edge.get(v)
+            kids = [w for e, w in self._adj[v].items() if e != pe]
+            if len(kids) < 2 or any(w not in self._vlabel for w in kids):
+                return None
+            cands = [SiblingSet(frozenset(self._vlabel[w] for w in kids), v)]
+        else:
+            leaves = [w for w in self._adj[v].values() if w in self._vlabel]
+            extra = len(self._adj[v]) - len(leaves)
+            if len(leaves) < 2 or extra > 1:
+                return None
+            s = frozenset(self._vlabel[w] for w in leaves)
+            cands = [SiblingSet(s, v)]
+            if not extra and len(s) >= 3:
+                # a full star also admits every one-leaf-short subset
+                # (degree |S|+1), which the selection rule may prefer
+                cands.extend(SiblingSet(s - {lid}, v) for lid in s)
+        return min(((self._mss_key(ss.labels), ss) for ss in cands),
+                   key=lambda entry: entry[0])
 
-        return min(cands, key=key)
+    def _mss_key(self, lids):
+        ids = sorted(lids)
+        return (min(self.labels.min_original(l) for l in ids), len(ids), tuple(ids))
 
     def _mss_hub(self, lids):
         """Validate that ``lids`` is an MSS here; return its hub (or None)."""
@@ -720,6 +780,7 @@ class Forest:
             f._drop_vertex(v2)
             f._vlabel[v1] = new_id
             f._label_vertex[new_id] = v1
+            touched = (v1, v2)
         else:
             for l in lids:
                 v = f._label_vertex.pop(l)
@@ -729,7 +790,19 @@ class Forest:
                 f._drop_vertex(v)
             f._vlabel[hub] = new_id
             f._label_vertex[new_id] = hub
+            # rooted, the hub's one neighbor left is its parent; unrooted, it
+            # is the one non-leaf neighbor, or a leaf of a new single-edge tree
+            touched = (hub, *f._adj[hub].values())
         f._check()
+        if self._mss is not None:
+            # only the entries of the hub and its neighbors can change
+            f._mss = dict(self._mss)
+            for v in touched:
+                entry = f._mss_entry(v) if v in f._adj else None
+                if entry is None:
+                    f._mss.pop(v, None)
+                else:
+                    f._mss[v] = entry
         return f
 
     def expand_labels(self) -> "Forest":
@@ -759,8 +832,6 @@ class Forest:
                     w = f._add_vertex(p)
                     f._add_edge(v, w)
         f.labels = f.labels.trimmed()
-        f._comps = None
-        f._canon = None
         f._check()
         return f
 
@@ -792,7 +863,7 @@ class Forest:
         return self._canon
 
     def same_structure(self, other: "Forest") -> bool:
-        return self.canonical_key() == other.canonical_key()
+        return self is other or self.canonical_key() == other.canonical_key()
 
     # -- sibling-set case analysis (how an MSS of one forest sits in another)
 
@@ -964,27 +1035,48 @@ def certify(forest: Forest, instance: Instance) -> AgreementForest:
 # subforest testing
 
 
-def _steiner(sup: Forest, leaf_vertices):
-    """Vertex and edge sets of the minimal subtree spanning ``leaf_vertices``."""
-    targets = set(leaf_vertices)
-    comp = sup.components()[sup.component_index_of_vertex(next(iter(targets)))]
-    deg = {v: dict(sup._adj[v]) for v in comp}
-    queue = deque(v for v in comp if len(deg[v]) <= 1 and v not in targets)
-    alive = set(comp)
-    while queue:
-        v = queue.popleft()
-        if v not in alive or v in targets or len(deg[v]) > 1:
-            continue
-        alive.discard(v)
-        for e, w in deg[v].items():
-            del deg[w][e]
-            if len(deg[w]) <= 1 and w not in targets:
-                queue.append(w)
-        deg[v] = {}
+def _hang(sup: Forest, idx):
+    """Parent links and depths of component ``idx`` hung from one vertex.
+
+    The component hangs from its root when rooted and from its smallest
+    vertex when unrooted; ``up`` maps every other vertex to its
+    ``(edge, parent)``.  The walk uses an explicit stack.
+    """
+    comp = sup.components()[idx]
+    top = sup.component_root(idx) if sup.rooted else min(comp)
+    up = {}
+    depth = {top: 0}
+    stack = [top]
+    while stack:
+        v = stack.pop()
+        d = depth[v] + 1
+        for e, w in sup._adj[v].items():
+            if w not in depth:
+                up[w] = (e, v)
+                depth[w] = d
+                stack.append(w)
+    return up, depth
+
+
+def _steiner(up, depth, leaf_vertices):
+    """Vertex and edge sets of the minimal subtree spanning ``leaf_vertices``.
+
+    ``up`` and ``depth`` come from :func:`_hang` on the component holding
+    them.  The deepest vertex reached so far climbs one edge at a time until
+    all paths meet, so only the subtree itself is visited.
+    """
+    vset = set(leaf_vertices)
+    heap = [(-depth[v], v) for v in vset]
+    heapq.heapify(heap)
     eset = set()
-    for v in alive:
-        eset.update(deg[v])
-    return alive, eset
+    while len(heap) > 1:
+        _, v = heapq.heappop(heap)
+        e, p = up[v]
+        eset.add(e)
+        if p not in vset:
+            vset.add(p)
+            heapq.heappush(heap, (-depth[p], p))
+    return vset, eset
 
 
 def _steiner_canonical(sup: Forest, vset, eset):
@@ -1018,7 +1110,8 @@ def subforest_witness(sub: Forest, sup: Forest):
     Both forests are expanded to original labels first.  A component of the
     candidate embeds as the contracted minimal spanning subtree of its labels;
     the embeddings must be pairwise vertex-disjoint, which is exactly when one
-    removal set realizes all components at once.
+    removal set realizes all components at once.  Each host component is hung
+    from one vertex once, and every subtree is found from there.
     """
     if sub.rooted != sup.rooted:
         raise LabelUniverseError("rootedness mismatch")
@@ -1041,10 +1134,11 @@ def subforest_witness(sub: Forest, sup: Forest):
 
     keep_edges: set[int] = set()
     for sup_idx, sub_comps in buckets.items():
+        up, depth = _hang(sup, sup_idx)
         used: set[int] = set()
         for i in sub_comps:
             lvs = [sup.vertex_of_label(l) for l in sub.component_labels(i)]
-            vset, eset = _steiner(sup, lvs)
+            vset, eset = _steiner(up, depth, lvs)
             if used & vset:
                 return None
             used |= vset

@@ -96,7 +96,10 @@ def find_applicable(fp: Forest, fq: Forest):
             comps.add(c)
         return tuple(comp_labels[c] for c in sorted(comps))
 
-    for eid in fq.zero_sum_edges(_label_weights(comp_labels)):
+    # the weights depend only on fp's partition, so fp keeps them
+    if fp._weights is None:
+        fp._weights = _label_weights(comp_labels)
+    for eid in fq.zero_sum_edges(fp._weights):
         split = fq.split_labels(eid)
         for side in (split.side1, split.side2):
             wit = covered(side)

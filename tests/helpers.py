@@ -6,6 +6,7 @@ independent of the code paths they validate.
 """
 
 import itertools
+from collections import deque
 
 import mafkit as mk
 
@@ -63,6 +64,79 @@ def find_applicable_by_bfs(fp, fq):
             if wit is not None:
                 return eid, wit
     return None
+
+
+def mss_candidates_by_scan(forest):
+    """Every maximal sibling set candidate, found by scanning every vertex.
+
+    Reference for the sibling-set table behind ``Forest.find_mss``.  Rooted:
+    an unlabeled vertex whose children are two or more leaves.  Unrooted: an
+    unlabeled vertex with two or more leaf neighbors and at most one other
+    neighbor (a full star also offers each one-leaf-short subset), plus the
+    single-edge trees, whose hub is None.
+    """
+    cands = []
+    for p in forest.vertices():
+        if forest.label_of(p) is not None:
+            continue
+        nbrs = [(e, w) for e, w in forest.neighbors(p)]
+        if forest.rooted:
+            kids = [w for e, w in nbrs if e != forest.parent_edge(p)]
+            if len(kids) >= 2 and all(forest.label_of(w) is not None for w in kids):
+                cands.append(mk.SiblingSet(frozenset(forest.label_of(w) for w in kids), p))
+            continue
+        leaves = [forest.label_of(w) for _, w in nbrs if forest.label_of(w) is not None]
+        extra = len(nbrs) - len(leaves)
+        if len(leaves) >= 2 and extra <= 1:
+            s = frozenset(leaves)
+            cands.append(mk.SiblingSet(s, p))
+            if not extra and len(s) >= 3:
+                cands.extend(mk.SiblingSet(s - {lid}, p) for lid in s)
+    if not forest.rooted:
+        for comp in forest.components():
+            if len(comp) == 2:
+                cands.append(mk.SiblingSet(frozenset(forest.label_of(v) for v in comp), None))
+    return cands
+
+
+def find_mss_by_scan(forest):
+    """Reference for ``Forest.find_mss``: the least candidate of a full scan."""
+    cands = mss_candidates_by_scan(forest)
+    if not cands:
+        return None
+
+    def key(ss):
+        ids = sorted(ss.labels)
+        return (min(forest.labels.min_original(l) for l in ids), len(ids), tuple(ids))
+
+    return min(cands, key=key)
+
+
+def steiner_by_pruning(sup, leaf_vertices):
+    """Reference for the Steiner subtree of ``subforest_witness``.
+
+    Copies the component holding ``leaf_vertices`` and prunes every leaf that
+    is not a target until none is left; returns the vertex and edge sets.
+    """
+    targets = set(leaf_vertices)
+    comp = sup.components()[sup.component_index_of_vertex(next(iter(targets)))]
+    deg = {v: dict(sup.neighbors(v)) for v in comp}
+    queue = deque(v for v in comp if len(deg[v]) <= 1 and v not in targets)
+    alive = set(comp)
+    while queue:
+        v = queue.popleft()
+        if v not in alive or v in targets or len(deg[v]) > 1:
+            continue
+        alive.discard(v)
+        for e, w in deg[v].items():
+            del deg[w][e]
+            if len(deg[w]) <= 1 and w not in targets:
+                queue.append(w)
+        deg[v] = {}
+    eset = set()
+    for v in alive:
+        eset.update(deg[v])
+    return alive, eset
 
 
 def random_instance(rng, rooted, n=None, m=None, x=None):

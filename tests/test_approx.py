@@ -142,6 +142,25 @@ def test_group_records_remove_nothing():
         assert rec.declared_ratio == 1
 
 
+def test_auditing_a_group_record_builds_no_key(monkeypatch):
+    # a GROUP record removes nothing, so its audit compares a forest with
+    # itself; that needs no canonical key
+    inst = mk.parse_instance("((a,b),(c,d));\n((a,b),c,d);", rooted=True)
+    groups = [r for r in mk.approx_rmaf(inst).trace if r.kind == GROUP]
+    keyed = []
+    canonical_key = Forest.canonical_key
+
+    def counting(self):
+        keyed.append(self)
+        return canonical_key(self)
+
+    monkeypatch.setattr(Forest, "canonical_key", counting)
+    assert groups
+    for rec in groups:
+        assert approx.check_metastep_ratio(rec)
+    assert keyed == []
+
+
 def test_output_is_over_original_labels(rng):
     inst = random_instance(rng, rooted=True, x=1)
     res = mk.approx_rmaf(inst)

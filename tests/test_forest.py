@@ -1,21 +1,40 @@
 """Core forest value model: contraction, removal, sibling sets, embedding."""
 
+import copy
+
 import pytest
 
 import mafkit as mk
+from mafkit import forest as forest_mod
 from mafkit.forest import Forest, LabelTable
 
 from helpers import (
     all_removal_keys,
     brute_is_subforest,
+    find_mss_by_scan,
     greedy_essential_by_key,
+    mss_candidates_by_scan,
     names,
     random_forest,
+    steiner_by_pruning,
 )
 
 
 def parse1(text, rooted=True):
     return mk.parse_instance(text, rooted).forests[0]
+
+
+def derive(rng, f):
+    """One random derivation: a removal, a grouping or an expansion."""
+    eids = sorted(f.edge_ids())
+    cands = mss_candidates_by_scan(f)
+    pick = rng.random()
+    if cands and pick < 0.5:
+        f.find_mss()  # so that the grouping carries the sibling-set table
+        return f.group_labels(rng.choice(cands))
+    if eids and pick < 0.85:
+        return f.remove_edges(rng.sample(eids, rng.randint(1, min(3, len(eids)))))
+    return f.expand_labels()
 
 
 # -- order -------------------------------------------------------------------
@@ -30,6 +49,30 @@ def test_order_counts_components():
     f = parse1("((a,b),c);")
     g = f.remove_edges([f.pendant_edge(f.labels.id_of("b"))])
     assert g.order() == 2
+
+
+def test_order_counts_components_along_derivations(rng):
+    for _ in range(60):
+        f = random_forest(rng, rng.randint(3, 9), rooted=rng.random() < 0.5)
+        for _ in range(8):
+            assert f.order() == len(f.components())
+            f = derive(rng, f)
+        assert f.order() == len(f.components())
+
+
+def test_cyclic_edge_list_is_rejected():
+    table = LabelTable.from_names(["a", "b", "c"])
+    leaves = {0: 0, 1: 1, 2: 2}
+    # every vertex of the triangle 3-4-5 keeps degree 3, so contraction
+    # leaves the cycle in place; rooted, each of them has one parent
+    triangle = [(3, 0), (4, 1), (5, 2), (3, 4), (4, 5), (5, 3)]
+    for rooted in (True, False):
+        for normalize in (True, False):
+            with pytest.raises(mk.ForestError):
+                Forest.build(rooted, table, leaves, triangle, normalize=normalize)
+    # a doubled edge: contracting its degree-2 end would close a self-loop
+    with pytest.raises(mk.ForestError):
+        Forest.build(False, table, leaves, [(0, 3), (1, 3), (2, 3), (3, 4), (3, 4)])
 
 
 def test_single_edge_removal_is_essential(rng):
@@ -253,6 +296,44 @@ def test_subforest_witness_realizes_embedding(rng):
         assert sup.remove_edges(wit).same_structure(sub)
 
 
+def test_steiner_matches_pruning_reference(rng):
+    checked = 0
+    for _ in range(60):
+        sup = random_forest(rng, rng.randint(3, 12), rooted=rng.random() < 0.5)
+        for idx, comp in enumerate(sup.components()):
+            up, depth = forest_mod._hang(sup, idx)
+            leaves = sorted(v for v in comp if sup.label_of(v) is not None)
+            for _ in range(4):
+                targets = rng.sample(leaves, rng.randint(1, len(leaves)))
+                assert forest_mod._steiner(up, depth, targets) == steiner_by_pruning(
+                    sup, targets
+                )
+                checked += 1
+    assert checked > 300
+
+
+def test_witness_matches_pruning_reference(rng, monkeypatch):
+    outcomes = {True: 0, False: 0}
+    for _ in range(120):
+        rooted = rng.random() < 0.5
+        n = rng.randint(3, 8)
+        sup = random_forest(rng, n, rooted, max_cuts=2)
+        if rng.random() < 0.5:
+            eids = sorted(sup.edge_ids())
+            sub = sup.remove_edges(rng.sample(eids, rng.randint(0, min(3, len(eids)))))
+        else:
+            sub = random_forest(rng, n, rooted)  # mostly not embeddable
+        got = mk.subforest_witness(sub, sup)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                forest_mod, "_steiner", lambda up, depth, lvs: steiner_by_pruning(sup, lvs)
+            )
+            want = mk.subforest_witness(sub, sup)
+        assert got == want
+        outcomes[got is not None] += 1
+    assert min(outcomes.values()) > 20
+
+
 # -- find_mss ----------------------------------------------------------------
 
 
@@ -305,6 +386,47 @@ def test_mss_unrooted_star_prefers_spec_tiebreak():
     mss = f.find_mss()
     # full star: the two-smallest subset wins on the size tiebreak
     assert names(f, mss.labels) == ["a", "b"]
+
+
+def test_find_mss_matches_scan_along_chains(rng):
+    groupings = 0
+    for _ in range(300):
+        rooted = rng.random() < 0.5
+        f = random_forest(rng, rng.randint(3, 16), rooted, max_cuts=4)
+        while True:
+            assert f.find_mss() == find_mss_by_scan(f)
+            cands = mss_candidates_by_scan(f)
+            if not cands:
+                break
+            if rng.random() < 0.85:
+                f = f.group_labels(rng.choice(cands))
+                assert f._mss is not None  # patched from the parent, not rebuilt
+                groupings += 1
+            else:
+                eids = sorted(f.edge_ids())
+                f = f.remove_edges(rng.sample(eids, rng.randint(1, min(2, len(eids)))))
+    assert groupings > 1000
+
+
+def test_find_mss_after_grouping_stars_and_single_edges():
+    quartet = parse1("((a,b),(c,d));", rooted=False)
+    cuts = [quartet.pendant_edge(quartet.labels.id_of(x)) for x in "cd"]
+    forests = [quartet.remove_edges(cuts)]  # holds the single-edge tree (a,b)
+    texts = ["(a,b,c);", "(a,b,c,d);", "((a,b),(c,d));", "((a,b,c),d,e);"]
+    forests += [parse1(text, rooted) for text in texts for rooted in (True, False)]
+    for f in forests:
+        for ss in mss_candidates_by_scan(f):
+            f.find_mss()
+            g = f.group_labels(ss)
+            assert g.find_mss() == find_mss_by_scan(g)
+            if g.find_mss() is not None:
+                h = g.group_labels(g.find_mss())
+                assert h.find_mss() == find_mss_by_scan(h)
+    star = parse1("(a,b,c);", rooted=False)
+    ab = frozenset(star.labels.id_of(x) for x in "ab")
+    star.find_mss()
+    # grouping a one-leaf-short subset of a star leaves a single-edge tree
+    assert star.group_labels(ab).find_mss().hub is None
 
 
 # -- group / expand ----------------------------------------------------------
@@ -371,3 +493,39 @@ def test_operations_leave_input_untouched():
     f.group_labels(f.find_mss())
     f.force_contract()
     assert f.canonical_key() == before
+
+
+def _snapshot(f):
+    return copy.deepcopy(
+        (f._adj, f._edges, f._vlabel, f._label_vertex, f._parent_edge)
+    )
+
+
+def test_derivations_leave_every_ancestor_untouched(rng):
+    # children share adjacency rows with their parent until they write them
+    for _ in range(40):
+        values = [random_forest(rng, rng.randint(3, 10), rooted=rng.random() < 0.5)]
+        snaps = [_snapshot(values[0])]
+        for _ in range(12):
+            child = derive(rng, rng.choice(values))
+            values.append(child)
+            snaps.append(_snapshot(child))
+        for f, snap in zip(values, snaps):
+            assert _snapshot(f) == snap
+
+
+def test_with_group_tables_are_independent():
+    base = LabelTable.from_names(["a", "b", "c"])
+    assert base.originals(0) == {0}
+    t1, g1 = base.with_group([0, 1])
+    t2, g2 = base.with_group([1, 2])
+    assert g1 == g2 == 3
+    assert t1.originals(g1) == {0, 1} and t2.originals(g2) == {1, 2}
+    assert t1.id_of("a+b") == t2.id_of("b+c") == 3
+    with pytest.raises(KeyError):
+        t1.id_of("b+c")
+    with pytest.raises(KeyError):
+        base.id_of("a+b")
+    assert len(base) == 3 and len(t1) == len(t2) == 4
+    t3, g3 = t1.with_group([g1, 2])
+    assert t3.originals(g3) == {0, 1, 2} and t3.id_of("a+b") == 3
