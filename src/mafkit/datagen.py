@@ -1,12 +1,12 @@
 """Simulated instances: random binary tree, random multifurcation, SPR copies.
 
 Generation is a three-stage pipeline.  A rooted binary tree over taxa 1..n is
-grown by recursively cutting a shuffled label list at a uniform position, and
-the root leaf ρ is attached on top.  A random selection of internal edges is
-then contracted to introduce multifurcations.  Finally each additional tree
-of the instance is produced by applying a known number of subtree
-prune-and-regraft moves to the original, which caps the optimum order of the
-instance at x·(m−1)+1.
+grown by cutting a shuffled label list at a uniform position, then each part
+again down to single labels, and the root leaf ρ is attached on top.  A
+random selection of internal edges is then contracted to introduce
+multifurcations.  Finally each additional tree of the instance is produced by
+applying a known number of subtree prune-and-regraft moves to the original,
+which caps the optimum order of the instance at x·(m−1)+1.
 
 Everything is driven by ``random.Random`` so equal seeds give byte-identical
 instances.
@@ -77,29 +77,32 @@ def random_binary_tree(n: int, seed) -> Forest:
     items = list(range(1, n + 1))
     rng.shuffle(items)
 
-    counter = [0]
+    # Vertices are numbered in preorder and edges listed as their child
+    # subtrees close.  The stack holds segments ``items[lo:hi]`` still to
+    # build, each under its parent vertex, and the edges waiting for a
+    # subtree to close.
     leaf_labels = {}
     edges = []
-
-    def fresh():
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(seg):
-        v = fresh()
-        if len(seg) == 1:
-            leaf_labels[v] = table.id_of(str(seg[0]))
-            return v
-        cut = rng.randrange(1, len(seg))
-        for part in (seg[:cut], seg[cut:]):
-            w = build(part)
-            edges.append((v, w))
-        return v
-
-    top = build(items)
-    rho = fresh()
+    n_vertices = 0
+    stack = [(0, n, None)]
+    while stack:
+        lo, hi, up = stack.pop()
+        if lo is None:
+            edges.append(up)
+            continue
+        v = n_vertices
+        n_vertices += 1
+        if up is not None:
+            stack.append((None, None, (up, v)))
+        if hi - lo == 1:
+            leaf_labels[v] = table.id_of(str(items[lo]))
+            continue
+        cut = lo + rng.randrange(1, hi - lo)
+        stack.append((cut, hi, v))
+        stack.append((lo, cut, v))
+    rho = n_vertices
     leaf_labels[rho] = table.id_of(RHO)
-    edges.append((rho, top))
+    edges.append((rho, 0))
     return Forest.build(True, table, leaf_labels, edges)
 
 

@@ -18,14 +18,20 @@ every adjacency row it does not change with its parent: it copies the outer
 maps and copies a row only the first time it writes it.  A grouping also
 patches its parent's sibling-set table (see :meth:`Forest.find_mss`) where
 the grouping can change it, instead of leaving it to be built again.  Other
-derived data (components, label partition, canonical key) is built at most
-once per value, on first use.
+derived data (components, label partition, original label ids, canonical
+key) is built at most once per value, on first use.
+
+There is no depth limit: every walk over a tree uses an explicit stack or a
+worklist, never recursion.  The canonical key holds one flat tuple of ints
+per component (see :func:`_flat_code`), so comparing two keys does not
+recurse either, as comparing nested tuples would.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -71,7 +77,7 @@ class LabelTable:
     applying grouping to both sides in lockstep.
     """
 
-    __slots__ = ("_labels", "_by_name", "_orig_cache")
+    __slots__ = ("_labels", "_by_name", "_orig_cache", "_n_original")
 
     def __init__(self, labels):
         self._labels = tuple(labels)
@@ -79,6 +85,12 @@ class LabelTable:
         if len(self._by_name) != len(self._labels):
             raise ForestError("duplicate label name in table")
         self._orig_cache: dict[int, frozenset[int]] = {}
+        n = 0
+        for lab in self._labels:
+            if lab.grouped:
+                break
+            n += 1
+        self._n_original = n
 
     @classmethod
     def from_names(cls, names) -> "LabelTable":
@@ -100,27 +112,36 @@ class LabelTable:
         return self._by_name[name]
 
     def originals(self, lid: int) -> frozenset[int]:
-        """Recursively expanded set of original label ids behind ``lid``."""
-        got = self._orig_cache.get(lid)
-        if got is None:
-            lab = self._labels[lid]
-            if not lab.grouped:
-                got = frozenset((lid,))
+        """Fully expanded set of original label ids behind ``lid``.
+
+        Groups nest, so the expansion works through an explicit stack of
+        labels whose parts are not expanded yet; every label met is cached.
+        """
+        cache = self._orig_cache
+        got = cache.get(lid)
+        if got is not None:
+            return got
+        stack = [lid]
+        while stack:
+            top = stack[-1]
+            parts = self._labels[top].grouped
+            if not parts:
+                cache[top] = frozenset((top,))
             else:
-                got = frozenset().union(*(self.originals(p) for p in lab.grouped))
-            self._orig_cache[lid] = got
-        return got
+                todo = [p for p in parts if p not in cache]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                cache[top] = frozenset().union(*(cache[p] for p in parts))
+            stack.pop()
+        return cache[lid]
 
     def min_original(self, lid: int) -> int:
         return min(self.originals(lid))
 
     def n_original(self) -> int:
-        n = 0
-        for lab in self._labels:
-            if lab.grouped:
-                break
-            n += 1
-        return n
+        """Length of the original (ungrouped) prefix of the table."""
+        return self._n_original
 
     def trimmed(self) -> "LabelTable":
         """Table restricted to the original (ungrouped) prefix."""
@@ -146,9 +167,12 @@ class LabelTable:
         table._labels = self._labels + (Label(new_id, name, parts),)
         table._by_name = {**self._by_name, name: new_id}
         table._orig_cache = dict(self._orig_cache)
+        table._n_original = self._n_original
         return table, new_id
 
     def same_originals(self, other: "LabelTable") -> bool:
+        if self is other:
+            return True
         n = self.n_original()
         if n != other.n_original():
             return False
@@ -221,6 +245,62 @@ def find_root(parent, x):
     return x
 
 
+# above every label id: where label-free subtrees sort among their siblings
+_LABEL_FREE = sys.maxsize
+
+
+def _flat_code(order, children, low, vlabel):
+    """Canonical code of a tree as one flat tuple of ints.
+
+    The code lists ``label id or -1, child count`` for every vertex in a
+    preorder that takes children by the least label id in their subtree.
+    Label-free subtrees exist only in forests built with ``normalize=False``;
+    they go after the others, in the order of their own codes, so the code
+    stays exact for them too.  Two trees get equal codes exactly when a map
+    that keeps labels and the top vertex makes them isomorphic.
+
+    ``order`` lists the top vertex and then every other vertex that is not
+    a labeled leaf, parents before children; ``children`` maps each of them
+    to its list of children (the lists are reordered in place), and ``low``
+    maps each labeled leaf to its label.  Two linear passes: one walks
+    ``order`` backwards to fill in the least label below every vertex, one
+    writes the code with an explicit stack.
+    """
+    free = False
+    for v in reversed(order):
+        kids = children[v]
+        if kids:
+            low[v] = min(map(low.__getitem__, kids))
+        else:
+            low[v] = vlabel.get(v, _LABEL_FREE)
+            free = free or v not in vlabel
+    if free:
+        # codes of the label-free subtrees, children first
+        codes = {}
+        for v in reversed(order):
+            if low[v] == _LABEL_FREE:
+                code = [-1, len(children[v])]
+                for sub in sorted(codes[w] for w in children[v]):
+                    code += sub
+                codes[v] = tuple(code)
+        rank = {code: i for i, code in enumerate(sorted(set(codes.values())))}
+        for v, code in codes.items():
+            low[v] = _LABEL_FREE + rank[code]
+    out = []
+    stack = [order[0]]
+    while stack:
+        v = stack.pop()
+        kids = children.get(v)
+        if kids is None:
+            out += (vlabel[v], 0)
+            continue
+        out += (vlabel.get(v, -1), len(kids))
+        if len(kids) > 1:
+            kids.sort(key=low.__getitem__, reverse=True)
+        stack += kids
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # the forest value
 
@@ -250,6 +330,7 @@ class Forest:
         "_mss",
         "_partition",
         "_weights",
+        "_orig_ids",
     )
 
     def __init__(self, rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e,
@@ -270,6 +351,7 @@ class Forest:
         self._mss = None               # sibling-set table, see find_mss
         self._partition = None
         self._weights = None           # label weights as a reduction witness
+        self._orig_ids = None          # see original_label_ids
 
     # -- construction
 
@@ -470,10 +552,18 @@ class Forest:
         return frozenset(self._label_vertex)
 
     def original_label_ids(self) -> frozenset[int]:
-        out: set[int] = set()
-        for lid in self._label_vertex:
-            out |= self.labels.originals(lid)
-        return frozenset(out)
+        """Original label ids behind this forest's labels, built once per value."""
+        if self._orig_ids is None:
+            lids = self._label_vertex
+            if max(lids, default=-1) < self.labels.n_original():
+                # grouped ids follow the original prefix: none here
+                self._orig_ids = frozenset(lids)
+            else:
+                out: set[int] = set()
+                for lid in lids:
+                    out |= self.labels.originals(lid)
+                self._orig_ids = frozenset(out)
+        return self._orig_ids
 
     def has_grouped_labels(self) -> bool:
         return any(self.labels[lid].grouped for lid in self._label_vertex)
@@ -837,24 +927,45 @@ class Forest:
 
     # -- canonical structure -------------------------------------------------
 
-    def _canon_down(self, v, in_edge):
-        lid = self._vlabel.get(v, -1)
-        kids = sorted(
-            self._canon_down(w, e) for e, w in self._adj[v].items() if e != in_edge
-        )
-        return (lid, tuple(kids))
-
     def component_canonical(self, idx):
+        """Flat canonical code of component ``idx`` (see :func:`_flat_code`).
+
+        The component hangs from its root when rooted and from its least
+        label id when unrooted.
+        """
         comp = self.components()[idx]
+        vlabel = self._vlabel
+        if len(comp) == 1:
+            (v,) = comp
+            return (vlabel.get(v, -1), 0)
         if self.rooted:
-            return self._canon_down(self.component_root(idx), None)
-        anchor = min(
-            (v for v in comp if v in self._vlabel), key=lambda v: self._vlabel[v]
-        )
-        return self._canon_down(anchor, None)
+            start = self.component_root(idx)
+        else:
+            start = min((v for v in comp if v in vlabel), key=vlabel.__getitem__)
+        adj = self._adj
+        order = [start]
+        up = {start: None}
+        children = {}
+        low = {}
+        for v in order:  # grows while it is walked: parents before children
+            kids = children[v] = list(adj[v].values())
+            if up[v] is not None:
+                kids.remove(up[v])
+            for w in kids:
+                if w in vlabel:
+                    low[w] = vlabel[w]
+                else:
+                    up[w] = v
+                    order.append(w)
+        return _flat_code(order, children, low, vlabel)
 
     def canonical_key(self):
-        """Order-independent structural fingerprint of the whole forest."""
+        """Order-independent structural fingerprint of the whole forest.
+
+        ``(rooted, sorted component codes)``, each code a flat tuple of ints
+        (see :func:`_flat_code`): comparing two keys never recurses, however
+        deep the trees.
+        """
         if self._canon is None:
             comps = tuple(
                 sorted(self.component_canonical(i) for i in range(self.order()))
@@ -1080,28 +1191,41 @@ def _steiner(up, depth, leaf_vertices):
 
 
 def _steiner_canonical(sup: Forest, vset, eset):
-    """Canonical form of a Steiner subtree after forced contraction.
+    """Canonical code of a Steiner subtree after forced contraction.
 
-    Pass-through vertices (unlabeled, two subtree edges) are suppressed; the
-    rooted apex is kept even at degree 2, mirroring the root exception.
+    The code is the one :meth:`Forest.component_canonical` gives the
+    contracted tree.  Pass-through vertices (unlabeled, two subtree edges)
+    are suppressed; the rooted apex is kept even at degree 2, mirroring the
+    root exception.
     """
-
-    def down(v, in_edge):
-        lid = sup._vlabel.get(v, -1)
-        kids = [(e, w) for e, w in sup._adj[v].items() if e in eset and e != in_edge]
-        if lid == -1 and in_edge is not None and len(kids) == 1:
-            return down(kids[0][1], kids[0][0])
-        return (lid, tuple(sorted(down(w, e) for e, w in kids)))
-
+    vlabel, adj = sup._vlabel, sup._adj
     if sup.rooted:
-        apex = next(
-            v for v in vset if sup._parent_edge.get(v) not in eset
-        )
-        return down(apex, None)
-    anchor = min(
-        (v for v in vset if v in sup._vlabel), key=lambda v: sup._vlabel[v]
-    )
-    return down(anchor, None)
+        top = next(v for v in vset if sup._parent_edge.get(v) not in eset)
+    else:
+        top = min((v for v in vset if v in vlabel), key=vlabel.__getitem__)
+    order = [top]
+    into = {top: None}
+    children = {}
+    low = {}
+    for v in order:  # grows while it is walked: parents before children
+        in_edge = into[v]
+        kids = children[v] = []
+        for e, w in adj[v].items():
+            if e == in_edge or e not in eset:
+                continue
+            while w not in vlabel:
+                # step over pass-through vertices to the next kept one
+                on = [(f, x) for f, x in adj[w].items() if f != e and f in eset]
+                if len(on) != 1:
+                    break
+                ((e, w),) = on
+            kids.append(w)
+            if w in vlabel:
+                low[w] = vlabel[w]
+            else:
+                into[w] = e
+                order.append(w)
+    return _flat_code(order, children, low, vlabel)
 
 
 def subforest_witness(sub: Forest, sup: Forest):

@@ -10,11 +10,18 @@ contain it: a fresh ρ leaf is attached above the Newick root and becomes the
 root of the tree.  A ρ leaf appearing as a direct child of the outermost node
 is also accepted (that is how this package serializes rooted trees), in which
 case the tree is re-rooted at it; ρ anywhere else is an error.
+
+Reading and writing take time linear in the text and have no depth limit:
+each line is read in one left-to-right pass with an explicit stack of open
+nodes into flat preorder arrays, and a tree is written in linear passes
+with explicit stacks (see :func:`_subtree_text`).
 """
 
 from __future__ import annotations
 
+import re
 import warnings
+from collections import Counter
 
 from .forest import RHO, Forest, Instance, LabelTable, MafError
 
@@ -35,133 +42,128 @@ class NewickWarning(UserWarning):
     """Non-fatal input oddity, e.g. discarded branch lengths."""
 
 
-def _is_label_char(ch):
-    return ch.isalnum() or ch in "._"
+# After optional whitespace: a run of label characters (``\w`` is exactly
+# ``str.isalnum`` plus '_'), else any one character, else '' at the end.
+_TOKEN = re.compile(r"\s*(?:([\w.]+)|(.?))", re.DOTALL)
+_SPACE = re.compile(r"\s*")
 
 
-class _LineParser:
-    def __init__(self, text, line_no):
-        self.s = text
-        self.i = 0
-        self.line = line_no
-        self.saw_lengths = False
+def _branch_length(s, i, line_no):
+    """Check the number after the ':' ending at ``s[i - 1]``; return its end."""
+    i = _SPACE.match(s, i).end()
+    j = i
+    # str.isdigit, not the regex \d: it also takes digits such as '²'
+    while j < len(s) and (s[j].isdigit() or s[j] in ".eE+-"):
+        j += 1
+    if j == i:
+        raise NewickError("expected a number after ':'", line_no, i + 1)
+    try:
+        float(s[i:j])
+    except ValueError:
+        raise NewickError(f"bad branch length {s[i:j]!r}", line_no, i + 1) from None
+    return j
 
-    def error(self, msg):
-        raise NewickError(msg, self.line, self.i + 1)
 
-    def _ws(self):
-        while self.i < len(self.s) and self.s[self.i].isspace():
-            self.i += 1
+def _parse_tree(s, line_no):
+    """Read one tree into flat preorder arrays in one left-to-right pass.
 
-    def _peek(self):
-        self._ws()
-        return self.s[self.i] if self.i < len(self.s) else ""
-
-    def _label(self):
-        self._ws()
-        j = self.i
-        while j < len(self.s) and _is_label_char(self.s[j]):
-            j += 1
-        name = self.s[self.i : j]
-        self.i = j
-        return name
-
-    def _branch_length(self):
-        if self._peek() == ":":
-            self.i += 1
-            self._ws()
-            j = self.i
-            while j < len(self.s) and (self.s[j].isdigit() or self.s[j] in ".eE+-"):
-                j += 1
-            if j == self.i:
-                self.error("expected a number after ':'")
-            try:
-                float(self.s[self.i : j])
-            except ValueError:
-                self.error(f"bad branch length {self.s[self.i:j]!r}")
-            self.i = j
-            self.saw_lengths = True
-
-    def subtree(self):
-        ch = self._peek()
+    Returns ``(parent, names, done, saw_lengths)``: per vertex in preorder
+    its parent's index (-1 for the outermost vertex) and its leaf name (None
+    when internal), then the vertex indices in the order their subtrees
+    close.  Internal vertices still open wait on an explicit stack.
+    """
+    parent = []
+    names = []
+    done = []
+    open_nodes = []   # indices of the internal vertices not yet closed
+    counts = []       # their child counts so far
+    saw_lengths = False
+    match = _TOKEN.match
+    i = 0
+    while True:
+        # a subtree starts at i
+        m = match(s, i)
+        label, ch = m.groups()
+        i = m.end()
+        if open_nodes:
+            counts[-1] += 1
+            parent.append(open_nodes[-1])
+        else:
+            parent.append(-1)
         if ch == "(":
-            self.i += 1
-            children = [self.subtree()]
-            while True:
-                ch = self._peek()
-                if ch == ",":
-                    self.i += 1
-                    children.append(self.subtree())
-                elif ch == ")":
-                    self.i += 1
-                    break
-                else:
-                    self.error("expected ',' or ')'")
-            if len(children) < 2:
-                self.error("internal node needs at least two children")
-            if self._peek() and _is_label_char(self._peek()):
-                self.error("internal node labels are not supported")
-            self._branch_length()
-            return ("node", children)
-        name = self._label()
-        if not name:
-            self.error("expected a label or '('")
-        self._branch_length()
-        return ("leaf", name)
+            open_nodes.append(len(names))
+            counts.append(0)
+            names.append(None)
+            continue
+        if label is None:
+            raise NewickError("expected a label or '('", line_no, i - len(ch) + 1)
+        done.append(len(names))
+        names.append(label)
+        # a subtree has closed: read on to the start of the next one
+        m = match(s, i)
+        while True:
+            label, ch = m.groups()
+            if ch == ":":
+                i = _branch_length(s, m.end(), line_no)
+                saw_lengths = True
+                m = match(s, i)
+                label, ch = m.groups()
+            at = m.end() - len(label or ch) + 1
+            if not open_nodes:
+                if ch != ";":
+                    raise NewickError("expected ';'", line_no, at)
+                m = match(s, m.end())
+                rest = m.group(1) or m.group(2)
+                if rest:
+                    raise NewickError("trailing text after ';'", line_no,
+                                      m.end() - len(rest) + 1)
+                return parent, names, done, saw_lengths
+            if ch == ",":
+                i = m.end()
+                break
+            if ch != ")":
+                raise NewickError("expected ',' or ')'", line_no, at)
+            i = m.end()
+            if counts.pop() < 2:
+                raise NewickError("internal node needs at least two children", line_no, i + 1)
+            m = match(s, i)
+            if m.group(1) is not None:
+                raise NewickError("internal node labels are not supported", line_no,
+                                  m.start(1) + 1)
+            done.append(open_nodes.pop())
 
-    def tree(self):
-        t = self.subtree()
-        if self._peek() != ";":
-            self.error("expected ';'")
-        self.i += 1
-        if self._peek():
-            self.error("trailing text after ';'")
-        return t
 
+def _tree_to_forest(tree, rooted, table: LabelTable, line_no) -> Forest:
+    """Forest of one parsed tree: vertex ids in preorder, edges as subtrees close.
 
-def _leaf_names(node, out):
-    if node[0] == "leaf":
-        out.append(node[1])
+    A rooted tree puts its ρ leaf at vertex 0 with the rest in preorder
+    behind it.  A ρ given as a child of the outermost vertex is moved there;
+    when ρ had a single sibling, that sibling hangs from ρ and the outermost
+    vertex is dropped.
+    """
+    parent, names, done = tree
+    n = len(names)
+    rho = names.index(RHO) if rooted and RHO in names else None
+    tail = []
+    if not rooted:
+        vid = range(n)
+    elif rho is None:
+        vid = range(1, n + 1)
+        tail.append((0, 1))
+    elif parent.count(0) > 2:
+        vid = [1, *range(2, rho + 1), 0, *range(rho + 1, n)]
+        tail.append((0, 1))
     else:
-        for ch in node[1]:
-            _leaf_names(ch, out)
-    return out
-
-
-def _tree_to_forest(node, rooted, table: LabelTable, line_no) -> Forest:
-    counter = [0]
-    leaf_labels = {}
-    edges = []
-
-    def fresh():
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(nd):
-        v = fresh()
-        if nd[0] == "leaf":
-            leaf_labels[v] = table.id_of(nd[1])
-        else:
-            for ch in nd[1]:
-                w = build(ch)
-                edges.append((v, w))
-        return v
-
-    if rooted:
-        top_children = node[1] if node[0] == "node" else []
-        rho_children = [ch for ch in top_children if ch == ("leaf", RHO)]
-        if rho_children:
-            rest = [ch for ch in top_children if ch != ("leaf", RHO)]
-            inner = ("node", rest) if len(rest) > 1 else rest[0]
-            rho_v = fresh()
-            leaf_labels[rho_v] = table.id_of(RHO)
-            edges.append((rho_v, build(inner)))
-        else:
-            root_v = fresh()
-            leaf_labels[root_v] = table.id_of(RHO)
-            edges.append((root_v, build(node)))
-    else:
-        build(node)
+        # the outermost vertex maps onto ρ, so its one other child hangs there
+        vid = [0, *range(1, rho), 0, *range(rho, n - 1)]
+    leaf_labels = {0: table.id_of(RHO)} if rooted else {}
+    id_of = table.id_of
+    for v, name in enumerate(names):
+        if name is not None and v != rho:
+            leaf_labels[vid[v]] = id_of(name)
+    # the outermost vertex closes last and has no parent
+    edges = [(vid[parent[v]], vid[v]) for v in done[:-1] if v != rho]
+    edges += tail
     try:
         return Forest.build(rooted, table, leaf_labels, edges)
     except MafError as exc:
@@ -180,24 +182,23 @@ def parse_instance(text: str, rooted: bool, name: str = "") -> Instance:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        p = _LineParser(line, line_no)
-        tree = p.tree()
-        saw_lengths = saw_lengths or p.saw_lengths
-        names = _leaf_names(tree, [])
-        dup = {n for n in names if names.count(n) > 1}
-        if dup:
-            raise NewickError(f"duplicate leaf label {sorted(dup)[0]!r}", line_no)
-        rho_count = names.count(RHO)
-        if rho_count:
+        parent, names, done, lengths = _parse_tree(line, line_no)
+        saw_lengths = saw_lengths or lengths
+        leaves = [n for n in names if n is not None]
+        taxa = set(leaves)
+        if len(taxa) != len(leaves):
+            dup = min(n for n, count in Counter(leaves).items() if count > 1)
+            raise NewickError(f"duplicate leaf label {dup!r}", line_no)
+        if RHO in taxa:
             if not rooted:
                 raise NewickError(f"label {RHO!r} is reserved", line_no)
-            top = tree[1] if tree[0] == "node" else []
-            if rho_count > 1 or ("leaf", RHO) not in top:
+            if parent[names.index(RHO)] != 0:
                 raise NewickError(
                     f"{RHO!r} may only appear once, as a child of the outermost node",
                     line_no,
                 )
-        parsed.append((line_no, tree, frozenset(names) - {RHO}))
+            taxa.discard(RHO)
+        parsed.append((line_no, (parent, names, done), frozenset(taxa)))
     if not parsed:
         raise NewickError("no trees in input")
     if saw_lengths:
@@ -225,27 +226,52 @@ def parse_instance(text: str, rooted: bool, name: str = "") -> Instance:
 # serialization
 
 
-def _subtree_text(f: Forest, v, in_edge, mins):
-    lid = f.label_of(v)
+def _subtree_text(f: Forest, top, up=None) -> str:
+    """Newick text of the subtree hanging at ``top`` away from neighbor ``up``.
+
+    Children are ordered by the smallest original label id they contain.
+    Three linear passes: list the subtree parents first, find the smallest
+    label below every vertex walking that list backwards, then write the
+    text with an explicit stack of child iterators.
+    """
+    label_of, neighbors, labels = f.label_of, f.neighbors, f.labels
+    lid = label_of(top)
     if lid is not None:
-        return f.labels.name(lid)
-    parts = sorted(
-        ((e, w) for e, w in f.neighbors(v) if e != in_edge),
-        key=lambda ew: mins[ew[1]],
-    )
-    return "(" + ",".join(_subtree_text(f, w, e, mins) for e, w in parts) + ")"
-
-
-def _subtree_mins(f: Forest, v, in_edge, mins):
-    """Smallest contained original label id of the subtree hanging at v."""
-    lid = f.label_of(v)
-    best = f.labels.min_original(lid) if lid is not None else None
-    for e, w in f.neighbors(v):
-        if e != in_edge:
-            sub = _subtree_mins(f, w, e, mins)
-            best = sub if best is None else min(best, sub)
-    mins[v] = best
-    return best
+        return labels.name(lid)
+    order = [top]
+    parent = {top: up}
+    children = {}
+    mins = {}
+    for v in order:  # grows while it is walked
+        kids = children[v] = [w for _, w in neighbors(v) if w != parent[v]]
+        for w in kids:
+            lid = label_of(w)
+            if lid is not None:
+                mins[w] = labels.min_original(lid)
+            else:
+                parent[w] = v
+                order.append(w)
+    for v in reversed(order):
+        mins[v] = min(map(mins.__getitem__, children[v]))
+    out = []
+    stack = [iter((top,))]
+    while stack:
+        for v in stack[-1]:
+            if out and out[-1] != "(":
+                out.append(",")
+            kids = children.get(v)
+            if kids is None:
+                out.append(labels.name(label_of(v)))
+                continue
+            kids.sort(key=mins.__getitem__)
+            out.append("(")
+            stack.append(iter(kids))
+            break
+        else:
+            stack.pop()
+            if stack:
+                out.append(")")
+    return "".join(out)
 
 
 def _component_text(f: Forest, idx) -> str:
@@ -258,22 +284,12 @@ def _component_text(f: Forest, idx) -> str:
         lid = f.label_of(root)
         if lid is not None and f.labels.name(lid) == RHO:
             # draw from ρ's child so ρ prints as an ordinary leaf
-            eid = next(e for e, _ in f.neighbors(root))
-            child = dict(f.neighbors(root))[eid]
-            mins: dict[int, int] = {}
-            _subtree_mins(f, child, None, mins)
+            child = next(w for _, w in f.neighbors(root))
+            text = _subtree_text(f, child, root)
             if f.label_of(child) is not None:
-                inner = [f.labels.name(f.label_of(child))]
-            else:
-                kids = sorted(
-                    ((e, w) for e, w in f.neighbors(child) if e != eid),
-                    key=lambda ew: mins[ew[1]],
-                )
-                inner = [_subtree_text(f, w, e, mins) for e, w in kids]
-            return "(" + ",".join(inner + [RHO]) + ")"
-        mins = {}
-        _subtree_mins(f, root, None, mins)
-        return _subtree_text(f, root, None, mins)
+                return "(" + text + "," + RHO + ")"
+            return text[:-1] + "," + RHO + ")"
+        return _subtree_text(f, root)
     if len(comp) == 2:
         names = sorted(f.labels.name(f.label_of(v)) for v in comp)
         return "(" + ",".join(names) + ")"
@@ -281,11 +297,7 @@ def _component_text(f: Forest, idx) -> str:
         (v for v in comp if f.label_of(v) is not None),
         key=lambda v: f.labels.min_original(f.label_of(v)),
     )
-    hub = next(w for _, w in f.neighbors(anchor))
-    mins = {}
-    _subtree_mins(f, hub, None, mins)
-    kids = sorted(f.neighbors(hub), key=lambda ew: mins[ew[1]])
-    return "(" + ",".join(_subtree_text(f, w, e, mins) for e, w in kids) + ")"
+    return _subtree_text(f, next(w for _, w in f.neighbors(anchor)))
 
 
 def serialize(f: Forest) -> str:

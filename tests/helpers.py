@@ -6,6 +6,8 @@ independent of the code paths they validate.
 """
 
 import itertools
+import random
+import warnings
 from collections import deque
 
 import mafkit as mk
@@ -165,3 +167,271 @@ def approximate(instance):
 
 def names(forest, lids):
     return sorted(forest.labels.name(l) for l in lids)
+
+
+# ---------------------------------------------------------------------------
+# recursive references for the Newick reader and the canonical key
+#
+# These are the recursive forms the package replaced with explicit stacks.
+# They recurse once per tree level, so keep their inputs shallow.
+
+
+def _is_label_char(ch):
+    return ch.isalnum() or ch in "._"
+
+
+class _LineParser:
+    def __init__(self, text, line_no):
+        self.s = text
+        self.i = 0
+        self.line = line_no
+        self.saw_lengths = False
+
+    def error(self, msg):
+        raise mk.NewickError(msg, self.line, self.i + 1)
+
+    def _ws(self):
+        while self.i < len(self.s) and self.s[self.i].isspace():
+            self.i += 1
+
+    def _peek(self):
+        self._ws()
+        return self.s[self.i] if self.i < len(self.s) else ""
+
+    def _label(self):
+        self._ws()
+        j = self.i
+        while j < len(self.s) and _is_label_char(self.s[j]):
+            j += 1
+        name = self.s[self.i : j]
+        self.i = j
+        return name
+
+    def _branch_length(self):
+        if self._peek() == ":":
+            self.i += 1
+            self._ws()
+            j = self.i
+            while j < len(self.s) and (self.s[j].isdigit() or self.s[j] in ".eE+-"):
+                j += 1
+            if j == self.i:
+                self.error("expected a number after ':'")
+            try:
+                float(self.s[self.i : j])
+            except ValueError:
+                self.error(f"bad branch length {self.s[self.i:j]!r}")
+            self.i = j
+            self.saw_lengths = True
+
+    def subtree(self):
+        ch = self._peek()
+        if ch == "(":
+            self.i += 1
+            children = [self.subtree()]
+            while True:
+                ch = self._peek()
+                if ch == ",":
+                    self.i += 1
+                    children.append(self.subtree())
+                elif ch == ")":
+                    self.i += 1
+                    break
+                else:
+                    self.error("expected ',' or ')'")
+            if len(children) < 2:
+                self.error("internal node needs at least two children")
+            if self._peek() and _is_label_char(self._peek()):
+                self.error("internal node labels are not supported")
+            self._branch_length()
+            return ("node", children)
+        name = self._label()
+        if not name:
+            self.error("expected a label or '('")
+        self._branch_length()
+        return ("leaf", name)
+
+    def tree(self):
+        t = self.subtree()
+        if self._peek() != ";":
+            self.error("expected ';'")
+        self.i += 1
+        if self._peek():
+            self.error("trailing text after ';'")
+        return t
+
+
+def _leaf_names(node, out):
+    if node[0] == "leaf":
+        out.append(node[1])
+    else:
+        for ch in node[1]:
+            _leaf_names(ch, out)
+    return out
+
+
+def _nested_tree_to_forest(node, rooted, table, line_no):
+    counter = [0]
+    leaf_labels = {}
+    edges = []
+
+    def fresh():
+        counter[0] += 1
+        return counter[0] - 1
+
+    def build(nd):
+        v = fresh()
+        if nd[0] == "leaf":
+            leaf_labels[v] = table.id_of(nd[1])
+        else:
+            for ch in nd[1]:
+                w = build(ch)
+                edges.append((v, w))
+        return v
+
+    rho_leaf = ("leaf", mk.RHO)
+    if rooted:
+        top_children = node[1] if node[0] == "node" else []
+        if rho_leaf in top_children:
+            rest = [ch for ch in top_children if ch != rho_leaf]
+            inner = ("node", rest) if len(rest) > 1 else rest[0]
+            rho_v = fresh()
+            leaf_labels[rho_v] = table.id_of(mk.RHO)
+            edges.append((rho_v, build(inner)))
+        else:
+            root_v = fresh()
+            leaf_labels[root_v] = table.id_of(mk.RHO)
+            edges.append((root_v, build(node)))
+    else:
+        build(node)
+    try:
+        return mk.Forest.build(rooted, table, leaf_labels, edges)
+    except mk.MafError as exc:
+        raise mk.NewickError(str(exc), line_no) from exc
+
+
+def parse_by_recursion(text, rooted, name=""):
+    """Reference for ``parse_instance``: a recursive-descent reader.
+
+    Builds a nested ``("node", children)`` / ``("leaf", name)`` tree per line
+    and numbers its vertices by a recursive walk.
+    """
+    parsed = []
+    saw_lengths = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        p = _LineParser(line, line_no)
+        tree = p.tree()
+        saw_lengths = saw_lengths or p.saw_lengths
+        names = _leaf_names(tree, [])
+        dup = {n for n in names if names.count(n) > 1}
+        if dup:
+            raise mk.NewickError(f"duplicate leaf label {sorted(dup)[0]!r}", line_no)
+        rho_count = names.count(mk.RHO)
+        if rho_count:
+            if not rooted:
+                raise mk.NewickError(f"label {mk.RHO!r} is reserved", line_no)
+            top = tree[1] if tree[0] == "node" else []
+            if rho_count > 1 or ("leaf", mk.RHO) not in top:
+                raise mk.NewickError(
+                    f"{mk.RHO!r} may only appear once, as a child of the outermost node",
+                    line_no,
+                )
+        parsed.append((line_no, tree, frozenset(names) - {mk.RHO}))
+    if not parsed:
+        raise mk.NewickError("no trees in input")
+    if saw_lengths:
+        warnings.warn("branch lengths were parsed and discarded", mk.NewickWarning)
+    taxa = parsed[0][2]
+    for line_no, _, names in parsed[1:]:
+        if names != taxa:
+            missing = sorted(taxa ^ names)
+            raise mk.NewickError(
+                f"leaf label set differs from the first tree (e.g. {missing[0]!r})",
+                line_no,
+            )
+    ordered = sorted(taxa)
+    if rooted:
+        ordered.append(mk.RHO)
+    table = mk.LabelTable.from_names(ordered)
+    forests = tuple(
+        _nested_tree_to_forest(tree, rooted, table, line_no) for line_no, tree, _ in parsed
+    )
+    return mk.Instance(rooted=rooted, forests=forests, name=name)
+
+
+def _nested_down(forest, v, in_edge, edge_ok=None, contract=False):
+    lid = forest.label_of(v)
+    lid = -1 if lid is None else lid
+    kids = [
+        (e, w) for e, w in forest.neighbors(v)
+        if e != in_edge and (edge_ok is None or e in edge_ok)
+    ]
+    if contract and lid == -1 and in_edge is not None and len(kids) == 1:
+        return _nested_down(forest, kids[0][1], kids[0][0], edge_ok, contract)
+    return (lid, tuple(sorted(_nested_down(forest, w, e, edge_ok, contract) for e, w in kids)))
+
+
+def component_canonical_by_nesting(forest, idx):
+    """Reference for ``Forest.component_canonical``: ``(label, sorted children)``
+    nested per vertex, from the root (rooted) or the least label (unrooted)."""
+    comp = forest.components()[idx]
+    if forest.rooted:
+        return _nested_down(forest, forest.component_root(idx), None)
+    anchor = min(
+        (v for v in comp if forest.label_of(v) is not None), key=forest.label_of
+    )
+    return _nested_down(forest, anchor, None)
+
+
+def canonical_key_by_nesting(forest):
+    """Reference for ``Forest.canonical_key`` on nested tuples."""
+    comps = sorted(component_canonical_by_nesting(forest, i) for i in range(forest.order()))
+    return (forest.rooted, tuple(comps))
+
+
+def steiner_canonical_by_nesting(sup, vset, eset):
+    """Reference for the Steiner-subtree key of ``subforest_witness``: nested
+    tuples with pass-through vertices suppressed below the apex."""
+    if sup.rooted:
+        apex = next(v for v in vset if sup.parent_edge(v) not in eset)
+    else:
+        apex = min((v for v in vset if sup.label_of(v) is not None), key=sup.label_of)
+    return _nested_down(sup, apex, None, eset, contract=True)
+
+
+def random_binary_tree_by_recursion(n, seed):
+    """Reference for ``datagen.random_binary_tree``: the recursive build.
+
+    Each call numbers its vertex, cuts its label segment at a uniform
+    position and builds the two parts; returns ``(leaf labels, edges)``.
+    """
+    rng = random.Random(seed)
+    table = mk.datagen.taxa_table(n)
+    items = list(range(1, n + 1))
+    rng.shuffle(items)
+    leaf_labels = {}
+    edges = []
+    counter = [0]
+
+    def fresh():
+        counter[0] += 1
+        return counter[0] - 1
+
+    def build(seg):
+        v = fresh()
+        if len(seg) == 1:
+            leaf_labels[v] = table.id_of(str(seg[0]))
+            return v
+        cut = rng.randrange(1, len(seg))
+        for part in (seg[:cut], seg[cut:]):
+            w = build(part)
+            edges.append((v, w))
+        return v
+
+    top = build(items)
+    rho = fresh()
+    leaf_labels[rho] = table.id_of(mk.RHO)
+    edges.append((rho, top))
+    return leaf_labels, edges

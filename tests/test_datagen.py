@@ -5,6 +5,8 @@ import pytest
 import mafkit as mk
 from mafkit.datagen import internal_edges
 
+from helpers import random_binary_tree_by_recursion
+
 
 def leaf_names(f):
     return sorted(f.labels.name(l) for l in f.label_ids())
@@ -125,3 +127,12 @@ def test_spec_validation():
         mk.GenSpec(n=5, m=1, x=0, seed=1)
     with pytest.raises(mk.GenerationError):
         mk.GenSpec(n=5, m=2, x=-1, seed=1)
+
+
+def test_random_binary_tree_matches_recursive_reference():
+    for n in (2, 3, 7, 40, 300):
+        for seed in range(8):
+            f = mk.random_binary_tree(n, seed)
+            leaf_labels, edges = random_binary_tree_by_recursion(n, seed)
+            assert list(f._vlabel.items()) == list(leaf_labels.items())
+            assert list(f._edges.values()) == edges

@@ -6,17 +6,21 @@ import pytest
 
 import mafkit as mk
 from mafkit import forest as forest_mod
-from mafkit.forest import Forest, LabelTable
+from mafkit.forest import Forest, Label, LabelTable
 
 from helpers import (
     all_removal_keys,
     brute_is_subforest,
+    canonical_key_by_nesting,
+    component_canonical_by_nesting,
     find_mss_by_scan,
     greedy_essential_by_key,
     mss_candidates_by_scan,
     names,
     random_forest,
+    random_instance,
     steiner_by_pruning,
+    steiner_canonical_by_nesting,
 )
 
 
@@ -529,3 +533,156 @@ def test_with_group_tables_are_independent():
     assert len(base) == 3 and len(t1) == len(t2) == 4
     t3, g3 = t1.with_group([g1, 2])
     assert t3.originals(g3) == {0, 1, 2} and t3.id_of("a+b") == 3
+
+
+def test_nested_group_chain_expands_without_recursion():
+    n = 1500  # groups nested deeper than the default recursion limit
+    labels = [Label(i, str(i)) for i in range(n)]
+    labels.append(Label(n, "g0", (0, 1)))
+    for i in range(1, n - 1):
+        labels.append(Label(n + i, f"g{i}", (n + i - 1, i + 1)))
+    table = LabelTable(labels)
+    assert table.n_original() == n
+    assert table.originals(len(labels) - 1) == frozenset(range(n))
+    assert table.min_original(n + 500) == 0
+
+
+def test_original_label_ids_built_once_per_value(rng):
+    for _ in range(30):
+        f = random_forest(rng, rng.randint(3, 9), rooted=rng.random() < 0.5)
+        for _ in range(6):
+            f = derive(rng, f)
+            got = f.original_label_ids()
+            assert got is f.original_label_ids()
+            want = set()
+            for lid in f.label_ids():
+                want |= f.labels.originals(lid)
+            assert got == want
+    inst = random_instance(rng, rooted=True)
+    assert inst.n_labels == inst.taxa_count() + 1 == len(inst.forests[0].label_ids())
+
+
+# -- the flat canonical key against the nested reference ---------------------
+
+
+def _shuffled_copy(rng, f):
+    """``f`` rebuilt with its vertex ids permuted and its edges in another order."""
+    verts = sorted(f.vertices())
+    perm = verts[:]
+    rng.shuffle(perm)
+    ren = dict(zip(verts, perm))
+    leaf_labels = {ren[v]: f.label_of(v) for v in verts if f.label_of(v) is not None}
+    edges = []
+    for eid in f.edge_ids():
+        u, v = f.edge_ends(eid)
+        if not f.rooted and rng.random() < 0.5:
+            u, v = v, u
+        edges.append((ren[u], ren[v]))
+    rng.shuffle(edges)
+    return Forest.build(f.rooted, f.labels, leaf_labels, edges, normalize=False)
+
+
+def _decorated(rng, f):
+    """A reducible twin of ``f``: subdivided edges carrying label-free subtrees
+    of one to four unlabeled vertices each (built with ``normalize=False``)."""
+    leaf_labels = {v: f.label_of(v) for v in f.vertices() if f.label_of(v) is not None}
+    edges = [f.edge_ends(e) for e in sorted(f.edge_ids())]
+    nxt = max(f.vertices()) + 1
+    for _ in range(rng.randint(1, 3)):
+        if not edges:
+            break
+        u, v = edges.pop(rng.randrange(len(edges)))
+        hub, nxt = nxt, nxt + 1
+        edges += [(u, hub), (hub, v)]
+        for _ in range(rng.randint(0, 2)):
+            # a random label-free subtree hanging from the new vertex
+            tree = [hub]
+            for _ in range(rng.randint(1, 4)):
+                edges.append((rng.choice(tree), nxt))
+                tree.append(nxt)
+                nxt += 1
+    return Forest.build(f.rooted, f.labels, leaf_labels, edges, normalize=False)
+
+
+def _family(rng, rooted):
+    """Forests over one label table: plain, grouped and decorated, each with
+    shuffled copies, so that equal and unequal keys both occur often."""
+    inst = random_instance(rng, rooted, n=rng.randint(3, 7), m=2, x=rng.randint(0, 2))
+    out = []
+    for f in inst.forests:
+        for _ in range(2):
+            g = f
+            for _ in range(rng.randint(0, 3)):
+                g = derive(rng, g)
+            if rng.random() < 0.4:
+                g = _decorated(rng, g)
+            out += [g, _shuffled_copy(rng, g)]
+    return out
+
+
+def test_flat_key_matches_nested_reference(rng):
+    equal = unequal = 0
+    for _ in range(60):
+        forests = _family(rng, rooted=rng.random() < 0.5)
+        flat = [f.canonical_key() for f in forests]
+        nested = [canonical_key_by_nesting(f) for f in forests]
+        comps = [(f, i) for f in forests for i in range(f.order())]
+        flat_c = [f.component_canonical(i) for f, i in comps]
+        nested_c = [component_canonical_by_nesting(f, i) for f, i in comps]
+        for keys, ref in ((flat, nested), (flat_c, nested_c)):
+            for i in range(len(keys)):
+                for j in range(i):
+                    assert (keys[i] == keys[j]) == (ref[i] == ref[j])
+                    if keys[i] == keys[j]:
+                        equal += 1
+                    else:
+                        unequal += 1
+        for f, key in zip(forests, flat):
+            assert all(type(x) is int for code in key[1] for x in code)
+    assert equal > 500 and unequal > 500
+
+
+def test_flat_key_orders_label_free_siblings_by_their_code():
+    table = LabelTable.from_names(["a", "b"])
+
+    def star(extra):
+        # rooted: ρ-free root 0 over a, b and label-free subtrees at vertex 3
+        edges = [(0, 1), (0, 2), (0, 3)] + extra
+        return Forest.build(True, table, {1: 0, 2: 1}, edges, normalize=False)
+
+    leaf_then_cherry = star([(3, 4), (3, 5), (5, 6), (5, 7)])
+    cherry_then_leaf = star([(3, 5), (5, 6), (5, 7), (3, 4)])
+    two_cherries = star([(3, 5), (5, 6), (5, 7), (3, 4), (4, 8), (4, 9)])
+    assert leaf_then_cherry.canonical_key() == cherry_then_leaf.canonical_key()
+    assert leaf_then_cherry.canonical_key() != two_cherries.canonical_key()
+    assert canonical_key_by_nesting(leaf_then_cherry) != canonical_key_by_nesting(two_cherries)
+
+
+def test_steiner_key_matches_nested_reference(rng):
+    outcomes = {True: 0, False: 0}
+    for _ in range(200):
+        rooted = rng.random() < 0.5
+        n = rng.randint(3, 9)
+        sup = random_forest(rng, n, rooted, max_cuts=rng.randint(0, 1))
+        valid = rng.random() < 0.5
+        if valid:
+            eids = sorted(sup.edge_ids())
+            sub = sup.remove_edges(rng.sample(eids, rng.randint(0, min(3, len(eids)))))
+        else:
+            sub = random_forest(rng, n, rooted, max_cuts=1)  # mostly not embeddable
+        for i in range(sub.order()):
+            lset = sub.component_labels(i)
+            homes = {sup.component_index_of_label(l) for l in lset}
+            if len(lset) < 2 or len(homes) != 1:
+                continue
+            up, depth = forest_mod._hang(sup, homes.pop())
+            vset, eset = forest_mod._steiner(up, depth, [sup.vertex_of_label(l) for l in lset])
+            same = forest_mod._steiner_canonical(sup, vset, eset) == sub.component_canonical(i)
+            ref = steiner_canonical_by_nesting(sup, vset, eset) == component_canonical_by_nesting(
+                sub, i
+            )
+            assert same == ref
+            outcomes[same] += 1
+        if valid:
+            assert mk.subforest_witness(sub, sup) is not None
+    assert min(outcomes.values()) > 50

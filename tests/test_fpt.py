@@ -146,6 +146,61 @@ def test_package_checks_survive_optimized_mode():
     assert asserts == []
 
 
+def _calls_itself(fn):
+    """Does function ``fn`` call itself by name, as ``name(...)``,
+    ``self.name(...)`` or ``cls.name(...)``?  A call on any other object,
+    such as ``super().__init__()`` or ``self.forest.order()``, does not count."""
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == fn.name:
+            return True
+        if (isinstance(f, ast.Attribute) and f.attr == fn.name
+                and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
+            return True
+    return False
+
+
+def test_package_has_no_self_recursion():
+    # input trees can be thousands of levels deep, past the interpreter's
+    # recursion limit; the exact search recurses, but at most k levels deep
+    package = pathlib.Path(mk.__file__).parent
+    recursive = [
+        f"{path.name}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node)
+    ]
+    assert recursive == ["fpt.py:_search"]
+
+
+def test_self_recursion_check_flags_only_self_calls():
+    source = """
+def down(v):
+    return [down(w) for w in v]
+
+class Tree:
+    def __init__(self):
+        super().__init__()
+
+    def order(self):
+        return self.forest.order()
+
+    def walk(self):
+        return self.walk()
+
+    @classmethod
+    def build(cls):
+        return cls.build()
+"""
+    found = [
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and _calls_itself(node)
+    ]
+    assert found == ["down", "walk", "build"]
+
+
 def test_groupings_do_not_rescan(rng, monkeypatch):
     # a Case-1 grouping leaves the pair reduced, so only the other nodes
     # run the reduction: one call per node that is not a grouping

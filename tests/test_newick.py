@@ -1,10 +1,15 @@
 """Parsing and serialization: grammar, validation, round trips."""
 
+import re
+import sys
+import warnings
+
 import pytest
 
 import mafkit as mk
+from mafkit import newick
 
-from helpers import random_forest, random_tree
+from helpers import parse_by_recursion, random_forest, random_tree
 
 
 def test_parse_rooted_attaches_rho():
@@ -125,3 +130,121 @@ def test_format_instance_rejects_forests():
     inst = mk.Instance(rooted=True, forests=(cut,))
     with pytest.raises(mk.MafError):
         mk.format_instance(inst)
+
+
+# -- the one-pass reader against the recursive reference --------------------
+
+
+def _read(parse, text, rooted):
+    """Every observable of one parse: the forests, or the error raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            inst = parse(text, rooted)
+        except mk.NewickError as exc:
+            return ("error", str(exc), exc.line, exc.col)
+    forests = [
+        (list(f._vlabel.items()), list(f._edges.items()), list(f._adj.items()))
+        for f in inst.forests
+    ]
+    return forests, [str(w.message) for w in caught]
+
+
+def _assert_reads_like_reference(text, rooted):
+    got = _read(mk.parse_instance, text, rooted)
+    assert got == _read(parse_by_recursion, text, rooted), text
+    return got[0] != "error"
+
+
+def test_label_alphabet_is_isalnum_dot_underscore():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    label = {m.start() for m in re.finditer(r"[\w.]", everything)}
+    assert label == {i for i, ch in enumerate(everything) if ch.isalnum() or ch in "._"}
+    token = newick._TOKEN.match
+    assert token("  ab_1.x:").group(1) == "ab_1.x"
+    assert token("\u00a0\u2003é²,").group(1) == "é²"
+
+
+def _dress(rng, text):
+    """Insert branch lengths and whitespace at random token boundaries."""
+    out = []
+    for tok in re.findall(r"[^(),;]+|.", text):
+        if rng.random() < 0.3:
+            out.append(rng.choice([" ", "\t", "\u00a0", "  "]))
+        out.append(tok)
+        if tok not in "(,;" and rng.random() < 0.3:
+            out.append(rng.choice([":1", ":0.5", ": 2e-3", ":+1.5E+2", ":7."]))
+    return "".join(out)
+
+
+def test_reader_matches_recursive_reference(rng):
+    shapes = set()
+    for _ in range(300):
+        rooted = rng.random() < 0.5
+        inst = mk.generate_instance(mk.GenSpec(
+            n=rng.randint(3, 12), m=2, x=rng.randint(0, 3),
+            seed=rng.randrange(10**9), rooted=rooted,
+        ))
+        lines = [mk.serialize(f) for f in inst.forests]
+        if rooted and rng.random() < 0.5:
+            # ρ absent: the reader attaches it
+            lines = [t.replace(",ρ);", ");") for t in lines]
+        dressed = rng.random() < 0.5
+        if dressed:
+            lines = [_dress(rng, t) for t in lines]
+        if rng.random() < 0.3:
+            lines.insert(1, "# comment")
+        assert _assert_reads_like_reference("\n".join(lines) + "\n", rooted)
+        shapes.add((rooted, "ρ" in lines[0], dressed))
+    assert len(shapes) == 6  # ρ is written in rooted text only
+
+
+ERROR_KINDS = [
+    "expected a label or '('", "expected ',' or ')'", "expected ';'",
+    "trailing text after ';'", "internal node needs at least two children",
+    "internal node labels are not supported", "expected a number after ':'",
+    "bad branch length", "duplicate leaf label", "label 'ρ' is reserved",
+    "'ρ' may only appear once", "leaf label set differs", "no trees in input",
+]
+
+
+def _error_kind(message):
+    return next(kind for kind in ERROR_KINDS if message.startswith(kind))
+
+
+MALFORMED = [
+    "", "   ", ";", "a", "a;b;", "a;;", "(a);", "()", "(,a);", "(a,);", "((a,b);",
+    "(a,b));", "(a,b)c;", "(a,b) c;", "(a,b):;", "(a,b): ;", "(a:x,b);", "(a:1..2,b);",
+    "(a:²,b);", "(a:1e,b);", "(a,b)", "(a,b);x", "(a,b); ;", "(a b,c);", "a,b;",
+    "((a,b)),c;", "(a,a);", "((a,b),(b,c));", "(a,ρ);", "((a,ρ),b);", "(ρ,ρ,a);", "ρ;",
+    "(a,b,ρ);", "(ρ,(a,b));", "(a,(b,c),ρ);", "(a,b);\n(a,c);", "(a,b);\n(a,b,c);",
+    "(a,[b]);", "('a',b);", "(a,b)\n;", "(a, b)\u2003;", "(é,ü);", "(a,b)x:1;",
+    "(a:1,b:2):3;", "(a:1 ,b : 2) :3 ;", "((a,b),c):1:2;", "a;", "(((a,b),c),(d,e));",
+]
+
+
+def test_reader_matches_reference_on_malformed_input(rng):
+    errors = set()
+    for text in MALFORMED:
+        for rooted in (True, False):
+            if not _assert_reads_like_reference(text, rooted):
+                errors.add(_error_kind(_read(mk.parse_instance, text, rooted)[1]))
+    # random edits of valid trees
+    alphabet = list("(),;: ab.1") + ["ρ", "e", "-", "²", "\u00a0", ":1", "x"]
+    for _ in range(1500):
+        chars = list(mk.serialize(random_tree(rng, rng.randint(3, 7), rooted=True)))
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(chars) + 1)
+            op = rng.random()
+            if op < 0.35 and pos < len(chars):
+                del chars[pos]
+            elif op < 0.7 or pos == len(chars):
+                chars.insert(pos, rng.choice(alphabet))
+            else:
+                chars[pos] = rng.choice(alphabet)
+        text = "".join(chars)
+        for rooted in (True, False):
+            if not _assert_reads_like_reference(text, rooted):
+                errors.add(_error_kind(_read(mk.parse_instance, text, rooted)[1]))
+    # every error the reader can raise was met
+    assert errors == set(ERROR_KINDS)
