@@ -94,7 +94,9 @@ def cmd_pmaf(args) -> int:
     t0 = time.perf_counter()
     ares = _approximate(instance)
     ratio = 3 if instance.rooted else 4
-    k_lo = max(1, ares.order // ratio)
+    # the audited ratio gives opt >= k'/ratio, so every k below ⌈k'/ratio⌉
+    # is infeasible
+    k_lo = max(1, -(-ares.order // ratio))
     k_hi = args.k if args.k is not None else instance.n_labels
     if k_lo > k_hi:
         k_lo = 1
@@ -175,7 +177,7 @@ def _bench_file(job):
                 row(method="approx", order=ares.order, wall_ms=f"{ms:.2f}", **common)
         if mode in ("all", "fpt"):
             ratio = 3 if rooted else 4
-            k_lo = max(1, (approx_order or 1) // ratio)
+            k_lo = max(1, -(-(approx_order or 1) // ratio))
             t0 = time.perf_counter()
             res = find_min_k(instance, k_lo)
             ms = (time.perf_counter() - t0) * 1000.0

@@ -15,11 +15,14 @@ component's labels).
 A derived value is built from its parent, not from scratch, and a value is
 never written again once it has been returned.  So a derived value shares
 every adjacency row it does not change with its parent: it copies the outer
-maps and copies a row only the first time it writes it.  A grouping also
+maps and copies a row only the first time it writes it.  Only the rows it
+wrote are checked against the degree rules.  A removal or a grouping also
 patches its parent's sibling-set table (see :meth:`Forest.find_mss`) where
-the grouping can change it, instead of leaving it to be built again.  Other
-derived data (components, label partition, original label ids, canonical
-key) is built at most once per value, on first use.
+it can change, instead of leaving it to be built again, and records its
+parent and a log of what it changed, from which the reduction carries its
+label weights and side sums over (see ``reduction``).  Other derived data
+(components, label partition, original label ids, canonical key) is built at
+most once per value, on first use.
 
 There is no depth limit: every walk over a tree uses an explicit stack or a
 worklist, never recursion.  The canonical key holds one flat tuple of ints
@@ -36,6 +39,14 @@ from collections import deque
 from dataclasses import dataclass
 
 RHO = "ρ"
+
+# label weights and side sums are kept mod 2^64 (see Forest.side_sums)
+MASK64 = (1 << 64) - 1
+
+# a derived value holds its parent through its origin until the reduction
+# has taken what it needs from it; values derived again and again without a
+# scan would hold every ancestor, so a chain of origins ends after this many
+_ORIGIN_CHAIN = 32
 
 
 class MafError(Exception):
@@ -331,6 +342,8 @@ class Forest:
         "_partition",
         "_weights",
         "_orig_ids",
+        "_origin",
+        "__weakref__",
     )
 
     def __init__(self, rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e,
@@ -352,6 +365,17 @@ class Forest:
         self._partition = None
         self._weights = None           # label weights as a reduction witness
         self._orig_ids = None          # see original_label_ids
+        self._origin = None            # (parent, change log, chain length)
+
+    def __getstate__(self):
+        # a pickled or copied value keeps its structure and caches, but not
+        # the links the reduction follows to other values (see ``reduction``):
+        # the origin would drag the chain of ancestors along, and inherited
+        # weights refer to the weights they came from
+        state = {name: getattr(self, name) for name in self.__slots__
+                 if name != "__weakref__"}
+        state["_origin"] = state["_weights"] = None
+        return None, state
 
     # -- construction
 
@@ -387,7 +411,7 @@ class Forest:
         f = cls(rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e,
                 label_vertex)
         if normalize:
-            f._normalize(list(adj))
+            f._normalize(list(adj), [])
         f._check(strict=normalize)
         # contraction keeps the cycle rank, so the vertex and edge counts give
         # the component count (``order``) exactly when there is no cycle
@@ -463,8 +487,16 @@ class Forest:
         if self.rooted and self._parent_edge.get(v) == eid:
             del self._parent_edge[v]
 
-    def _normalize(self, dirty):
-        """Forced contraction from the given seed vertices outward."""
+    def _normalize(self, dirty, log):
+        """Forced contraction from the given seed vertices outward.
+
+        Every step is appended to the list ``log`` (see :meth:`remove_edges`):
+        ``("drop", v)`` for an isolated vertex, ``("gone", v, e, w)`` for a
+        leaf ``v`` dropped with its edge ``e`` to ``w``, and ``("splice", v,
+        e1, w1, e2, w2, e)`` for a pass-through vertex whose edges to ``w1``
+        and ``w2`` became one new edge ``e``.
+        """
+        note = log.append
         queue = deque(dirty)
         while queue:
             v = queue.popleft()
@@ -476,10 +508,12 @@ class Forest:
                 # unrooted vertex, or a rooted component root
                 if deg == 0:
                     self._drop_vertex(v)
+                    note(("drop", v))
                 elif deg == 1:
                     eid, w = next(iter(self._adj[v].items()))
                     self._del_edge(eid)
                     self._drop_vertex(v)
+                    note(("gone", v, eid, w))
                     queue.append(w)
                 elif deg == 2 and not self.rooted:
                     (e1, w1), (e2, w2) = sorted(self._adj[v].items())
@@ -488,13 +522,14 @@ class Forest:
                     self._del_edge(e1)
                     self._del_edge(e2)
                     self._drop_vertex(v)
-                    self._add_edge(w1, w2)
+                    note(("splice", v, e1, w1, e2, w2, self._add_edge(w1, w2)))
                 # rooted roots keep degree 2: they are retained LCAs
             else:
                 if deg == 1:
                     parent = self._adj[v][pe]
                     self._del_edge(pe)
                     self._drop_vertex(v)
+                    note(("gone", v, pe, parent))
                     queue.append(parent)
                 elif deg == 2:
                     parent = self._adj[v][pe]
@@ -504,10 +539,21 @@ class Forest:
                     self._del_edge(pe)
                     self._del_edge(ce)
                     self._drop_vertex(v)
-                    self._add_edge(parent, child)
+                    note(("splice", v, pe, parent, ce, child, self._add_edge(parent, child)))
 
-    def _check(self, strict=True):
-        for v, d in self._adj.items():
+    def _check(self, strict=True, vertices=None):
+        """Degree rules of an irreducible forest, and one vertex per label.
+
+        ``vertices`` limits the degree rules to those vertices (the ones a
+        derivation wrote; absent ones are skipped).  A derived value shares
+        every other row with a parent that passed the check, and a row it
+        does not write keeps its degree, its label and, rooted, its parent
+        edge, so checking the written rows keeps the whole guarantee.
+        """
+        adj = self._adj
+        rows = adj.items() if vertices is None else (
+            (v, adj[v]) for v in vertices if v in adj)
+        for v, d in rows:
             deg = len(d)
             if v in self._vlabel:
                 if deg > 1:
@@ -684,79 +730,114 @@ class Forest:
     def force_contract(self) -> "Forest":
         """Fully contracted (irreducible) twin of this forest."""
         f = self._copy()
-        f._normalize(list(f._adj))
+        f._normalize(list(f._adj), [])
         f._check()
         return f
 
     def remove_edges(self, eids) -> "Forest":
-        """Forest with the given edges deleted, then contracted."""
-        eids = list(eids)
+        """Forest with the given edges deleted, then contracted.
+
+        The new value records ``(self, log, chain length)`` as its origin,
+        so that the reduction can carry what it computed for this value to
+        the new one: ``("cut", e, u, v)`` for each deleted edge in the order
+        given, then the contraction steps (see :meth:`_normalize`).  A sibling-set table
+        already built here is patched at the vertices the removal wrote.
+        """
         f = self._copy()
+        log = []
         dirty = []
         for eid in eids:
             if eid not in f._edges:
                 raise ForestError(f"unknown edge id {eid}")
             u, v = f._edges[eid]
             f._del_edge(eid)
+            log.append(("cut", eid, u, v))
             dirty.extend((u, v))
-        f._normalize(dirty)
-        f._check()
+        f._normalize(dirty, log)
+        f._check(vertices=f._own)
+        f._link(self, log)
+        # labels stay where they are, so only a written row changes an entry
+        f._patch_mss(self, f._own)
         return f
 
     def split_labels(self, eid) -> EdgeSplit:
-        """Label sets of the two subtrees obtained by deleting ``eid``."""
+        """Label sets of the two subtrees obtained by deleting ``eid``.
+
+        Each side is walked from its end of the edge, so only the edge's own
+        component is visited.
+        """
         if eid not in self._edges:
             raise ForestError(f"unknown edge id {eid}")
-        u, v = self._edges[eid]
-        side = {u}
-        queue = deque((u,))
-        while queue:
-            x = queue.popleft()
-            for e, w in self._adj[x].items():
-                if e != eid and w not in side:
-                    side.add(w)
-                    queue.append(w)
-        s1 = frozenset(self._vlabel[x] for x in side if x in self._vlabel)
-        comp = self.components()[self.component_index_of_vertex(u)]
-        s2 = frozenset(
-            self._vlabel[x] for x in comp if x in self._vlabel and x not in side
-        )
-        return EdgeSplit(eid, s1, s2)
+        adj, vlabel = self._adj, self._vlabel
+        sides = []
+        for start in self._edges[eid]:
+            side = {start}
+            stack = [start]
+            while stack:
+                for e, w in adj[stack.pop()].items():
+                    if e != eid and w not in side:
+                        side.add(w)
+                        stack.append(w)
+            sides.append(frozenset(vlabel[x] for x in side if x in vlabel))
+        return EdgeSplit(eid, *sides)
+
+    def side_sums(self, weight):
+        """Hang every component from one vertex and sum the weights below.
+
+        ``weight`` maps every label id of this forest to an integer.  A
+        rooted component hangs from its root, an unrooted one from its
+        smallest vertex; the walk uses an explicit stack.  Returns ``(up,
+        below)``: ``up`` maps every vertex but the tops to the id of the edge
+        to its parent, and ``below`` maps every vertex to the total weight of
+        the labels in its subtree, mod 2^64.  So the two sides of the edge
+        ``up[v]`` weigh ``below[v]`` and the top's ``below`` minus that.
+        """
+        adj, vlabel = self._adj, self._vlabel
+        if self.rooted:
+            tops = [v for v in adj if v not in self._parent_edge]
+        else:
+            tops = sorted(adj)  # so each component is entered at its smallest
+        up = {}
+        parent = {}
+        order = []
+        for top in tops:
+            if top in parent:
+                continue
+            parent[top] = None
+            stack = [top]
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                for e, w in adj[v].items():
+                    if w not in parent:
+                        parent[w] = v
+                        up[w] = e
+                        stack.append(w)
+        below = {v: weight[vlabel[v]] if v in vlabel else 0 for v in order}
+        for v in reversed(order):
+            p = parent[v]
+            if p is not None:
+                below[p] += below[v]
+        return up, {v: s & MASK64 for v, s in below.items()}
 
     def zero_sum_edges(self, weight) -> list[int]:
         """Sorted ids of the edges one of whose sides has weight 0 mod 2^64.
 
-        ``weight`` maps every label id of this forest to an integer.  Each
-        component is walked once with an explicit stack, from its root when
-        rooted and from its smallest vertex when unrooted; the side below an
-        edge sums the weights of the subtree, and the other side is the
-        component total minus that sum.
+        ``weight`` maps every label id of this forest to an integer.  The
+        sums come from one full :meth:`side_sums` walk; the side above an
+        edge is its component's total minus the side below.
         """
-        mask = (1 << 64) - 1
-        out = []
-        for idx, comp in enumerate(self.components()):
-            start = self.component_root(idx) if self.rooted else min(comp)
-            preorder = []
-            stack = [(start, None, None)]
-            while stack:
-                v, in_edge, up = stack.pop()
-                preorder.append((v, in_edge, up))
-                for e, w in self._adj[v].items():
-                    if e != in_edge:
-                        stack.append((w, e, v))
-            below = {v: weight[self._vlabel[v]] if v in self._vlabel else 0
-                     for v in comp}
-            sums = []
-            for v, in_edge, up in reversed(preorder):
-                if up is not None:
-                    below[up] += below[v]
-                    sums.append((in_edge, below[v]))
-            total = below[start]
-            out.extend(
-                e for e, s in sums if not s & mask or not (total - s) & mask
-            )
-        out.sort()
-        return out
+        up, below = self.side_sums(weight)
+        comps = self.components()
+        total = [
+            below[self.component_root(i) if self.rooted else min(comp)]
+            for i, comp in enumerate(comps)
+        ]
+        comp_of = self._comp_of_v
+        return sorted(
+            e for v, e in up.items()
+            if not below[v] or below[v] == total[comp_of[v]]
+        )
 
     def find_mss(self) -> SiblingSet | None:
         """Deterministically pick a maximal sibling set, if any exists.
@@ -769,7 +850,7 @@ class Forest:
         The candidates are kept in a table with their selection keys, one
         entry per vertex: a hub's best candidate, or an unrooted single-edge
         tree under its smaller vertex.  The table is built on the first call
-        and carried through :meth:`group_labels`.
+        and carried through :meth:`group_labels` and :meth:`remove_edges`.
         """
         if self._mss is None:
             self._mss = {
@@ -852,7 +933,10 @@ class Forest:
         The hub keeps its vertex id and becomes the new leaf; for an unrooted
         single-edge tree the two leaves merge into one labeled vertex.  The
         label table is extended with the grouped label; the component count is
-        unchanged.
+        unchanged.  The origin log (see :meth:`remove_edges`) holds
+        ``("merge", v, e, w)`` for each leaf ``v`` dropped with its edge ``e``
+        to the vertex ``w`` that takes its label, then ``("group", lids,
+        new_id)``.
         """
         lids = sibling_set.labels if isinstance(sibling_set, SiblingSet) else sibling_set
         lids = frozenset(lids)
@@ -860,6 +944,7 @@ class Forest:
         table, new_id = self.labels.with_group(lids)
         f = self._copy()
         f.labels = table
+        log = []
         if hub is None:
             v1, v2 = sorted(f._label_vertex[l] for l in lids)
             eid = next(iter(f._adj[v1]))
@@ -870,6 +955,7 @@ class Forest:
             f._drop_vertex(v2)
             f._vlabel[v1] = new_id
             f._label_vertex[new_id] = v1
+            log.append(("merge", v2, eid, v1))
             touched = (v1, v2)
         else:
             for l in lids:
@@ -878,22 +964,37 @@ class Forest:
                 f._del_edge(eid)
                 del f._vlabel[v]
                 f._drop_vertex(v)
+                log.append(("merge", v, eid, hub))
             f._vlabel[hub] = new_id
             f._label_vertex[new_id] = hub
             # rooted, the hub's one neighbor left is its parent; unrooted, it
             # is the one non-leaf neighbor, or a leaf of a new single-edge tree
             touched = (hub, *f._adj[hub].values())
-        f._check()
-        if self._mss is not None:
-            # only the entries of the hub and its neighbors can change
-            f._mss = dict(self._mss)
-            for v in touched:
-                entry = f._mss_entry(v) if v in f._adj else None
-                if entry is None:
-                    f._mss.pop(v, None)
-                else:
-                    f._mss[v] = entry
+        log.append(("group", lids, new_id))
+        f._check(vertices=f._own)
+        f._link(self, log)
+        # the hub turned into a leaf, so its neighbors' entries can change too
+        f._patch_mss(self, touched)
         return f
+
+    def _link(self, parent, log):
+        """Record ``(parent, log, chain length)`` as this value's origin."""
+        links = parent._origin[2] + 1 if parent._origin is not None else 1
+        if links <= _ORIGIN_CHAIN:
+            self._origin = (parent, log, links)
+
+    def _patch_mss(self, parent, touched):
+        """Take over ``parent``'s sibling-set table, if it has one, with the
+        entries of the ``touched`` vertices made afresh."""
+        if parent._mss is None:
+            return
+        table = self._mss = dict(parent._mss)
+        for v in touched:
+            entry = self._mss_entry(v) if v in self._adj else None
+            if entry is None:
+                table.pop(v, None)
+            else:
+                table[v] = entry
 
     def expand_labels(self) -> "Forest":
         """Recursively undo all groupings; leaves end up on original labels.
@@ -922,7 +1023,7 @@ class Forest:
                     w = f._add_vertex(p)
                     f._add_edge(v, w)
         f.labels = f.labels.trimmed()
-        f._check()
+        f._check(vertices=f._own)
         return f
 
     # -- canonical structure -------------------------------------------------
@@ -1074,6 +1175,142 @@ class Forest:
     def __repr__(self):
         kind = "rooted" if self.rooted else "unrooted"
         return f"<Forest {kind} order={self.order()} labels={len(self._vlabel)}>"
+
+
+# ---------------------------------------------------------------------------
+# carrying label weights and side sums across one derivation
+#
+# Both read the log of a derivation (see Forest.remove_edges and
+# Forest.group_labels), given as the origin of the derived value, and both
+# work in place on what the parent had.
+
+
+def carry_zero_sums(origin, weight, changed):
+    """Make zero-sum label weights of a parent zero-sum over its child.
+
+    ``origin`` is the child's ``(parent, log, _)``, and ``weight`` maps the
+    parent's labels to weights that sum to 0 mod 2^64 over each of the
+    parent's components; it is changed in place, and the labels whose weight
+    changes or is new are added to the set ``changed`` (grouped parts leave
+    it).  A grouped label weighs the sum of its parts, which keeps every sum
+    over whole components.  Each edge a removal cuts splits one zero-sum
+    component in two: the side found complete first sums to some s, one of
+    its labels gives up s and one label of the other side takes it.
+    """
+    parent, log, _ = origin
+    removed = set()
+    for step in log:
+        if step[0] == "cut":
+            removed.add(step[1])
+            changed.update(_rezero(parent, weight, removed, step[2], step[3]))
+        elif step[0] == "group":
+            _, lids, new_id = step
+            weight[new_id] = sum(weight.pop(lid) for lid in lids) & MASK64
+            changed.difference_update(lids)
+            changed.add(new_id)
+
+
+def carry_side_sums(origin, up, below):
+    """Turn a parent's :meth:`Forest.side_sums` into its child's, in place.
+
+    ``origin`` is the child's ``(parent, log, _)``.  The sums stay under the
+    parent's weights, a grouped label read as the sum of its parts.  A cut
+    edge subtracts the subtree below it along the path to its old top, and
+    the subtree's top becomes a top.  Contraction and grouping move no label
+    to the other side of any edge: a dropped or spliced vertex hands its
+    place in the hanging to a neighbor, and a grouped leaf's weight stays in
+    the sums of the vertex that takes its label.  The hanging may differ
+    from the one a fresh walk picks; the side sums of every edge are the
+    same.
+    """
+    parent, log, _ = origin
+    for step in log:
+        kind = step[0]
+        if kind == "cut":
+            _, e, x, y = step
+            child, other = (y, x) if up.get(y) == e else (x, y)
+            del up[child]
+            if below[child]:
+                add_on_path(up, below, parent._edges, other, -below[child])
+        elif kind == "gone" or kind == "merge":
+            _, v, e, w = step
+            if up.get(v) == e:
+                del up[v]  # a leaf of the hanging
+            else:
+                del up[w]  # v was a top with the one child w
+                below[w] = below[v]
+            del below[v]
+        elif kind == "splice":
+            _, v, e1, w1, e2, w2, e = step
+            pe = up.pop(v, None)
+            if pe == e1:
+                up[w2] = e
+            elif pe == e2:
+                up[w1] = e
+            else:  # v was a top: w1 takes its place
+                del up[w1]
+                up[w2] = e
+                below[w1] = below[v]
+            del below[v]
+        elif kind == "drop":
+            del below[step[1]]
+
+
+def add_on_path(up, below, edges, v, delta):
+    """Add ``delta`` to the sums of ``v`` and every vertex above it.
+
+    ``up`` and ``below`` are a hanging with its sums (see
+    :meth:`Forest.side_sums`), and ``edges`` maps its edge ids to their ends.
+    """
+    while True:
+        below[v] = (below[v] + delta) & MASK64
+        e = up.get(v)
+        if e is None:
+            return
+        x, y = edges[e]
+        v = x if y == v else y
+
+
+def _rezero(forest, weight, removed, a, b):
+    """Zero both sides of a cut edge ``(a, b)`` of ``forest`` minus ``removed``.
+
+    The two sides are walked in turn, one vertex at a time, so the walk ends
+    after about twice the smaller side: that side is then complete, and the
+    other side is walked on only until it shows a label.  Returns the labels
+    whose weight changed.
+    """
+    adj, vlabel = forest._adj, forest._vlabel
+    stacks = ([a], [b])
+    found = ([], [])
+    seen = {a, b}
+    side = 0
+    while stacks[side]:
+        v = stacks[side].pop()
+        if v in vlabel:
+            found[side].append(vlabel[v])
+        for e, w in adj[v].items():
+            if w not in seen and e not in removed:
+                seen.add(w)
+                stacks[side].append(w)
+        side ^= 1
+    small = found[side]
+    s = sum(weight[lid] for lid in small) & MASK64
+    if not s:
+        return ()
+    other, stack = found[1 - side], stacks[1 - side]
+    while not other and stack:
+        v = stack.pop()
+        if v in vlabel:
+            other.append(vlabel[v])
+        for e, w in adj[v].items():
+            if w not in seen and e not in removed:
+                seen.add(w)
+                stack.append(w)
+    # the two sides of a zero-sum component sum to s and -s, so a side with
+    # no label forces s = 0
+    weight[small[0]] = (weight[small[0]] - s) & MASK64
+    weight[other[0]] = (weight[other[0]] + s) & MASK64
+    return small[0], other[0]
 
 
 # ---------------------------------------------------------------------------

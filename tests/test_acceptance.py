@@ -110,6 +110,15 @@ def test_criterion_5_reduction_preservation(corpus):
     print(f"criterion 5 PASS: optimum preserved by reduction on {len(sample)} instances")
 
 
+def test_exact_search_start_is_a_lower_bound(corpus):
+    # ``maf pmaf`` starts its ascent at ⌈k'/ratio⌉: the audited ratio puts
+    # the optimum there or above
+    for r in corpus:
+        ratio = 3 if r.spec.rooted else 4
+        assert -(-r.approx.order // ratio) <= r.opt, (r.spec, r.approx.order, r.opt)
+    print(f"start bound PASS: ⌈k'/ratio⌉ <= optimum on {len(corpus)} instances")
+
+
 def test_criterion_6_throughput():
     inst = mk.generate_instance(mk.GenSpec(n=50, m=5, x=2, seed=606))
     t0 = time.perf_counter()

@@ -229,3 +229,16 @@ def test_pmaf_stdout_certificate_revalidates(tmp_path, capsys):
             names.add(tok)
     want = {inst.forests[0].labels.name(l) for l in inst.forests[0].label_ids()}
     assert names == want
+
+
+def test_pmaf_starts_at_the_ceiling_of_the_bound(tmp_path, capsys):
+    # k' = 7 rooted: ⌊7/3⌋ = 2 would spend one attempt that cannot succeed
+    path = tmp_path / "i.nwk"
+    main(["gen", "-n", "10", "-m", "2", "-x", "3", "--seed", "1", "--out", str(path)])
+    code, out, _ = run(capsys, "pmaf", str(path), "--verify")
+    assert code == 0
+    lines = out.splitlines()
+    assert "# bootstrap k'=7 start k=3" in lines
+    assert lines[0] == "order 3"
+    summary = next(line for line in lines if line.startswith("# k="))
+    assert summary.startswith("# k=3 ")

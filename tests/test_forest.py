@@ -1,6 +1,9 @@
 """Core forest value model: contraction, removal, sibling sets, embedding."""
 
 import copy
+import gc
+import pickle
+import weakref
 
 import pytest
 
@@ -19,6 +22,7 @@ from helpers import (
     names,
     random_forest,
     random_instance,
+    random_tree,
     steiner_by_pruning,
     steiner_canonical_by_nesting,
 )
@@ -433,6 +437,31 @@ def test_find_mss_after_grouping_stars_and_single_edges():
     assert star.group_labels(ab).find_mss().hub is None
 
 
+def full_mss_table(f):
+    """The sibling-set table ``find_mss`` would build from scratch."""
+    return {v: entry for v in f.vertices() if (entry := f._mss_entry(v)) is not None}
+
+
+def test_removal_patches_sibling_set_table(rng):
+    removals = 0
+    for _ in range(200):
+        rooted = rng.random() < 0.5
+        f = random_forest(rng, rng.randint(3, 16), rooted, max_cuts=2)
+        while list(f.edge_ids()):
+            assert f.find_mss() == find_mss_by_scan(f)
+            cands = mss_candidates_by_scan(f)
+            if cands and rng.random() < 0.4:
+                f = f.group_labels(rng.choice(cands))
+            else:
+                eids = sorted(f.edge_ids())
+                f = f.remove_edges(rng.sample(eids, rng.randint(1, min(3, len(eids)))))
+                removals += 1
+            # taken over from the parent and patched, equal to a fresh build
+            assert f._mss is not None
+            assert f._mss == full_mss_table(f)
+    assert removals > 400
+
+
 # -- group / expand ----------------------------------------------------------
 
 
@@ -497,6 +526,34 @@ def test_operations_leave_input_untouched():
     f.group_labels(f.find_mss())
     f.force_contract()
     assert f.canonical_key() == before
+
+
+def test_scanned_values_pickle_without_their_ancestors():
+    for rooted in (True, False):
+        f1, f2 = mk.parse_instance(
+            "((a,b),(c,(d,e)));\n((a,c),(b,(d,e)));", rooted).forests
+        g = f1.remove_edges([f1.pendant_edge(f1.labels.id_of("c"))])
+        _, _, removals = mk.reduce_pair(g, f2)  # g inherits what f1 had
+        copies = [pickle.loads(pickle.dumps(g)), copy.deepcopy(g)]
+        for h in copies:
+            assert h.same_structure(g) and h._origin is None and h._weights is None
+            assert mk.reduce_pair(h, f2)[2] == removals
+
+
+def test_unscanned_derivations_do_not_hold_every_ancestor(rng):
+    for rooted in (True, False):
+        f = random_tree(rng, 60, rooted)
+        first = weakref.ref(f)
+        for _ in range(50):
+            f = f.remove_edges([min(f.edge_ids())])
+        links = 0
+        g = f
+        while g._origin is not None:
+            links += 1
+            g = g._origin[0]
+        assert links <= forest_mod._ORIGIN_CHAIN
+        gc.collect()
+        assert first() is None
 
 
 def _snapshot(f):
@@ -686,3 +743,39 @@ def test_steiner_key_matches_nested_reference(rng):
         if valid:
             assert mk.subforest_witness(sub, sup) is not None
     assert min(outcomes.values()) > 50
+
+
+# -- the structural check of derived values ------------------------------------
+
+
+def test_derived_values_pass_the_full_check(rng):
+    # a derivation checks only the rows it wrote; every value of random
+    # chains must still pass the check of every vertex
+    kinds = {"remove": 0, "group": 0, "expand": 0}
+    for _ in range(150):
+        f = random_forest(rng, rng.randint(3, 14), rooted=rng.random() < 0.5)
+        for _ in range(10):
+            f = derive(rng, f)
+            f._check()
+            kinds["remove" if f._origin and f._origin[1][0][0] == "cut" else
+                  "group" if f._origin else "expand"] += 1
+    assert min(kinds.values()) > 100
+
+
+def test_derivation_rejects_a_broken_written_row(monkeypatch):
+    for rooted in (True, False):
+        f = parse1("((a,b),(c,d));", rooted)
+        a = f.labels.id_of("a")
+        # without contraction the cut leaves a degree-2 vertex behind, in a
+        # row the removal wrote
+        monkeypatch.setattr(Forest, "_normalize", lambda self, dirty, log: None)
+        with pytest.raises(mk.ForestError, match="degree 2"):
+            f.remove_edges([f.pendant_edge(a)])
+        monkeypatch.undo()
+        # a written row that leaves a labeled vertex with two edges
+        g = f.group_labels(f.find_mss())
+        hub = g.vertex_of_label(max(g.label_ids()))
+        broken = g._copy()
+        broken._add_edge(hub, broken._add_vertex(len(g.labels)))
+        with pytest.raises(mk.ForestError, match=f"labeled vertex {hub} has degree 2"):
+            broken._check(vertices=broken._own)

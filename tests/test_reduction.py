@@ -198,6 +198,108 @@ def test_scan_splits_only_the_edges_it_removes(monkeypatch):
     assert calls["split"] == calls["hits"]
 
 
+# -- side sums and weights carried from a forest to the values derived from it
+
+
+def check_every_scan(monkeypatch):
+    """Wrap the scan so that every call checks what it inherited.
+
+    On every ``find_applicable`` call: the weights of ``fp`` sum to 0 mod
+    2^64 over each of its components, the flagged edges equal a full walk's
+    under those weights, and the answer is the per-edge reference's.
+    Returns the counts of scans and of full walks.
+    """
+    counts = {"scans": 0, "walks": 0, "inside": False}
+    scan, candidates, side_sums = (
+        reduction.find_applicable, reduction._candidates, Forest.side_sums)
+
+    def checked_candidates(fq, weight):
+        counts["inside"] = True
+        try:
+            got = candidates(fq, weight)
+        finally:
+            counts["inside"] = False
+        assert got == fq.zero_sum_edges(weight)
+        return got
+
+    def checked_scan(fp, fq):
+        got = scan(fp, fq)
+        weight = reduction._weights_of(fp)
+        assert set(weight) == fp.label_ids()
+        for labels in fp.label_partition():
+            assert sum(weight[lid] for lid in labels) % (1 << 64) == 0
+        assert got == find_applicable_by_bfs(fp, fq)
+        counts["scans"] += 1
+        return got
+
+    def counted_side_sums(self, weight):
+        counts["walks"] += counts["inside"]  # the reference's walks do not count
+        return side_sums(self, weight)
+
+    monkeypatch.setattr(reduction, "_candidates", checked_candidates)
+    monkeypatch.setattr(reduction, "find_applicable", checked_scan)
+    monkeypatch.setattr(Forest, "side_sums", counted_side_sums)
+    return counts
+
+
+def solve_every_way(rng, instances):
+    for _ in range(instances):
+        rooted = rng.random() < 0.5
+        inst = random_instance(rng, rooted, n=rng.randint(4, 9),
+                               m=rng.randint(2, 4), x=rng.randint(1, 2))
+        mk.find_min_k(inst)
+        (mk.approx_rmaf if rooted else mk.approx_umaf)(inst)
+        mk.reduce_instance(inst)
+
+
+def test_carried_scan_matches_full_walk(rng, monkeypatch):
+    counts = check_every_scan(monkeypatch)
+    solve_every_way(rng, 100)
+    assert counts["scans"] > 3000
+    # most scans inherit their sums (on forests this small, a weight change
+    # of two labels already makes a fresh walk the cheaper way)
+    assert counts["walks"] < counts["scans"] / 2
+
+
+def test_carried_scan_survives_evicted_sums(rng, monkeypatch):
+    # with room for two forests' sums, most scans find no kept ancestor and
+    # fall back to the full walk; the answers stay the same
+    monkeypatch.setattr(reduction, "_SUMS_KEPT", 2)
+    counts = check_every_scan(monkeypatch)
+    solve_every_way(rng, 20)
+    assert counts["walks"] > counts["scans"] / 2
+
+
+def test_grouping_keeps_weights_and_sums():
+    inst = mk.parse_instance("((a,b),(c,(d,e)));\n((a,b),((c,d),e));", rooted=True)
+    f1, f2 = inst.forests
+    cut = f1.remove_edges([f1.pendant_edge(f1.labels.id_of("c"))])
+    find_applicable(cut, f2)  # keeps f2's side sums under cut's weights
+    ab = frozenset(f1.labels.id_of(x) for x in "ab")
+    g1, g2 = cut.group_labels(ab), f2.group_labels(ab)
+    w, gw = reduction._weights_of(cut), reduction._weights_of(g1)
+    (new,) = g1.label_ids() - cut.label_ids()
+    assert gw[new] == (w[min(ab)] + w[max(ab)]) % (1 << 64)
+    assert gw.changed == {new}
+    before = reduction._sums_of(f2, w).below
+    after = reduction._sums_of(g2, gw).below
+    # every vertex the grouping kept keeps its sum
+    assert {v: after[v] for v in g2.vertices()} == {v: before[v] for v in g2.vertices()}
+
+
+def test_removal_rezeroes_each_piece():
+    f = mk.parse_instance("((a,b),((c,d),(e,f)));", rooted=False).forests[0]
+    w = reduction._weights_of(f)
+    edge = next(e for e in sorted(f.edge_ids())
+                if {len(s) for s in (f.split_labels(e).side1, f.split_labels(e).side2)} == {2, 4})
+    g = f.remove_edges([edge])
+    gw = reduction._weights_of(g)
+    for labels in g.label_partition():
+        assert sum(gw[lid] for lid in labels) % (1 << 64) == 0
+    # one label on each side of the cut took the difference
+    assert len(gw.changed) == 2 and {lid for lid in w if w[lid] != gw[lid]} == gw.changed
+
+
 # -- grouping keeps a reduced pair reduced (the lemma the solvers rely on) ----
 
 

@@ -1,0 +1,48 @@
+"""The checker behind CI's pin on the benchmark's search-shape counts."""
+
+import importlib.util
+import io
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD = os.path.join(ROOT, "tests", "data", "search_counts_seed1.json")
+
+
+@pytest.fixture(scope="module")
+def checker():
+    path = os.path.join(ROOT, "tools", "check_search_counts.py")
+    spec = importlib.util.spec_from_file_location("check_search_counts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_output(counts):
+    metrics = {name: {"value": float(v), "unit": "count"} for name, v in counts.items()}
+    return "# a note\n" + json.dumps({"correct": True, "metrics": metrics}) + "\n"
+
+
+def test_record_holds_every_count_of_both_solver_workloads(checker):
+    with open(RECORD, encoding="utf-8") as fh:
+        record = json.load(fh)
+    assert sorted(record) == ["amaf-large", "pmaf-exact"]
+    for counts in record.values():
+        assert sorted(counts) == sorted(checker.COUNTS)
+    # the exact search runs on pmaf-exact only, and both approximate
+    assert record["pmaf-exact"]["fpt.attempts"] > 0 == record["amaf-large"]["fpt.attempts"]
+    assert all(c["approx.steps.group"] > 0 for c in record.values())
+
+
+def test_checker_names_every_count_that_moved(checker, monkeypatch, capsys):
+    with open(RECORD, encoding="utf-8") as fh:
+        recorded = json.load(fh)["pmaf-exact"]
+    moved = dict(recorded, **{"fpt.nodes": recorded["fpt.nodes"] + 1})
+    for counts, code in ((recorded, 0), (moved, 1)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(run_output(counts)))
+        assert checker.main(["pmaf-exact", RECORD]) == code
+    err = capsys.readouterr().err
+    assert err.strip() == (f"pmaf-exact: fpt.nodes: recorded {recorded['fpt.nodes']}, "
+                           f"run gave {recorded['fpt.nodes'] + 1}")

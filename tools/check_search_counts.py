@@ -1,0 +1,68 @@
+"""Compare the search-shape counts of a traced benchmark run with a record.
+
+    python3 perfbench/run.py --workload pmaf-exact --seed 1 --seconds 2 --trace 1 \
+        | python3 tools/check_search_counts.py pmaf-exact tests/data/search_counts_seed1.json
+
+Reads the run's output on stdin, takes its last line (one JSON object) and
+compares every recorded count of the workload with it: the exact search's
+``fpt.*`` counters, the approximation's ``approx.steps.*`` and the
+reduction's ``reduction.reduce_pair.removals``.  These repeat exactly for
+one seed, and a change that is meant to leave the search alone must not move
+them.  Exits 1 and names every count that differs.  With ``--write`` it
+records the run's counts for the workload instead.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+COUNTS = (
+    [f"fpt.{name}" for name in ("attempts", "nodes", "leaves", "max_depth", "case1",
+                                "case2", "case31", "case32", "collapses", "rule1_edges")]
+    + [f"approx.steps.{kind}" for kind in ("rule1", "group", "ms2", "ms31", "ms32")]
+    + ["reduction.reduce_pair.removals"]
+)
+
+
+def run_counts(text: str) -> dict[str, int]:
+    """The search-shape counts in the last line of a traced run's output."""
+    lines = text.strip().splitlines()
+    if not lines:
+        raise ValueError("no benchmark output")
+    metrics = json.loads(lines[-1])["metrics"]
+    return {name: int(metrics[name]["value"]) for name in COUNTS}
+
+
+def differences(recorded: dict[str, int], got: dict[str, int]) -> list[str]:
+    return [f"{name}: recorded {recorded.get(name)}, run gave {got.get(name)}"
+            for name in COUNTS if recorded.get(name) != got.get(name)]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("workload")
+    p.add_argument("record", help="JSON file: workload -> {count name: value}")
+    p.add_argument("--write", action="store_true", help="record this run's counts")
+    args = p.parse_args(argv)
+    got = run_counts(sys.stdin.read())
+    try:
+        with open(args.record, encoding="utf-8") as fh:
+            record = json.load(fh)
+    except FileNotFoundError:
+        record = {}
+    if args.write:
+        record[args.workload] = got
+        with open(args.record, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return 0
+    diffs = differences(record.get(args.workload, {}), got)
+    for line in diffs:
+        print(f"{args.workload}: {line}", file=sys.stderr)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
