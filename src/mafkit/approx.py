@@ -21,6 +21,20 @@ Every step is recorded with the removed edges, the working-forest subset, and
 an essential subset (a removal set of the same effect in which every edge
 genuinely splits a component); ``check_metastep_ratio`` re-audits a record's
 bookkeeping after the fact.
+
+The trace also bounds the optimum from below (``ApproxResult.lower_bound``).
+For a pair (F1, F2) let d(F1, F2) be the number of further cuts of F1 that
+a maximum agreement forest of the pair needs: its order minus F1's.  The
+audited ratio rests on a per-step lemma: a ratio-r step that removes s
+essential edges lowers d by at least s/r; a reduction removal lowers it by
+exactly one per edge, and a grouping or a partner-side removal does not raise
+it.  d is an integer, so every step with a non-empty essential set lowers it
+by at least one.  The steps of partner 1 start from (T1, T2), where d is the
+optimum of that pair minus 1, and d never falls below 0.  So the optimum of
+(T1, T2) is at least 1 plus the number of those steps, and the instance's
+optimum, whose agreement forests are agreement forests of (T1, T2), is at
+least that too.  Later partners start from a working forest that is not an
+agreement forest of optimal order, so their steps are not counted.
 """
 
 from __future__ import annotations
@@ -72,6 +86,17 @@ class ApproxResult:
     @property
     def order(self) -> int:
         return self.forest.order()
+
+    def lower_bound(self) -> int:
+        """A lower bound on the order of every agreement forest of the instance.
+
+        ⌈k'/r⌉ for the approximation's order k' and ratio r (3 rooted, 4
+        unrooted), or 1 plus the partner-1 steps with a non-empty essential
+        set if larger (see the module docstring).
+        """
+        ratio = 3 if self.forest.rooted else 4
+        steps = sum(1 for rec in self.trace if rec.partner_index == 1 and rec.essential)
+        return max(-(-self.order // ratio), 1 + steps)
 
     def step_counts(self) -> dict[str, int]:
         counts = {RULE1: 0, GROUP: 0, MS2: 0, MS31: 0, MS32: 0}

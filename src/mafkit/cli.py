@@ -2,7 +2,8 @@
 
 ``maf pmaf`` mirrors the experimental protocol: it first runs the
 approximation to get an order k', starts the exact search at the lower bound
-⌊k'/3⌋ (⌊k'/4⌋ unrooted), and walks k upward until a certificate appears.
+its trace gives (``ApproxResult.lower_bound``, at least ⌈k'/3⌉ rooted and
+⌈k'/4⌉ unrooted), and walks k upward until a certificate appears.
 ``maf amaf`` runs the approximation alone, ``maf gen`` writes simulated
 instances, and ``maf bench`` sweeps a directory and emits one CSV row per
 instance and method plus per-(n,m) aggregate rows; a file that fails to parse
@@ -93,15 +94,10 @@ def cmd_pmaf(args) -> int:
     instance = _read_instance(args.input, args.rooted)
     t0 = time.perf_counter()
     ares = _approximate(instance)
-    ratio = 3 if instance.rooted else 4
-    # the audited ratio gives opt >= k'/ratio, so every k below ⌈k'/ratio⌉
-    # is infeasible
-    k_lo = max(1, -(-ares.order // ratio))
-    k_hi = args.k if args.k is not None else instance.n_labels
-    if k_lo > k_hi:
-        k_lo = 1
+    k_lo = ares.lower_bound()
     try:
-        res = find_min_k(instance, k_lo, k_hi)
+        # a cap below the bound leaves no k to try, so this fails at once
+        res = find_min_k(instance, k_lo, args.k)
     except NoSolutionError:
         if args.k is None:
             raise
@@ -176,10 +172,8 @@ def _bench_file(job):
             if mode != "fpt":
                 row(method="approx", order=ares.order, wall_ms=f"{ms:.2f}", **common)
         if mode in ("all", "fpt"):
-            ratio = 3 if rooted else 4
-            k_lo = max(1, -(-(approx_order or 1) // ratio))
             t0 = time.perf_counter()
-            res = find_min_k(instance, k_lo)
+            res = find_min_k(instance, ares.lower_bound())
             ms = (time.perf_counter() - t0) * 1000.0
             exact_order = res.order
             row(

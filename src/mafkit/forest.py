@@ -88,7 +88,7 @@ class LabelTable:
     applying grouping to both sides in lockstep.
     """
 
-    __slots__ = ("_labels", "_by_name", "_orig_cache", "_n_original")
+    __slots__ = ("_labels", "_by_name", "_orig_cache", "_n_original", "_last_group")
 
     def __init__(self, labels):
         self._labels = tuple(labels)
@@ -96,6 +96,7 @@ class LabelTable:
         if len(self._by_name) != len(self._labels):
             raise ForestError("duplicate label name in table")
         self._orig_cache: dict[int, frozenset[int]] = {}
+        self._last_group = None
         n = 0
         for lab in self._labels:
             if lab.grouped:
@@ -162,7 +163,14 @@ class LabelTable:
         return LabelTable(self._labels[:n])
 
     def with_group(self, part_ids) -> tuple["LabelTable", int]:
-        """Extended table with a new grouped label over ``part_ids``."""
+        """Extended table with a new grouped label over ``part_ids``.
+
+        The last extension made is kept, so that grouping the same parts in
+        both forests of a pair gives them one table, built once.
+        """
+        key = frozenset(part_ids)
+        if self._last_group is not None and self._last_group[0] == key:
+            return self._last_group[1]
         parts = tuple(sorted(part_ids, key=lambda p: (self.min_original(p), p)))
         if len(parts) < 2:
             raise ForestError("grouped label needs at least two parts")
@@ -179,6 +187,8 @@ class LabelTable:
         table._by_name = {**self._by_name, name: new_id}
         table._orig_cache = dict(self._orig_cache)
         table._n_original = self._n_original
+        table._last_group = None
+        self._last_group = (key, (table, new_id))
         return table, new_id
 
     def same_originals(self, other: "LabelTable") -> bool:

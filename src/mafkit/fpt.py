@@ -15,6 +15,13 @@ approximation shares: the search branches on cutting either label of the
 case's pair and on each of its ``cuts``.  Every branch cuts at least one edge
 of the working forest, so its component count grows strictly along any
 root-to-leaf path; searches prune as soon as it exceeds k.
+
+A child's order is known before it is built: every edge a branch cuts adds
+exactly one component.  A pendant edge splits a labeled leaf off a component
+that keeps other labels; each edge of a cut in ``cuts`` hangs a labeled
+subtree off the path or the hub, which keeps both labels of the pair.  So a
+child whose order would exceed k is counted as the leaf its own call would
+count, and never built.
 """
 
 from __future__ import annotations
@@ -84,10 +91,6 @@ def unique_maximal_af(f1: Forest, f2: Forest) -> Forest:
     return Forest.singletons(f2.rooted, f2.labels, f2.label_ids())
 
 
-def _cut(f: Forest, lid) -> Forest:
-    return f.remove_edges([f.pendant_edge(lid)])
-
-
 def _search(forests, k, stats, depth):
     forests = list(forests)
     while True:
@@ -124,17 +127,21 @@ def _search(forests, k, stats, depth):
             stats.case31 += 1
         else:
             stats.case32 += 1
-        a, b = case.pair
-        branches = [(_cut(f1, a), _cut(f2, a)), (_cut(f1, b), _cut(f2, b))]
-        branches += [(f1.remove_edges(cut), f2) for cut in case.cuts]
-
         # every branch so far cut at least one working-forest edge
         if f1.order() < depth + 1:
             raise ForestError("component count fell behind branch depth")
         stats.max_depth = max(stats.max_depth, depth + 1)
         rest = forests[2:]
-        for nf1, nf2 in branches:
-            found = _search([nf1, nf2] + rest, k, stats, depth + 1)
+        branches = [([f1.pendant_edge(lid)], [f2.pendant_edge(lid)]) for lid in case.pair]
+        branches += [(cut, ()) for cut in case.cuts]
+        for cut1, cut2 in branches:
+            # each edge of ``cut1`` adds one component (see above), so a
+            # child over k is counted as the leaf its call would be, unbuilt
+            if f1.order() + len(cut1) > k:
+                stats.leaves += 1
+                continue
+            child = [f1.remove_edges(cut1), f2.remove_edges(cut2) if cut2 else f2]
+            found = _search(child + rest, k, stats, depth + 1)
             if found is not None:
                 return found
         return None
@@ -183,7 +190,8 @@ def find_min_k(instance: Instance, k_lo: int = 1, k_hi: int | None = None) -> Mi
     it, so walking k upward from the lower bound keeps the cheap attempts
     cheap.  ``k_hi`` defaults to the label count, which always admits the
     all-singletons forest; ``NoSolutionError`` reports that no order up to
-    ``k_hi`` is feasible.
+    ``k_hi`` is feasible.  ``k_lo`` must be a lower bound on the optimum: if
+    it exceeds ``k_hi``, that error comes at once, with no search.
     """
     solve = solve_rmaf if instance.rooted else solve_umaf
     if k_hi is None:

@@ -165,6 +165,67 @@ def approximate(instance):
     return mk.approx_rmaf(instance) if instance.rooted else mk.approx_umaf(instance)
 
 
+def _search_eagerly(forests, k, stats, depth):
+    """The exact search as it was before children were built on entry.
+
+    Reference for ``fpt._search``: it derives every branch child before it
+    enters the first, and each child over k counts its own leaf.
+    """
+    forests = list(forests)
+    while True:
+        f1 = forests[0]
+        if len(forests) == 1:
+            stats.leaves += 1
+            return f1 if f1.order() <= k else None
+        if f1.order() > k:
+            stats.leaves += 1
+            return None
+        stats.nodes += 1
+        f1, f2, trace = mk.reduce_pair(f1, forests[1])
+        stats.rule1_edges += len(trace)
+        while (mss := f2.find_mss()) is not None:
+            case = f1.sibling_case(mss.labels)
+            if case.kind != "mss":
+                break
+            stats.case1 += 1
+            stats.nodes += 1
+            f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
+        forests[0], forests[1] = f1, f2
+
+        if mss is None:
+            stats.collapses += 1
+            collapsed = mk.unique_maximal_af(f1, f2)
+            forests = [collapsed.expand_labels()] + forests[2:]
+            continue
+
+        if case.kind == "siblings":
+            stats.case2 += 1
+        elif case.kind == "split":
+            stats.case31 += 1
+        else:
+            stats.case32 += 1
+        a, b = case.pair
+        branches = [(f1.remove_edges([f1.pendant_edge(lid)]),
+                     f2.remove_edges([f2.pendant_edge(lid)])) for lid in (a, b)]
+        branches += [(f1.remove_edges(cut), f2) for cut in case.cuts]
+        stats.max_depth = max(stats.max_depth, depth + 1)
+        rest = forests[2:]
+        for nf1, nf2 in branches:
+            found = _search_eagerly([nf1, nf2] + rest, k, stats, depth + 1)
+            if found is not None:
+                return found
+        return None
+
+
+def solve_eagerly(instance, k):
+    """``(forest, SearchStats)`` of the reference search at parameter ``k``."""
+    stats = mk.SearchStats(k=k)
+    found = _search_eagerly(list(instance.forests), k, stats, 0)
+    if found is not None and found.has_grouped_labels():
+        found = found.expand_labels()
+    return found, stats
+
+
 def names(forest, lids):
     return sorted(forest.labels.name(l) for l in lids)
 

@@ -119,6 +119,18 @@ def test_exact_search_start_is_a_lower_bound(corpus):
     print(f"start bound PASS: ⌈k'/ratio⌉ <= optimum on {len(corpus)} instances")
 
 
+def test_trace_lower_bound_never_exceeds_the_optimum(corpus):
+    # ``maf pmaf`` starts at ``ApproxResult.lower_bound()``: at least
+    # ⌈k'/ratio⌉, at most the optimum
+    above_ratio = 0
+    for r in corpus:
+        ceiling = -(-r.approx.order // (3 if r.spec.rooted else 4))
+        assert ceiling <= r.approx.lower_bound() <= r.opt, (r.spec, r.approx.order, r.opt)
+        above_ratio += r.approx.lower_bound() > ceiling
+    print(f"trace bound PASS: ⌈k'/ratio⌉ <= lower_bound() <= optimum on {len(corpus)} "
+          f"instances, above ⌈k'/ratio⌉ on {above_ratio}")
+
+
 def test_criterion_6_throughput():
     inst = mk.generate_instance(mk.GenSpec(n=50, m=5, x=2, seed=606))
     t0 = time.perf_counter()

@@ -207,3 +207,27 @@ def test_groupings_do_not_rescan(rng, monkeypatch):
                 assert after not in ("reduce", "same")
         assert "reduce" in events and "same" in events
     assert groupings > 100
+
+
+def test_lower_bound_never_exceeds_the_optimum(rng):
+    # 1 + the partner-1 steps with an essential edge bounds the optimum of
+    # (T1, T2), hence of the instance; it is never below ⌈k'/ratio⌉
+    above_ratio = 0
+    for i in range(320):
+        rooted = i % 2 == 0
+        inst = random_instance(rng, rooted=rooted, n=rng.randint(5, 10),
+                               m=rng.randint(2, 4), x=rng.randint(1, 3))
+        res = approximate(inst)
+        ceiling = -(-res.order // (3 if rooted else 4))
+        assert ceiling <= res.lower_bound() <= mk.find_min_k(inst).order, inst.name
+        above_ratio += res.lower_bound() > ceiling
+    assert above_ratio > 50
+
+
+def test_lower_bound_counts_only_partner_one_steps():
+    # T1 = T2, so partner 1 needs no step; every cut comes from T3
+    inst = mk.parse_instance("((a,b),(c,d));\n((a,b),(c,d));\n((a,c),(b,d));",
+                             rooted=True)
+    res = mk.approx_rmaf(inst)
+    assert all(rec.partner_index == 2 for rec in res.trace if rec.essential)
+    assert res.lower_bound() == max(1, -(-res.order // 3))

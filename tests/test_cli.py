@@ -242,3 +242,31 @@ def test_pmaf_starts_at_the_ceiling_of_the_bound(tmp_path, capsys):
     assert lines[0] == "order 3"
     summary = next(line for line in lines if line.startswith("# k="))
     assert summary.startswith("# k=3 ")
+
+
+def test_pmaf_starts_at_the_trace_bound(tmp_path, capsys):
+    # k' = 6 rooted: ⌈6/3⌉ = 2, but partner 1 took 2 steps with an
+    # essential edge, so the optimum is at least 3
+    path = tmp_path / "i.nwk"
+    main(["gen", "-n", "8", "-m", "2", "-x", "2", "--seed", "5", "--out", str(path)])
+    code, out, _ = run(capsys, "pmaf", str(path), "--verify")
+    assert code == 0
+    lines = out.splitlines()
+    assert "# bootstrap k'=6 start k=3" in lines
+    res = mk.find_min_k(cli._read_instance(str(path), True))
+    assert lines[0] == f"order {res.order}"
+    assert lines[1:1 + res.order] == mk.serialize(res.af.forest).splitlines()
+
+
+def test_pmaf_cap_below_the_bound_does_not_search(tmp_path, capsys, monkeypatch):
+    # the bound is 2 here, so a cap of 1 leaves nothing to search
+    p = tmp_path / "i.nwk"
+    p.write_text("((a,b),c);\n((a,c),b);\n")
+
+    def unreachable(*args):
+        raise AssertionError("searched below the bound")
+
+    monkeypatch.setattr(mk.fpt, "_search", unreachable)
+    code, out, err = run(capsys, "pmaf", str(p), "--k", "1")
+    assert (code, out) == (1, "")
+    assert err == "no agreement forest of order <= 1\n"

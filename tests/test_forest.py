@@ -592,6 +592,21 @@ def test_with_group_tables_are_independent():
     assert t3.originals(g3) == {0, 1, 2} and t3.id_of("a+b") == 3
 
 
+def test_lockstep_grouping_builds_one_table():
+    inst = mk.parse_instance("((a,b),(c,d));\n((a,b),c,d);", rooted=True)
+    f1, f2 = inst.forests
+    ab = f2.find_mss().labels
+    assert f1.labels is f2.labels
+    g1, g2 = f1.group_labels(ab), f2.group_labels(ab)
+    assert g1.labels is g2.labels and g1.labels.id_of("a+b") == len(f1.labels)
+    # grouping another set in between replaces the kept extension
+    cd = frozenset(f1.labels.id_of(x) for x in "cd")
+    assert f1.group_labels(cd).labels.id_of("c+d") == len(f1.labels)
+    again = f2.group_labels(ab)
+    assert again.labels is not g1.labels and again.labels.id_of("a+b") == len(f1.labels)
+    assert again.same_structure(g2)
+
+
 def test_nested_group_chain_expands_without_recursion():
     n = 1500  # groups nested deeper than the default recursion limit
     labels = [Label(i, str(i)) for i in range(n)]

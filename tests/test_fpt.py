@@ -8,7 +8,7 @@ import pytest
 import mafkit as mk
 from mafkit import fpt
 
-from helpers import random_instance
+from helpers import random_instance, solve_eagerly
 
 
 def test_identical_trees_any_k(identical_rooted):
@@ -222,3 +222,85 @@ def test_groupings_do_not_rescan(rng, monkeypatch):
             assert len(calls) == stats.nodes - stats.case1
             groupings += stats.case1
     assert groupings > 100
+
+
+def test_branch_child_order_is_known_before_it_is_built(rng, monkeypatch):
+    # a pendant cut adds one component, a cut of ``case.cuts`` one per edge
+    sibling_case = mk.Forest.sibling_case
+    checked = []
+
+    def checking(f1, lids):
+        case = sibling_case(f1, lids)
+        if case.kind != "mss":
+            for lid in case.pair:
+                assert f1.remove_edges([f1.pendant_edge(lid)]).order() == f1.order() + 1
+            for cut in case.cuts:
+                assert f1.remove_edges(cut).order() == f1.order() + len(cut)
+                checked.append(case.kind)
+        return case
+
+    monkeypatch.setattr(mk.Forest, "sibling_case", checking)
+    for _ in range(60):
+        inst = random_instance(rng, rooted=rng.random() < 0.5, n=rng.randint(5, 10),
+                               m=rng.randint(2, 4), x=rng.randint(1, 3))
+        mk.find_min_k(inst)
+    assert {"siblings", "path"} <= set(checked)
+
+
+def test_search_matches_the_eager_reference(rng):
+    attempts = 0
+    for i in range(120):
+        rooted = i % 2 == 0
+        inst = random_instance(rng, rooted=rooted, n=rng.randint(5, 9),
+                               m=rng.randint(2, 4), x=rng.randint(1, 3))
+        solve = mk.solve_rmaf if rooted else mk.solve_umaf
+        for stats in mk.find_min_k(inst).attempts:
+            forest, again = solve(inst, stats.k)
+            ref_forest, ref_stats = solve_eagerly(inst, stats.k)
+            assert again == stats == ref_stats, inst.name
+            if ref_forest is None:
+                assert forest is None
+            else:
+                assert forest.canonical_key() == ref_forest.canonical_key()
+            attempts += 1
+    assert attempts > 200
+
+
+def test_no_branch_child_over_k_is_built(rng, monkeypatch):
+    # a branching node's working forest is the one its case analysis ran
+    # on; count the removals from it whose result is over k
+    sibling_case = mk.Forest.sibling_case
+    remove_edges = mk.Forest.remove_edges
+    branching = []  # the working forests the attempt branched on
+    over = []
+
+    def noting(f1, lids):
+        case = sibling_case(f1, lids)
+        if case.kind != "mss":
+            branching.append(f1)
+        return case
+
+    def counting(f, eids):
+        child = remove_edges(f, eids)
+        if any(f is g for g in branching):
+            over.append(child.order() > k)
+        return child
+
+    monkeypatch.setattr(mk.Forest, "sibling_case", noting)
+    monkeypatch.setattr(mk.Forest, "remove_edges", counting)
+    built = over_in_reference = 0
+    for _ in range(60):
+        inst = random_instance(rng, rooted=rng.random() < 0.5, n=rng.randint(5, 9),
+                               m=rng.randint(2, 4), x=rng.randint(1, 3))
+        solve = mk.solve_rmaf if inst.rooted else mk.solve_umaf
+        for k in range(1, 4):
+            for search in (solve_eagerly, solve):
+                branching.clear()
+                over.clear()
+                search(inst, k)
+                if search is solve:
+                    assert not any(over)
+                    built += len(over)
+                else:
+                    over_in_reference += sum(over)
+    assert built > 100 and over_in_reference > 50
