@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -138,7 +139,7 @@ def cmd_gen(args) -> int:
         n=args.n,
         m=args.m,
         x=args.x,
-        seed=args.seed,
+        seed=_default_seed() if args.seed is None else args.seed,
         rooted=args.rooted,
         contract_count=args.contract,
     )
@@ -265,6 +266,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maf",
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-x", type=int, required=True, help="SPR moves per extra tree")
     p.add_argument("--contract", type=int, default=None,
                    help="internal edges to contract (default: random)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: $MAF_SEED, else 0")
     _add_rootedness(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)

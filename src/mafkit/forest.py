@@ -88,7 +88,7 @@ class LabelTable:
     applying grouping to both sides in lockstep.
     """
 
-    __slots__ = ("_labels", "_by_name", "_orig_cache", "_n_original", "_last_group")
+    __slots__ = ("_labels", "_by_name", "_orig_cache", "_n_original", "_last_group", "_base")
 
     def __init__(self, labels):
         self._labels = tuple(labels)
@@ -97,6 +97,7 @@ class LabelTable:
             raise ForestError("duplicate label name in table")
         self._orig_cache: dict[int, frozenset[int]] = {}
         self._last_group = None
+        self._base = None              # see trimmed
         n = 0
         for lab in self._labels:
             if lab.grouped:
@@ -156,11 +157,12 @@ class LabelTable:
         return self._n_original
 
     def trimmed(self) -> "LabelTable":
-        """Table restricted to the original (ungrouped) prefix."""
+        """Table restricted to the original (ungrouped) prefix: for a table
+        from :meth:`with_group`, the one its groups were added to."""
         n = self.n_original()
         if n == len(self._labels):
             return self
-        return LabelTable(self._labels[:n])
+        return self._base if self._base is not None else LabelTable(self._labels[:n])
 
     def with_group(self, part_ids) -> tuple["LabelTable", int]:
         """Extended table with a new grouped label over ``part_ids``.
@@ -188,6 +190,7 @@ class LabelTable:
         table._orig_cache = dict(self._orig_cache)
         table._n_original = self._n_original
         table._last_group = None
+        table._base = self.trimmed()
         self._last_group = (key, (table, new_id))
         return table, new_id
 
@@ -395,9 +398,9 @@ class Forest:
 
         ``leaf_labels`` maps vertex id -> label id, ``edge_list`` is an
         iterable of vertex pairs (parent first when rooted) that must not
-        close a cycle.  The result is normalized by forced contraction unless
-        ``normalize`` is False, which exists so tests can build reducible
-        inputs on purpose.
+        close a cycle.  :meth:`_settle` normalizes the maps by forced
+        contraction from every vertex unless ``normalize`` is False, which
+        exists so tests can build reducible inputs on purpose.
         """
         vlabel = dict(leaf_labels)
         adj: dict[int, dict[int, int]] = {v: {} for v in vlabel}
@@ -420,14 +423,17 @@ class Forest:
         label_vertex = {lid: v for v, lid in vlabel.items()}
         f = cls(rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e,
                 label_vertex)
-        if normalize:
-            f._normalize(list(adj), [])
-        f._check(strict=normalize)
+        return f._settle(list(adj) if normalize else (), strict=normalize)
+
+    def _settle(self, seeds, strict=True) -> "Forest":
+        """Last step of every assembly: contract from ``seeds``, then check."""
+        self._normalize(seeds, [])
+        self._check(strict=strict)
         # contraction keeps the cycle rank, so the vertex and edge counts give
         # the component count (``order``) exactly when there is no cycle
-        if len(f.components()) != f.order():
+        if len(self.components()) != self.order():
             raise ForestError("edge list has a cycle")
-        return f
+        return self
 
     @classmethod
     def singletons(cls, rooted, labels, lids) -> "Forest":

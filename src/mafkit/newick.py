@@ -11,10 +11,13 @@ root of the tree.  A ρ leaf appearing as a direct child of the outermost node
 is also accepted (that is how this package serializes rooted trees), in which
 case the tree is re-rooted at it; ρ anywhere else is an error.
 
-Reading and writing take time linear in the text and have no depth limit:
-each line is read in one left-to-right pass with an explicit stack of open
-nodes into flat preorder arrays, and a tree is written in linear passes
-with explicit stacks (see :func:`_subtree_text`).
+Reading and writing take time linear in the text and have no depth limit.
+Each line is split once, in C, on its structural characters, and the pieces
+are read in one left-to-right pass with an explicit stack of open vertices
+that builds the forest's own maps as it goes; forced contraction then starts
+from the outermost vertex alone (see :func:`_parse_tree`).  A tree is written
+straight from those maps in linear passes with explicit stacks (see
+:func:`_subtree_text`).
 """
 
 from __future__ import annotations
@@ -42,130 +45,134 @@ class NewickWarning(UserWarning):
     """Non-fatal input oddity, e.g. discarded branch lengths."""
 
 
-# After optional whitespace: a run of label characters (``\w`` is exactly
-# ``str.isalnum`` plus '_'), else any one character, else '' at the end.
-_TOKEN = re.compile(r"\s*(?:([\w.]+)|(.?))", re.DOTALL)
-_SPACE = re.compile(r"\s*")
+# A line splits into text pieces and the structural characters between them;
+# the whitespace around a structural character goes with it, so a text piece
+# is '' or a label unless the line is malformed.  ``\w`` is exactly
+# ``str.isalnum`` plus '_', and ``\s`` exactly ``str.isspace``.
+_DELIM = re.compile(r"\s*([(),;:])\s*")
+_ODD = re.compile(r"[^\w.]").search
+_LEAD = re.compile(r"[\w.]*").match
+_SPACE = re.compile(r"\s*").match
 
 
-def _branch_length(s, i, line_no):
-    """Check the number after the ':' ending at ``s[i - 1]``; return its end."""
-    i = _SPACE.match(s, i).end()
-    j = i
-    # str.isdigit, not the regex \d: it also takes digits such as '²'
-    while j < len(s) and (s[j].isdigit() or s[j] in ".eE+-"):
-        j += 1
-    if j == i:
-        raise NewickError("expected a number after ':'", line_no, i + 1)
-    try:
-        float(s[i:j])
-    except ValueError:
-        raise NewickError(f"bad branch length {s[i:j]!r}", line_no, i + 1) from None
-    return j
+def _parse_tree(s, line_no, rooted, top):
+    """Read one tree, building the forest's maps as it goes.
 
-
-def _parse_tree(s, line_no):
-    """Read one tree into flat preorder arrays in one left-to-right pass.
-
-    Returns ``(parent, names, done, saw_lengths)``: per vertex in preorder
-    its parent's index (-1 for the outermost vertex) and its leaf name (None
-    when internal), then the vertex indices in the order their subtrees
-    close.  Internal vertices still open wait on an explicit stack.
+    Vertex ids count up from ``top`` in preorder, with ρ at 0 when rooted;
+    the outermost vertex hangs from ``top - 1``, ρ or a stand-in whose edge
+    is dropped.  Edge ids count up as subtrees close.  Returns the maps (the
+    labels still names) with ``top``, and the parent of every ρ leaf; or
+    None if ρ is the outermost vertex's only other child, which makes that
+    vertex ρ: read the line again with ``top`` 0.
     """
-    parent = []
-    names = []
-    done = []
-    open_nodes = []   # indices of the internal vertices not yet closed
-    counts = []       # their child counts so far
-    saw_lengths = False
-    match = _TOKEN.match
-    i = 0
+    pieces = _DELIM.split(s)
+    plain = _ODD("".join(pieces[::2])) is None   # every text piece '' or a label
+    pieces.append("")         # the end of the line, as a last delimiter
+    vlabel = {0: RHO} if rooted else {}
+    adj = {0: {}} if rooted else {}
+    inner, edges = {}, {}     # inner: internal rows, added as their first child closes
+    rho_at, stack = [], []    # stack: (vertex, row) of every vertex open around p
+    p, prow = top - 1, adj[0] if top else {}
+    v, e, k = top, 0, 0
+
+    def fail(message, k, off=0):
+        # no message: the closing delimiter the open vertices call for; the
+        # column is that of the first non-space at or after ``off`` in piece k
+        message = message or ("expected ',' or ')'" if stack else "expected ';'")
+        starts = [0]
+        for m in _DELIM.finditer(s):
+            starts += m.start(1), m.end()
+        col = (starts + [len(s)])[k] + _SPACE(pieces[k], off).end() + 1
+        return NewickError(message, line_no, col)
+
     while True:
-        # a subtree starts at i
-        m = match(s, i)
-        label, ch = m.groups()
-        i = m.end()
-        if open_nodes:
-            counts[-1] += 1
-            parent.append(open_nodes[-1])
-        else:
-            parent.append(-1)
-        if ch == "(":
-            open_nodes.append(len(names))
-            counts.append(0)
-            names.append(None)
+        # a subtree starts at text piece k
+        t = pieces[k]
+        k += 1
+        if not t:
+            if pieces[k] != "(":
+                raise fail("expected a label or '('", k)
+            stack.append((p, prow))
+            p, prow = v, {}
+            v += 1
+            k += 1
             continue
-        if label is None:
-            raise NewickError("expected a label or '('", line_no, i - len(ch) + 1)
-        done.append(len(names))
-        names.append(label)
-        # a subtree has closed: read on to the start of the next one
-        m = match(s, i)
+        if not plain and (lead := _LEAD(t).end()) < len(t):
+            raise fail(None if lead else "expected a label or '('", k - 1, lead)
+        if t == RHO:
+            rho_at.append(p)
+        else:
+            vlabel[v] = t
+            row = adj[v] = {e: p}
+            edges[e] = (p, v)
+            if not prow:
+                inner[p] = prow
+            prow[e] = v
+            v += 1
+            e += 1
+        # a subtree has closed; piece k is the delimiter after it
         while True:
-            label, ch = m.groups()
-            if ch == ":":
-                i = _branch_length(s, m.end(), line_no)
-                saw_lengths = True
-                m = match(s, i)
-                label, ch = m.groups()
-            at = m.end() - len(label or ch) + 1
-            if not open_nodes:
-                if ch != ";":
-                    raise NewickError("expected ';'", line_no, at)
-                m = match(s, m.end())
-                rest = m.group(1) or m.group(2)
-                if rest:
-                    raise NewickError("trailing text after ';'", line_no,
-                                      m.end() - len(rest) + 1)
-                return parent, names, done, saw_lengths
-            if ch == ",":
-                i = m.end()
+            d = pieces[k]
+            if d == ":":
+                t = pieces[k + 1]
+                # str.isdigit, not the regex \d: it also takes digits such as '²'
+                j = 0
+                while j < len(t) and (t[j].isdigit() or t[j] in ".eE+-"):
+                    j += 1
+                if not j:
+                    raise fail("expected a number after ':'", k + 1)
+                try:
+                    float(t[:j])
+                except ValueError:
+                    raise fail(f"bad branch length {t[:j]!r}", k + 1) from None
+                if j < len(t):
+                    raise fail(None, k + 1, j)
+                k += 2
+                d = pieces[k]
+            if not stack:
+                if d != ";":
+                    raise fail(None, k)
+                if pieces[k + 1] or len(pieces) > k + 3:
+                    raise fail("trailing text after ';'", k + 1 if pieces[k + 1] else k + 2)
+                if top and rho_at == [top] and len(row) == 2:
+                    return None
+                if p < 0 and e:   # no edge when the tree is ρ alone, an error
+                    e -= 1
+                    del edges[e], row[e], inner[p]
+                adj.update(inner)
+                return (vlabel, adj, edges, v, e, top), rho_at
+            if d == ",":
+                k += 1
                 break
-            if ch != ")":
-                raise NewickError("expected ',' or ')'", line_no, at)
-            i = m.end()
-            if counts.pop() < 2:
-                raise NewickError("internal node needs at least two children", line_no, i + 1)
-            m = match(s, i)
-            if m.group(1) is not None:
-                raise NewickError("internal node labels are not supported", line_no,
-                                  m.start(1) + 1)
-            done.append(open_nodes.pop())
+            if d != ")":
+                raise fail(None, k)
+            if len(prow) < 2 and len(prow) + rho_at.count(p) < 2:
+                raise fail("internal node needs at least two children", k, 1)
+            row = prow
+            q, prow = stack.pop()
+            edges[e] = (q, p)
+            if not prow:
+                inner[q] = prow
+            prow[e] = p
+            row[e] = q
+            e += 1
+            p = q
+            t = pieces[k + 1]
+            if t:
+                raise fail(_LEAD(t).end() and "internal node labels are not supported", k + 1)
+            k += 2
 
 
 def _tree_to_forest(tree, rooted, table: LabelTable, line_no) -> Forest:
-    """Forest of one parsed tree: vertex ids in preorder, edges as subtrees close.
-
-    A rooted tree puts its ρ leaf at vertex 0 with the rest in preorder
-    behind it.  A ρ given as a child of the outermost vertex is moved there;
-    when ρ had a single sibling, that sibling hangs from ρ and the outermost
-    vertex is dropped.
-    """
-    parent, names, done = tree
-    n = len(names)
-    rho = names.index(RHO) if rooted and RHO in names else None
-    tail = []
-    if not rooted:
-        vid = range(n)
-    elif rho is None:
-        vid = range(1, n + 1)
-        tail.append((0, 1))
-    elif parent.count(0) > 2:
-        vid = [1, *range(2, rho + 1), 0, *range(rho + 1, n)]
-        tail.append((0, 1))
-    else:
-        # the outermost vertex maps onto ρ, so its one other child hangs there
-        vid = [0, *range(1, rho), 0, *range(rho, n - 1)]
-    leaf_labels = {0: table.id_of(RHO)} if rooted else {}
-    id_of = table.id_of
-    for v, name in enumerate(names):
-        if name is not None and v != rho:
-            leaf_labels[vid[v]] = id_of(name)
-    # the outermost vertex closes last and has no parent
-    edges = [(vid[parent[v]], vid[v]) for v in done[:-1] if v != rho]
-    edges += tail
+    """Forest of a tree read by :func:`_parse_tree`; only its outermost vertex
+    can contract."""
+    names, adj, edges, next_v, next_e, top = tree
+    vlabel = dict(zip(names, map(table.id_of, names.values())))
+    parent_edge = dict(zip([c for _, c in edges.values()], edges)) if rooted else {}
+    f = Forest(rooted, table, vlabel, adj, edges, parent_edge, next_v, next_e,
+               dict(zip(vlabel.values(), vlabel)))
     try:
-        return Forest.build(rooted, table, leaf_labels, edges)
+        return f._settle([top])
     except MafError as exc:
         raise NewickError(str(exc), line_no) from exc
 
@@ -182,23 +189,26 @@ def parse_instance(text: str, rooted: bool, name: str = "") -> Instance:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parent, names, done, lengths = _parse_tree(line, line_no)
-        saw_lengths = saw_lengths or lengths
-        leaves = [n for n in names if n is not None]
-        taxa = set(leaves)
-        if len(taxa) != len(leaves):
+        got = _parse_tree(line, line_no, rooted, int(rooted))
+        tree, rho_at = got or _parse_tree(line, line_no, rooted, 0)
+        # a ':' in a tree that was read is a branch length
+        saw_lengths = saw_lengths or ":" in line
+        names, top = tree[0], tree[-1]
+        taxa = set(names.values())
+        if len(taxa) != len(names) or len(rho_at) > 1:
+            leaves = [*names.values()][rooted:] + [RHO] * len(rho_at)
             dup = min(n for n, count in Counter(leaves).items() if count > 1)
             raise NewickError(f"duplicate leaf label {dup!r}", line_no)
-        if RHO in taxa:
+        if rho_at:
             if not rooted:
                 raise NewickError(f"label {RHO!r} is reserved", line_no)
-            if parent[names.index(RHO)] != 0:
+            if rho_at[0] != top:
                 raise NewickError(
                     f"{RHO!r} may only appear once, as a child of the outermost node",
                     line_no,
                 )
-            taxa.discard(RHO)
-        parsed.append((line_no, (parent, names, done), frozenset(taxa)))
+        taxa.discard(RHO)
+        parsed.append((line_no, tree, frozenset(taxa)))
     if not parsed:
         raise NewickError("no trees in input")
     if saw_lengths:
@@ -226,31 +236,31 @@ def parse_instance(text: str, rooted: bool, name: str = "") -> Instance:
 # serialization
 
 
-def _subtree_text(f: Forest, top, up=None) -> str:
+def _subtree_text(f: Forest, top, up, names, low) -> str:
     """Newick text of the subtree hanging at ``top`` away from neighbor ``up``.
 
-    Children are ordered by the smallest original label id they contain.
-    Three linear passes: list the subtree parents first, find the smallest
-    label below every vertex walking that list backwards, then write the
-    text with an explicit stack of child iterators.
+    Children are ordered by the smallest original label id they contain
+    (``low`` maps a label id to its smallest original; ``names`` to its
+    name).  Three linear passes: list the subtree parents first, find the
+    smallest label below every vertex walking that list backwards, then
+    write the text with an explicit stack of child iterators.
     """
-    label_of, neighbors, labels = f.label_of, f.neighbors, f.labels
-    lid = label_of(top)
-    if lid is not None:
-        return labels.name(lid)
+    vlabel, adj = f._vlabel, f._adj
+    if top in vlabel:
+        return names[vlabel[top]]
     order = [top]
     parent = {top: up}
     children = {}
     mins = {}
     for v in order:  # grows while it is walked
-        kids = children[v] = [w for _, w in neighbors(v) if w != parent[v]]
+        kids = children[v] = [w for w in adj[v].values() if w != parent[v]]
         for w in kids:
-            lid = label_of(w)
-            if lid is not None:
-                mins[w] = labels.min_original(lid)
-            else:
+            lid = vlabel.get(w)
+            if lid is None:
                 parent[w] = v
                 order.append(w)
+            else:
+                mins[w] = low[lid]
     for v in reversed(order):
         mins[v] = min(map(mins.__getitem__, children[v]))
     out = []
@@ -261,7 +271,7 @@ def _subtree_text(f: Forest, top, up=None) -> str:
                 out.append(",")
             kids = children.get(v)
             if kids is None:
-                out.append(labels.name(label_of(v)))
+                out.append(names[vlabel[v]])
                 continue
             kids.sort(key=mins.__getitem__)
             out.append("(")
@@ -274,30 +284,26 @@ def _subtree_text(f: Forest, top, up=None) -> str:
     return "".join(out)
 
 
-def _component_text(f: Forest, idx) -> str:
+def _component_text(f: Forest, idx, names, low) -> str:
     comp = f.components()[idx]
+    vlabel = f._vlabel
     if len(comp) == 1:
         (v,) = comp
-        return f.labels.name(f.label_of(v))
+        return names[vlabel[v]]
     if f.rooted:
         root = f.component_root(idx)
-        lid = f.label_of(root)
-        if lid is not None and f.labels.name(lid) == RHO:
+        if root in vlabel and names[vlabel[root]] == RHO:
             # draw from ρ's child so ρ prints as an ordinary leaf
-            child = next(w for _, w in f.neighbors(root))
-            text = _subtree_text(f, child, root)
-            if f.label_of(child) is not None:
+            child = next(iter(f._adj[root].values()))
+            text = _subtree_text(f, child, root, names, low)
+            if child in vlabel:
                 return "(" + text + "," + RHO + ")"
             return text[:-1] + "," + RHO + ")"
-        return _subtree_text(f, root)
+        return _subtree_text(f, root, None, names, low)
     if len(comp) == 2:
-        names = sorted(f.labels.name(f.label_of(v)) for v in comp)
-        return "(" + ",".join(names) + ")"
-    anchor = min(
-        (v for v in comp if f.label_of(v) is not None),
-        key=lambda v: f.labels.min_original(f.label_of(v)),
-    )
-    return _subtree_text(f, next(w for _, w in f.neighbors(anchor)))
+        return "(" + ",".join(sorted(names[vlabel[v]] for v in comp)) + ")"
+    anchor = min((v for v in comp if v in vlabel), key=lambda v: low[vlabel[v]])
+    return _subtree_text(f, next(iter(f._adj[anchor].values())), None, names, low)
 
 
 def serialize(f: Forest) -> str:
@@ -308,11 +314,16 @@ def serialize(f: Forest) -> str:
     outermost node.  ``parse_instance(serialize(tree))`` round-trips for
     single-tree forests.
     """
+    table = f.labels
+    names = [lab.name for lab in table]
+    n = table.n_original()
+    # an original label is its own smallest original
+    low = [*range(n), *map(table.min_original, range(n, len(table)))]
     idxs = sorted(
         range(f.order()),
-        key=lambda i: min(f.labels.min_original(l) for l in f.component_labels(i)),
+        key=lambda i: min(map(low.__getitem__, f.component_labels(i))),
     )
-    return "\n".join(_component_text(f, i) + ";" for i in idxs)
+    return "\n".join(_component_text(f, i, names, low) + ";" for i in idxs)
 
 
 def format_instance(instance: Instance, header: str = "") -> str:

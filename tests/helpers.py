@@ -7,8 +7,9 @@ independent of the code paths they validate.
 
 import itertools
 import random
+import re
 import warnings
-from collections import deque
+from collections import Counter, deque
 
 import mafkit as mk
 
@@ -496,3 +497,244 @@ def random_binary_tree_by_recursion(n, seed):
     leaf_labels[rho] = table.id_of(mk.RHO)
     edges.append((rho, top))
     return leaf_labels, edges
+
+
+# ---------------------------------------------------------------------------
+# the one-regex-per-token reader and the accessor-based writer
+#
+# References for ``parse_instance`` and ``serialize``: the reader matches one
+# token at a time and builds each forest through ``Forest.build``; the writer
+# asks the forest's public accessors for every vertex.
+
+# After optional whitespace: a run of label characters (``\w`` is exactly
+# ``str.isalnum`` plus '_'), else any one character, else '' at the end.
+_TOKEN = re.compile(r"\s*(?:([\w.]+)|(.?))", re.DOTALL)
+_SPACE = re.compile(r"\s*")
+
+
+def _match_branch_length(s, i, line_no):
+    i = _SPACE.match(s, i).end()
+    j = i
+    while j < len(s) and (s[j].isdigit() or s[j] in ".eE+-"):
+        j += 1
+    if j == i:
+        raise mk.NewickError("expected a number after ':'", line_no, i + 1)
+    try:
+        float(s[i:j])
+    except ValueError:
+        raise mk.NewickError(f"bad branch length {s[i:j]!r}", line_no, i + 1) from None
+    return j
+
+
+def _match_tree(s, line_no):
+    parent = []
+    names = []
+    done = []
+    open_nodes = []
+    counts = []
+    saw_lengths = False
+    match = _TOKEN.match
+    i = 0
+    while True:
+        m = match(s, i)
+        label, ch = m.groups()
+        i = m.end()
+        if open_nodes:
+            counts[-1] += 1
+            parent.append(open_nodes[-1])
+        else:
+            parent.append(-1)
+        if ch == "(":
+            open_nodes.append(len(names))
+            counts.append(0)
+            names.append(None)
+            continue
+        if label is None:
+            raise mk.NewickError("expected a label or '('", line_no, i - len(ch) + 1)
+        done.append(len(names))
+        names.append(label)
+        m = match(s, i)
+        while True:
+            label, ch = m.groups()
+            if ch == ":":
+                i = _match_branch_length(s, m.end(), line_no)
+                saw_lengths = True
+                m = match(s, i)
+                label, ch = m.groups()
+            at = m.end() - len(label or ch) + 1
+            if not open_nodes:
+                if ch != ";":
+                    raise mk.NewickError("expected ';'", line_no, at)
+                m = match(s, m.end())
+                rest = m.group(1) or m.group(2)
+                if rest:
+                    raise mk.NewickError("trailing text after ';'", line_no,
+                                         m.end() - len(rest) + 1)
+                return parent, names, done, saw_lengths
+            if ch == ",":
+                i = m.end()
+                break
+            if ch != ")":
+                raise mk.NewickError("expected ',' or ')'", line_no, at)
+            i = m.end()
+            if counts.pop() < 2:
+                raise mk.NewickError("internal node needs at least two children",
+                                     line_no, i + 1)
+            m = match(s, i)
+            if m.group(1) is not None:
+                raise mk.NewickError("internal node labels are not supported", line_no,
+                                     m.start(1) + 1)
+            done.append(open_nodes.pop())
+
+
+def _match_tree_to_forest(tree, rooted, table, line_no):
+    parent, names, done = tree
+    n = len(names)
+    rho = names.index(mk.RHO) if rooted and mk.RHO in names else None
+    tail = []
+    if not rooted:
+        vid = range(n)
+    elif rho is None:
+        vid = range(1, n + 1)
+        tail.append((0, 1))
+    elif parent.count(0) > 2:
+        vid = [1, *range(2, rho + 1), 0, *range(rho + 1, n)]
+        tail.append((0, 1))
+    else:
+        vid = [0, *range(1, rho), 0, *range(rho, n - 1)]
+    leaf_labels = {0: table.id_of(mk.RHO)} if rooted else {}
+    for v, name in enumerate(names):
+        if name is not None and v != rho:
+            leaf_labels[vid[v]] = table.id_of(name)
+    edges = [(vid[parent[v]], vid[v]) for v in done[:-1] if v != rho]
+    edges += tail
+    try:
+        return mk.Forest.build(rooted, table, leaf_labels, edges)
+    except mk.MafError as exc:
+        raise mk.NewickError(str(exc), line_no) from exc
+
+
+def parse_by_match(text, rooted, name=""):
+    """Reference for ``parse_instance``: one ``_TOKEN`` match per token.
+
+    Reads each line into flat preorder arrays, then builds every forest
+    through ``Forest.build`` with every vertex as a contraction seed.
+    """
+    parsed = []
+    saw_lengths = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parent, names, done, lengths = _match_tree(line, line_no)
+        saw_lengths = saw_lengths or lengths
+        leaves = [n for n in names if n is not None]
+        taxa = set(leaves)
+        if len(taxa) != len(leaves):
+            dup = min(n for n, count in Counter(leaves).items() if count > 1)
+            raise mk.NewickError(f"duplicate leaf label {dup!r}", line_no)
+        if mk.RHO in taxa:
+            if not rooted:
+                raise mk.NewickError(f"label {mk.RHO!r} is reserved", line_no)
+            if parent[names.index(mk.RHO)] != 0:
+                raise mk.NewickError(
+                    f"{mk.RHO!r} may only appear once, as a child of the outermost node",
+                    line_no,
+                )
+            taxa.discard(mk.RHO)
+        parsed.append((line_no, (parent, names, done), frozenset(taxa)))
+    if not parsed:
+        raise mk.NewickError("no trees in input")
+    if saw_lengths:
+        warnings.warn("branch lengths were parsed and discarded", mk.NewickWarning)
+    taxa = parsed[0][2]
+    for line_no, _, names in parsed[1:]:
+        if names != taxa:
+            missing = sorted(taxa ^ names)
+            raise mk.NewickError(
+                f"leaf label set differs from the first tree (e.g. {missing[0]!r})",
+                line_no,
+            )
+    ordered = sorted(taxa)
+    if rooted:
+        ordered.append(mk.RHO)
+    table = mk.LabelTable.from_names(ordered)
+    forests = tuple(
+        _match_tree_to_forest(tree, rooted, table, line_no) for line_no, tree, _ in parsed
+    )
+    return mk.Instance(rooted=rooted, forests=forests, name=name)
+
+
+def _accessor_subtree_text(f, top, up=None):
+    label_of, neighbors, labels = f.label_of, f.neighbors, f.labels
+    lid = label_of(top)
+    if lid is not None:
+        return labels.name(lid)
+    order = [top]
+    parent = {top: up}
+    children = {}
+    mins = {}
+    for v in order:
+        kids = children[v] = [w for _, w in neighbors(v) if w != parent[v]]
+        for w in kids:
+            lid = label_of(w)
+            if lid is not None:
+                mins[w] = labels.min_original(lid)
+            else:
+                parent[w] = v
+                order.append(w)
+    for v in reversed(order):
+        mins[v] = min(map(mins.__getitem__, children[v]))
+    out = []
+    stack = [iter((top,))]
+    while stack:
+        for v in stack[-1]:
+            if out and out[-1] != "(":
+                out.append(",")
+            kids = children.get(v)
+            if kids is None:
+                out.append(labels.name(label_of(v)))
+                continue
+            kids.sort(key=mins.__getitem__)
+            out.append("(")
+            stack.append(iter(kids))
+            break
+        else:
+            stack.pop()
+            if stack:
+                out.append(")")
+    return "".join(out)
+
+
+def _accessor_component_text(f, idx):
+    comp = f.components()[idx]
+    if len(comp) == 1:
+        (v,) = comp
+        return f.labels.name(f.label_of(v))
+    if f.rooted:
+        root = f.component_root(idx)
+        lid = f.label_of(root)
+        if lid is not None and f.labels.name(lid) == mk.RHO:
+            child = next(w for _, w in f.neighbors(root))
+            text = _accessor_subtree_text(f, child, root)
+            if f.label_of(child) is not None:
+                return "(" + text + "," + mk.RHO + ")"
+            return text[:-1] + "," + mk.RHO + ")"
+        return _accessor_subtree_text(f, root)
+    if len(comp) == 2:
+        names = sorted(f.labels.name(f.label_of(v)) for v in comp)
+        return "(" + ",".join(names) + ")"
+    anchor = min(
+        (v for v in comp if f.label_of(v) is not None),
+        key=lambda v: f.labels.min_original(f.label_of(v)),
+    )
+    return _accessor_subtree_text(f, next(w for _, w in f.neighbors(anchor)))
+
+
+def serialize_by_accessors(f):
+    """Reference for ``serialize``: every vertex read through the accessors."""
+    idxs = sorted(
+        range(f.order()),
+        key=lambda i: min(f.labels.min_original(l) for l in f.component_labels(i)),
+    )
+    return "\n".join(_accessor_component_text(f, i) + ";" for i in idxs)

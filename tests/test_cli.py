@@ -216,6 +216,17 @@ def test_env_seed_default(tmp_path, capsys, monkeypatch):
     assert "seed=77" in out1.read_text()
 
 
+def test_env_seed_is_read_when_gen_runs(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, so it must not hold MAF_SEED
+    monkeypatch.delenv("MAF_SEED", raising=False)
+    main(["gen", "-n", "5", "-m", "2", "-x", "1", "--out", str(tmp_path / "a.nwk")])
+    assert "seed=0" in (tmp_path / "a.nwk").read_text()
+    monkeypatch.setenv("MAF_SEED", "78")
+    main(["gen", "-n", "5", "-m", "2", "-x", "1", "--out", str(tmp_path / "b.nwk")])
+    assert "seed=78" in (tmp_path / "b.nwk").read_text()
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_pmaf_stdout_certificate_revalidates(tmp_path, capsys):
     main(["gen", "-n", "7", "-m", "2", "-x", "2", "--seed", "5", "--out", str(tmp_path / "i.nwk")])
     code, out, _ = run(capsys, "pmaf", str(tmp_path / "i.nwk"), "--verify")

@@ -304,3 +304,27 @@ def test_no_branch_child_over_k_is_built(rng, monkeypatch):
                 else:
                     over_in_reference += sum(over)
     assert built > 100 and over_in_reference > 50
+
+
+def test_lockstep_grouping_builds_one_table(monkeypatch):
+    # after a collapse, the expanded forest gets back the instance's own
+    # table, so grouping both forests of a pair extends one table, once
+    inst = mk.generate_instance(mk.GenSpec(n=20, m=3, x=1, seed=1_001_000, rooted=True))
+    calls = []
+    with_group = mk.LabelTable.with_group
+
+    def counted(table, part_ids):
+        got = with_group(table, part_ids)
+        calls.append((table, got[0]))
+        return got
+
+    monkeypatch.setattr(mk.LabelTable, "with_group", counted)
+    res = mk.find_min_k(inst, mk.approx_rmaf(inst).lower_bound())
+    assert res.order == 3 and res.stats.collapses == 4
+    # groupings come in pairs, the first forest's then the second's
+    pairs = list(zip(calls[::2], calls[1::2]))
+    assert len(pairs) == 88
+    assert all(a[1] is b[1] for a, b in pairs)
+    assert all(a[0] is b[0] for a, b in pairs)
+    built = {id(t) for _, t in calls}
+    assert len(built) == 33

@@ -9,7 +9,13 @@ import pytest
 import mafkit as mk
 from mafkit import newick
 
-from helpers import parse_by_recursion, random_forest, random_tree
+from helpers import (
+    parse_by_match,
+    parse_by_recursion,
+    random_forest,
+    random_tree,
+    serialize_by_accessors,
+)
 
 
 def test_parse_rooted_attaches_rho():
@@ -160,9 +166,32 @@ def test_label_alphabet_is_isalnum_dot_underscore():
     everything = "".join(map(chr, range(sys.maxunicode + 1)))
     label = {m.start() for m in re.finditer(r"[\w.]", everything)}
     assert label == {i for i, ch in enumerate(everything) if ch.isalnum() or ch in "._"}
-    token = newick._TOKEN.match
-    assert token("  ab_1.x:").group(1) == "ab_1.x"
-    assert token("\u00a0\u2003é²,").group(1) == "é²"
+    # the reader's label test, and its split: the whitespace around a
+    # structural character goes with it, so labels come out bare
+    assert [newick._LEAD(t).end() for t in ("ab_1.x", "é²", "a b", "a-b")] == [6, 2, 1, 1]
+    pieces = newick._DELIM.split("ab_1.x \u00a0:\u2003é²\u2003,c")
+    assert pieces == ["ab_1.x", ":", "é²", ",", "c"]
+
+
+def test_reader_whitespace_is_regex_space():
+    # lines are stripped with str.strip and split on \s: the two agree on
+    # every code point, and each such character that does not end a line
+    # reads as whitespace
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    space = {m.start() for m in re.finditer(r"\s", everything)}
+    assert space == {i for i, ch in enumerate(everything) if ch.isspace()}
+    ref = mk.parse_instance("((a,b),c);", rooted=True).forests[0]
+    for ch in sorted(ch for ch in map(chr, space) if len(f"a{ch}b".splitlines()) == 1):
+        text = f"{ch}({ch}({ch}a{ch},b{ch}:{ch}1{ch}){ch},c{ch}){ch};{ch}"
+        with pytest.warns(mk.NewickWarning):
+            f = mk.parse_instance(text, rooted=True).forests[0]
+        assert _maps(f) == _maps(ref)
+
+
+def _maps(f):
+    """Every map of a forest value, in insertion order."""
+    return (list(f._vlabel.items()), list(f._edges.items()), list(f._adj.items()),
+            list(f._parent_edge.items()), f._next_v, f._next_e)
 
 
 def _dress(rng, text):
@@ -248,3 +277,50 @@ def test_reader_matches_reference_on_malformed_input(rng):
                 errors.add(_error_kind(_read(mk.parse_instance, text, rooted)[1]))
     # every error the reader can raise was met
     assert errors == set(ERROR_KINDS)
+
+
+def test_reader_maps_match_the_match_reference(rng):
+    # every map in insertion order, on instances up to n = 2000: ρ absent,
+    # ρ beside several siblings (as written) and ρ beside one
+    shapes = set()
+    sizes = [rng.randint(3, 12) for _ in range(60)] + [200, 2000]
+    for n in sizes:
+        for rooted in (True, False):
+            inst = mk.generate_instance(mk.GenSpec(
+                n=n, m=2, x=rng.randint(0, 3), seed=rng.randrange(10**9), rooted=rooted,
+            ))
+            written = [mk.serialize(f) for f in inst.forests]
+            variants = {"as written": written}
+            if rooted:
+                bare = [t.replace(",ρ);", ");") for t in written]
+                variants["ρ absent"] = bare
+                variants["ρ beside one"] = ["(" + t[:-1] + ",ρ);" for t in bare]
+            for shape, lines in variants.items():
+                if n < 2000 and rng.random() < 0.5:
+                    lines = [_dress(rng, t) for t in lines]
+                    shape += ", dressed"
+                lines = ["# comment", lines[0], "", "# another", *lines[1:]]
+                text = "\n".join(lines) + "\n"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", mk.NewickWarning)
+                    got = [_maps(f) for f in mk.parse_instance(text, rooted).forests]
+                    want = [_maps(f) for f in parse_by_match(text, rooted).forests]
+                assert got == want, text[:200]
+                shapes.add((rooted, shape))
+    assert len(shapes) == 8
+
+
+def test_serialize_matches_the_accessor_reference(rng):
+    # plain trees and forests, and forests whose labels are grouped, in
+    # chains, so that a group's smallest original is not its own id
+    for _ in range(100):
+        rooted = rng.random() < 0.5
+        f = random_forest(rng, rng.randint(3, 12), rooted)
+        assert mk.serialize(f) == serialize_by_accessors(f)
+        grouped = 0
+        while (mss := f.find_mss()) is not None and grouped < 4:
+            f = f.group_labels(mss.labels)
+            grouped += 1
+            assert mk.serialize(f) == serialize_by_accessors(f)
+    big = mk.generate_instance(mk.GenSpec(n=2000, m=2, x=5, seed=11)).forests[1]
+    assert mk.serialize(big) == serialize_by_accessors(big)
