@@ -26,7 +26,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .approx import approx_rmaf, approx_umaf
-from .datagen import GenSpec, generate_instance
+from .datagen import GenerationError, GenSpec, generate_instance
 from .forest import Instance, MafError, certify
 from .fpt import NoSolutionError, find_min_k
 from .newick import NewickError, format_instance, parse_instance, serialize
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, NewickError) as exc:
+    except (OSError, NewickError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MafError as exc:

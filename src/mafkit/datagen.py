@@ -47,6 +47,8 @@ class GenSpec:
             raise GenerationError("an instance has at least 2 trees")
         if self.x < 0:
             raise GenerationError("SPR count cannot be negative")
+        if self.contract_count is not None and self.contract_count < 0:
+            raise GenerationError("contract count cannot be negative")
 
     def order_bound(self) -> int:
         return self.x * (self.m - 1) + 1

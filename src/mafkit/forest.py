@@ -18,11 +18,10 @@ every adjacency row it does not change with its parent: it copies the outer
 maps and copies a row only the first time it writes it.  Only the rows it
 wrote are checked against the degree rules.  A removal or a grouping also
 patches its parent's sibling-set table (see :meth:`Forest.find_mss`) where
-it can change, instead of leaving it to be built again, and records its
-parent and a log of what it changed, from which the reduction carries its
-label weights and side sums over (see ``reduction``).  Other derived data
-(components, label partition, original label ids, canonical key) is built at
-most once per value, on first use.
+it can change, instead of leaving it to be built again.  Derivations record
+their parent and a log of what they changed, which ``reduction`` reads.
+Other derived data (components, label partition, original label ids,
+canonical key) is built at most once per value, on first use.
 
 There is no depth limit: every walk over a tree uses an explicit stack or a
 worklist, never recursion.  The canonical key holds one flat tuple of ints
@@ -39,9 +38,6 @@ from collections import deque
 from dataclasses import dataclass
 
 RHO = "ρ"
-
-# label weights and side sums are kept mod 2^64 (see Forest.side_sums)
-MASK64 = (1 << 64) - 1
 
 # a derived value holds its parent through its origin until the reduction
 # has taken what it needs from it; values derived again and again without a
@@ -354,6 +350,7 @@ class Forest:
         "_mss",
         "_partition",
         "_weights",
+        "_sums",
         "_orig_ids",
         "_origin",
         "__weakref__",
@@ -377,6 +374,7 @@ class Forest:
         self._mss = None               # sibling-set table, see find_mss
         self._partition = None
         self._weights = None           # label weights as a reduction witness
+        self._sums = None              # side sums of the latest reduction scan
         self._orig_ids = None          # see original_label_ids
         self._origin = None            # (parent, change log, chain length)
 
@@ -384,10 +382,10 @@ class Forest:
         # a pickled or copied value keeps its structure and caches, but not
         # the links the reduction follows to other values (see ``reduction``):
         # the origin would drag the chain of ancestors along, and inherited
-        # weights refer to the weights they came from
+        # weights (side sums hold them too) refer weakly to their source
         state = {name: getattr(self, name) for name in self.__slots__
                  if name != "__weakref__"}
-        state["_origin"] = state["_weights"] = None
+        state["_origin"] = state["_weights"] = state["_sums"] = None
         return None, state
 
     # -- construction
@@ -735,12 +733,6 @@ class Forest:
                     queue.append(w)
         return None
 
-    def edge_between(self, u, v):
-        for eid, w in self._adj[u].items():
-            if w == v:
-                return eid
-        raise ForestError(f"no edge between {u} and {v}")
-
     # -- core operations ------------------------------------------------------
 
     def force_contract(self) -> "Forest":
@@ -796,64 +788,6 @@ class Forest:
                         stack.append(w)
             sides.append(frozenset(vlabel[x] for x in side if x in vlabel))
         return EdgeSplit(eid, *sides)
-
-    def side_sums(self, weight):
-        """Hang every component from one vertex and sum the weights below.
-
-        ``weight`` maps every label id of this forest to an integer.  A
-        rooted component hangs from its root, an unrooted one from its
-        smallest vertex; the walk uses an explicit stack.  Returns ``(up,
-        below)``: ``up`` maps every vertex but the tops to the id of the edge
-        to its parent, and ``below`` maps every vertex to the total weight of
-        the labels in its subtree, mod 2^64.  So the two sides of the edge
-        ``up[v]`` weigh ``below[v]`` and the top's ``below`` minus that.
-        """
-        adj, vlabel = self._adj, self._vlabel
-        if self.rooted:
-            tops = [v for v in adj if v not in self._parent_edge]
-        else:
-            tops = sorted(adj)  # so each component is entered at its smallest
-        up = {}
-        parent = {}
-        order = []
-        for top in tops:
-            if top in parent:
-                continue
-            parent[top] = None
-            stack = [top]
-            while stack:
-                v = stack.pop()
-                order.append(v)
-                for e, w in adj[v].items():
-                    if w not in parent:
-                        parent[w] = v
-                        up[w] = e
-                        stack.append(w)
-        below = {v: weight[vlabel[v]] if v in vlabel else 0 for v in order}
-        for v in reversed(order):
-            p = parent[v]
-            if p is not None:
-                below[p] += below[v]
-        return up, {v: s & MASK64 for v, s in below.items()}
-
-    def zero_sum_edges(self, weight) -> list[int]:
-        """Sorted ids of the edges one of whose sides has weight 0 mod 2^64.
-
-        ``weight`` maps every label id of this forest to an integer.  The
-        sums come from one full :meth:`side_sums` walk; the side above an
-        edge is its component's total minus the side below.
-        """
-        up, below = self.side_sums(weight)
-        comps = self.components()
-        total = [
-            below[self.component_root(i) if self.rooted else min(comp)]
-            for i, comp in enumerate(comps)
-        ]
-        comp_of = self._comp_of_v
-        return sorted(
-            e for v, e in up.items()
-            if not below[v] or below[v] == total[comp_of[v]]
-        )
 
     def find_mss(self) -> SiblingSet | None:
         """Deterministically pick a maximal sibling set, if any exists.
@@ -1143,7 +1077,9 @@ class Forest:
         if path is None:
             return SiblingCase("split", pair=pair)
         if self.rooted:
-            lca = self.rooted_lca(path[0], path[-1])
+            # every other path vertex has its parent on the path
+            on = set(path)
+            lca = next(v for v in path if self.parent_vertex(v) not in on)
             cuts = (self.offpath_edges(path, exclude=lca),)
         else:
             cuts = (
@@ -1152,38 +1088,19 @@ class Forest:
             )
         return SiblingCase("path", pair=pair, path=tuple(path), cuts=cuts)
 
-    def rooted_lca(self, v1, v2):
-        """Lowest common ancestor of two vertices of one rooted component."""
-        anc = {v1}
-        x = v1
-        while True:
-            p = self.parent_vertex(x)
-            if p is None:
-                break
-            anc.add(p)
-            x = p
-        x = v2
-        while x not in anc:
-            x = self.parent_vertex(x)
-            if x is None:
-                raise ForestError("vertices share no component")
-        return x
-
     def offpath_edges(self, path, at=None, exclude=None) -> tuple[int, ...]:
         """Edges hanging off the interior of a vertex path.
 
         ``at`` restricts to one interior vertex; ``exclude`` skips a vertex
         (the rooted rules spare the least common ancestor).
         """
-        onpath = set()
-        for x, y in zip(path, path[1:]):
-            onpath.add(self.edge_between(x, y))
         out = []
-        interior = path[1:-1] if at is None else [at]
-        for c in interior:
-            if exclude is not None and c == exclude:
+        for i in range(1, len(path) - 1):
+            c = path[i]
+            if c == exclude or (at is not None and c != at):
                 continue
-            out.extend(e for e in self._adj[c] if e not in onpath)
+            ends = (path[i - 1], path[i + 1])
+            out.extend(e for e, w in self._adj[c].items() if w not in ends)
         return tuple(sorted(out))
 
     # -- misc ---------------------------------------------------------------
@@ -1191,142 +1108,6 @@ class Forest:
     def __repr__(self):
         kind = "rooted" if self.rooted else "unrooted"
         return f"<Forest {kind} order={self.order()} labels={len(self._vlabel)}>"
-
-
-# ---------------------------------------------------------------------------
-# carrying label weights and side sums across one derivation
-#
-# Both read the log of a derivation (see Forest.remove_edges and
-# Forest.group_labels), given as the origin of the derived value, and both
-# work in place on what the parent had.
-
-
-def carry_zero_sums(origin, weight, changed):
-    """Make zero-sum label weights of a parent zero-sum over its child.
-
-    ``origin`` is the child's ``(parent, log, _)``, and ``weight`` maps the
-    parent's labels to weights that sum to 0 mod 2^64 over each of the
-    parent's components; it is changed in place, and the labels whose weight
-    changes or is new are added to the set ``changed`` (grouped parts leave
-    it).  A grouped label weighs the sum of its parts, which keeps every sum
-    over whole components.  Each edge a removal cuts splits one zero-sum
-    component in two: the side found complete first sums to some s, one of
-    its labels gives up s and one label of the other side takes it.
-    """
-    parent, log, _ = origin
-    removed = set()
-    for step in log:
-        if step[0] == "cut":
-            removed.add(step[1])
-            changed.update(_rezero(parent, weight, removed, step[2], step[3]))
-        elif step[0] == "group":
-            _, lids, new_id = step
-            weight[new_id] = sum(weight.pop(lid) for lid in lids) & MASK64
-            changed.difference_update(lids)
-            changed.add(new_id)
-
-
-def carry_side_sums(origin, up, below):
-    """Turn a parent's :meth:`Forest.side_sums` into its child's, in place.
-
-    ``origin`` is the child's ``(parent, log, _)``.  The sums stay under the
-    parent's weights, a grouped label read as the sum of its parts.  A cut
-    edge subtracts the subtree below it along the path to its old top, and
-    the subtree's top becomes a top.  Contraction and grouping move no label
-    to the other side of any edge: a dropped or spliced vertex hands its
-    place in the hanging to a neighbor, and a grouped leaf's weight stays in
-    the sums of the vertex that takes its label.  The hanging may differ
-    from the one a fresh walk picks; the side sums of every edge are the
-    same.
-    """
-    parent, log, _ = origin
-    for step in log:
-        kind = step[0]
-        if kind == "cut":
-            _, e, x, y = step
-            child, other = (y, x) if up.get(y) == e else (x, y)
-            del up[child]
-            if below[child]:
-                add_on_path(up, below, parent._edges, other, -below[child])
-        elif kind == "gone" or kind == "merge":
-            _, v, e, w = step
-            if up.get(v) == e:
-                del up[v]  # a leaf of the hanging
-            else:
-                del up[w]  # v was a top with the one child w
-                below[w] = below[v]
-            del below[v]
-        elif kind == "splice":
-            _, v, e1, w1, e2, w2, e = step
-            pe = up.pop(v, None)
-            if pe == e1:
-                up[w2] = e
-            elif pe == e2:
-                up[w1] = e
-            else:  # v was a top: w1 takes its place
-                del up[w1]
-                up[w2] = e
-                below[w1] = below[v]
-            del below[v]
-        elif kind == "drop":
-            del below[step[1]]
-
-
-def add_on_path(up, below, edges, v, delta):
-    """Add ``delta`` to the sums of ``v`` and every vertex above it.
-
-    ``up`` and ``below`` are a hanging with its sums (see
-    :meth:`Forest.side_sums`), and ``edges`` maps its edge ids to their ends.
-    """
-    while True:
-        below[v] = (below[v] + delta) & MASK64
-        e = up.get(v)
-        if e is None:
-            return
-        x, y = edges[e]
-        v = x if y == v else y
-
-
-def _rezero(forest, weight, removed, a, b):
-    """Zero both sides of a cut edge ``(a, b)`` of ``forest`` minus ``removed``.
-
-    The two sides are walked in turn, one vertex at a time, so the walk ends
-    after about twice the smaller side: that side is then complete, and the
-    other side is walked on only until it shows a label.  Returns the labels
-    whose weight changed.
-    """
-    adj, vlabel = forest._adj, forest._vlabel
-    stacks = ([a], [b])
-    found = ([], [])
-    seen = {a, b}
-    side = 0
-    while stacks[side]:
-        v = stacks[side].pop()
-        if v in vlabel:
-            found[side].append(vlabel[v])
-        for e, w in adj[v].items():
-            if w not in seen and e not in removed:
-                seen.add(w)
-                stacks[side].append(w)
-        side ^= 1
-    small = found[side]
-    s = sum(weight[lid] for lid in small) & MASK64
-    if not s:
-        return ()
-    other, stack = found[1 - side], stacks[1 - side]
-    while not other and stack:
-        v = stack.pop()
-        if v in vlabel:
-            other.append(vlabel[v])
-        for e, w in adj[v].items():
-            if w not in seen and e not in removed:
-                seen.add(w)
-                stack.append(w)
-    # the two sides of a zero-sum component sum to s and -s, so a side with
-    # no label forces s = 0
-    weight[small[0]] = (weight[small[0]] - s) & MASK64
-    weight[other[0]] = (weight[other[0]] + s) & MASK64
-    return small[0], other[0]
 
 
 # ---------------------------------------------------------------------------

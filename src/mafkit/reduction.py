@@ -10,15 +10,17 @@ A scan finds such edges in time linear in the forest, not with one search
 per edge.  Every label gets a random 64-bit weight, drawn so that the weights
 within each component of the witness forest sum to 0 mod 2^64.  A side that
 is a union of whole components then sums to exactly 0, so one post-order
-pass that flags every edge with a zero-sum side (``Forest.zero_sum_edges``)
-never misses a removable edge.  A side can also sum to 0 by chance; the exact
+pass that flags every edge with a zero-sum side (:func:`_side_sums`) never
+misses a removable edge.  A side can also sum to 0 by chance; the exact
 containment check run on each flagged edge rejects it.  So the answer is the
 one a scan of every edge would give, whatever the weights.
 
-The weights and the sums are inherited, not rebuilt, because a search node's
-children differ from it by a few edits (``Forest.remove_edges`` and
-``Forest.group_labels`` record each value's parent and what changed).  The
-carried invariant is the one above: the weights of every component of the
+This module owns the weights and the sums, and inherits them instead of
+rebuilding them, because a search node's children differ from it by a few
+edits (``Forest.remove_edges`` and ``Forest.group_labels`` record each
+value's parent and a log of what changed).  A witness keeps its weights on
+the value itself, and a scanned forest the side sums of its latest scan.
+The carried invariant is the one above: the weights of every component of the
 witness forest sum to 0 mod 2^64.
 
 * Grouping keeps it: a grouped label weighs the sum of its parts, so every
@@ -35,8 +37,7 @@ witness forest sum to 0 mod 2^64.
   to collect the edges one of whose sides sums to 0.
 * A value with no kept ancestor gets fresh weights from ``_label_weights``
   and one full walk: an input tree, the expanded forest a search moves on to
-  the next input with, the end of a long chain of values never scanned, or
-  a value whose ancestors' sums were evicted.
+  the next input with, or the end of a long chain of values never scanned.
 
 Inherited weights are still zero-sum per component, so every qualifying side
 is still flagged, and the exact check still rejects the rest: the answer is
@@ -70,15 +71,7 @@ import random
 import weakref
 from dataclasses import dataclass
 
-from .forest import (
-    MASK64,
-    Forest,
-    Instance,
-    LabelUniverseError,
-    add_on_path,
-    carry_side_sums,
-    carry_zero_sums,
-)
+from .forest import Forest, Instance, LabelUniverseError
 
 
 @dataclass(frozen=True)
@@ -99,6 +92,9 @@ class Removal:
 # candidates does; a fixed seed keeps that number repeatable
 _WEIGHT_SEED = 0x5EED
 
+# label weights and side sums are kept mod 2^64
+_MASK64 = (1 << 64) - 1
+
 
 def _label_weights(comp_labels) -> dict[int, int]:
     """Random 64-bit label weights that sum to 0 mod 2^64 per component."""
@@ -112,6 +108,27 @@ def _label_weights(comp_labels) -> dict[int, int]:
             total += weight[lid]
         weight[last] = -total % (1 << 64)
     return weight
+
+
+# -- what a value inherits from its ancestors ---------------------------------
+
+
+def _nearest(f: Forest, slot: str):
+    """The nearest of ``f`` and its linked ancestors whose ``slot`` is set,
+    or the furthest one reached, and the origins from there down to ``f``."""
+    chain = []
+    while getattr(f, slot) is None and (origin := f._origin) is not None:
+        chain.append(origin)
+        f = origin[0]
+    chain.reverse()
+    return f, chain
+
+
+def _release_origin(f: Forest):
+    """Forget ``f``'s origin once it has both weights and side sums: its
+    descendants stop there, and the chain of ancestors can go."""
+    if f._weights is not None and f._sums is not None:
+        f._origin = None
 
 
 # -- label weights, inherited along derivations -------------------------------
@@ -138,24 +155,87 @@ def _weights_of(fp: Forest) -> dict[int, int]:
     """Weights of ``fp``'s labels that sum to 0 mod 2^64 over each component.
 
     Kept on ``fp``.  A derived value inherits them from the nearest ancestor
-    that has weights (``forest.carry_zero_sums``); a value with no such
+    that has weights (:func:`_carry_zero_sums`); a value with no such
     ancestor gets fresh ones from ``_label_weights``.
     """
     if fp._weights is None:
-        chain = []
-        f = fp
-        while f._weights is None and (origin := f._origin) is not None:
-            chain.append(origin)
-            f = origin[0]
+        f, chain = _nearest(fp, "_weights")
         if f._weights is None:
             f._weights = _Weights(_label_weights(f.label_partition()))
         if chain:
             weight = _Weights(f._weights, base=f._weights)
-            for origin in reversed(chain):
-                carry_zero_sums(origin, weight, weight.changed)
+            for origin in chain:
+                _carry_zero_sums(origin, weight, weight.changed)
             fp._weights = weight
-        _settle(fp)
+        _release_origin(fp)
     return fp._weights
+
+
+def _carry_zero_sums(origin, weight, changed):
+    """Make zero-sum label weights of a parent zero-sum over its child.
+
+    ``origin`` is the child's ``(parent, log, _)``, and ``weight`` maps the
+    parent's labels to weights that sum to 0 mod 2^64 over each of the
+    parent's components; it is changed in place, and the labels whose weight
+    changes or is new are added to the set ``changed`` (grouped parts leave
+    it).  A grouped label weighs the sum of its parts, which keeps every sum
+    over whole components.  Each edge a removal cuts splits one zero-sum
+    component in two: the side found complete first sums to some s, one of
+    its labels gives up s and one label of the other side takes it.
+    """
+    parent, log, _ = origin
+    removed = set()
+    for step in log:
+        if step[0] == "cut":
+            removed.add(step[1])
+            changed.update(_rezero(parent, weight, removed, step[2], step[3]))
+        elif step[0] == "group":
+            _, lids, new_id = step
+            weight[new_id] = sum(weight.pop(lid) for lid in lids) & _MASK64
+            changed.difference_update(lids)
+            changed.add(new_id)
+
+
+def _rezero(forest, weight, removed, a, b):
+    """Zero both sides of a cut edge ``(a, b)`` of ``forest`` minus ``removed``.
+
+    The two sides are walked in turn, one vertex at a time, so the walk ends
+    after about twice the smaller side: that side is then complete, and the
+    other side is walked on only until it shows a label.  Returns the labels
+    whose weight changed.
+    """
+    adj, vlabel = forest._adj, forest._vlabel
+    stacks = ([a], [b])
+    found = ([], [])
+    seen = {a, b}
+    side = 0
+    while stacks[side]:
+        v = stacks[side].pop()
+        if v in vlabel:
+            found[side].append(vlabel[v])
+        for e, w in adj[v].items():
+            if w not in seen and e not in removed:
+                seen.add(w)
+                stacks[side].append(w)
+        side ^= 1
+    small = found[side]
+    s = sum(weight[lid] for lid in small) & _MASK64
+    if not s:
+        return ()
+    other, stack = found[1 - side], stacks[1 - side]
+    while not other and stack:
+        v = stack.pop()
+        if v in vlabel:
+            other.append(vlabel[v])
+        for e, w in adj[v].items():
+            if w not in seen and e not in removed:
+                seen.add(w)
+                stack.append(w)
+    # the two sides of a zero-sum component sum to s and -s, so a side with
+    # no label forces s = 0
+    weight[small[0]] = (weight[small[0]] - s) & _MASK64
+    weight[other[0]] = (weight[other[0]] + s) & _MASK64
+    return small[0], other[0]
 
 
 # -- side sums of a scanned forest, inherited along derivations ---------------
@@ -164,7 +244,7 @@ def _weights_of(fp: Forest) -> dict[int, int]:
 class _SideSums:
     """Side sums of one forest's edges under one weight map.
 
-    ``up`` and ``below`` are as from ``Forest.side_sums``: ``up`` maps every
+    ``up`` and ``below`` are as from :func:`_side_sums`: ``up`` maps every
     vertex but the tops to the edge to its parent, ``below`` every vertex to
     the weight of its subtree.
     """
@@ -180,55 +260,130 @@ class _SideSums:
         return _SideSums(self.weight, dict(self.up), dict(self.below))
 
 
-# Side sums of recently scanned forests, least recently used first.  They are
-# kept here, not on the forest values, so that values kept for other reasons
-# (the approximation's records keep every working forest) do not keep their
-# sums; an evicted value's descendants fall back to the full walk.
-_SUMS: "weakref.WeakKeyDictionary[Forest, _SideSums]" = weakref.WeakKeyDictionary()
-_SUMS_KEPT = 64
+def _side_sums(f: Forest, weight):
+    """Hang every component of ``f`` from one vertex and sum the weights below.
 
-
-def _recall(f):
-    """``f``'s side sums, marked as the most recently used, or None."""
-    sums = _SUMS.pop(f, None)
-    if sums is not None:
-        _SUMS[f] = sums
-    return sums
+    ``weight`` maps every label id of ``f`` to an integer.  A rooted
+    component hangs from its root, an unrooted one from its smallest vertex;
+    the walk uses an explicit stack.  Returns ``(up, below)``: ``up`` maps
+    every vertex but the tops to the id of the edge to its parent, and
+    ``below`` maps every vertex to the total weight of the labels in its
+    subtree, mod 2^64.  So the two sides of the edge ``up[v]`` weigh
+    ``below[v]`` and the top's ``below`` minus that.
+    """
+    adj, vlabel = f._adj, f._vlabel
+    if f.rooted:
+        tops = [v for v in adj if v not in f._parent_edge]
+    else:
+        tops = sorted(adj)  # so each component is entered at its smallest
+    up = {}
+    parent = {}
+    order = []
+    for top in tops:
+        if top in parent:
+            continue
+        parent[top] = None
+        stack = [top]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for e, w in adj[v].items():
+                if w not in parent:
+                    parent[w] = v
+                    up[w] = e
+                    stack.append(w)
+    below = {v: weight[vlabel[v]] if v in vlabel else 0 for v in order}
+    for v in reversed(order):
+        p = parent[v]
+        if p is not None:
+            below[p] += below[v]
+    return up, {v: s & _MASK64 for v, s in below.items()}
 
 
 def _sums_of(fq: Forest, weight) -> _SideSums:
     """Side sums of ``fq`` under ``weight``, inherited where possible.
 
-    Starting from the nearest ancestor whose sums are kept, a copy is
-    carried across each derivation (``forest.carry_side_sums``) and brought
-    to ``weight`` (:func:`_reweigh`).  With no such ancestor, one full walk.
-    Kept sums are never changed, only replaced, so a value's sums stay valid
-    for whoever holds them.
+    Starting from the nearest value with side sums, ``fq`` or an ancestor, a
+    copy is carried across each derivation (:func:`_carry_side_sums`) and
+    brought to ``weight`` (:func:`_reweigh`).  With no such value, one full
+    walk.  The result is kept on ``fq``.  Kept sums are never changed, only
+    replaced, so they stay valid for whoever holds them.
     """
-    sums = _recall(fq)
-    if sums is not None:
-        if sums.weight is weight:
-            return sums
-        sums = sums.copy()
+    f, chain = _nearest(fq, "_sums")
+    sums = f._sums
+    if sums is not None and not chain and sums.weight is weight:
+        return sums
+    if sums is None:
+        sums = _SideSums(weight, *_side_sums(fq, weight))
     else:
-        chain = []
-        f = fq
-        while sums is None and (origin := f._origin) is not None:
-            chain.append(origin)
-            f = origin[0]
-            sums = _recall(f)
-        if sums is None:
-            sums = _SideSums(weight, *fq.side_sums(weight))
-        else:
-            sums = sums.copy()
-            for origin in reversed(chain):
-                carry_side_sums(origin, sums.up, sums.below)
-    _reweigh(sums, fq, weight)
-    _SUMS[fq] = sums
-    while len(_SUMS) > _SUMS_KEPT:
-        del _SUMS[next(iter(_SUMS))]
-    _settle(fq)
+        sums = sums.copy()
+        for origin in chain:
+            _carry_side_sums(origin, sums.up, sums.below)
+        _reweigh(sums, fq, weight)
+    fq._sums = sums
+    _release_origin(fq)
     return sums
+
+
+def _carry_side_sums(origin, up, below):
+    """Turn a parent's :func:`_side_sums` into its child's, in place.
+
+    ``origin`` is the child's ``(parent, log, _)``.  The sums stay under the
+    parent's weights, a grouped label read as the sum of its parts.  A cut
+    edge subtracts the subtree below it along the path to its old top, and
+    the subtree's top becomes a top.  Contraction and grouping move no label
+    to the other side of any edge: a dropped or spliced vertex hands its
+    place in the hanging to a neighbor, and a grouped leaf's weight stays in
+    the sums of the vertex that takes its label.  The hanging may differ
+    from the one a fresh walk picks; the side sums of every edge are the
+    same.
+    """
+    parent, log, _ = origin
+    for step in log:
+        kind = step[0]
+        if kind == "cut":
+            _, e, x, y = step
+            child, other = (y, x) if up.get(y) == e else (x, y)
+            del up[child]
+            if below[child]:
+                _add_on_path(up, below, parent._edges, other, -below[child])
+        elif kind == "gone" or kind == "merge":
+            _, v, e, w = step
+            if up.get(v) == e:
+                del up[v]  # a leaf of the hanging
+            else:
+                del up[w]  # v was a top with the one child w
+                below[w] = below[v]
+            del below[v]
+        elif kind == "splice":
+            _, v, e1, w1, e2, w2, e = step
+            pe = up.pop(v, None)
+            if pe == e1:
+                up[w2] = e
+            elif pe == e2:
+                up[w1] = e
+            else:  # v was a top: w1 takes its place
+                del up[w1]
+                up[w2] = e
+                below[w1] = below[v]
+            del below[v]
+        elif kind == "drop":
+            del below[step[1]]
+
+
+def _add_on_path(up, below, edges, v, delta):
+    """Add ``delta`` to the sums of ``v`` and every vertex above it.
+
+    ``up`` and ``below`` are a hanging with its sums (see :func:`_side_sums`),
+    and ``edges`` maps its edge ids to their ends.
+    """
+    while True:
+        below[v] = (below[v] + delta) & _MASK64
+        e = up.get(v)
+        if e is None:
+            return
+        x, y = edges[e]
+        v = x if y == v else y
 
 
 def _reweigh(sums, fq, weight):
@@ -246,7 +401,7 @@ def _reweigh(sums, fq, weight):
     else:
         changed = [lid for lid, w in weight.items() if old.get(lid) != w]
         if 4 * len(changed) > len(weight):
-            sums.up, sums.below = fq.side_sums(weight)
+            sums.up, sums.below = _side_sums(fq, weight)
             sums.weight = weight
             return
     edges, labels = fq._edges, fq.labels
@@ -262,21 +417,15 @@ def _reweigh(sums, fq, weight):
                     was += old[part]
                 else:
                     parts.extend(labels[part].grouped)
-        delta = (weight[lid] - was) & MASK64
+        delta = (weight[lid] - was) & _MASK64
         if delta:
-            add_on_path(sums.up, sums.below, edges, fq._label_vertex[lid], delta)
+            _add_on_path(sums.up, sums.below, edges, fq._label_vertex[lid], delta)
     sums.weight = weight
 
 
-def _settle(f):
-    """Forget ``f``'s origin once it has both weights and kept side sums:
-    its descendants stop there, and the chain of ancestors can go."""
-    if f._weights is not None and f in _SUMS:
-        f._origin = None
-
-
 def _candidates(fq: Forest, weight) -> list[int]:
-    """``fq.zero_sum_edges(weight)``, from the inherited side sums.
+    """Sorted ids of the edges of ``fq`` one of whose sides sums to 0 under
+    ``weight``, from the inherited side sums.
 
     An edge is flagged when the side below it sums to 0 or to its
     component's total.  Totals are few, so the test against the own total
@@ -309,7 +458,7 @@ def find_applicable(fp: Forest, fq: Forest):
     is fully contained in that side.
 
     Only the edges flagged under the zero-sum weights of ``fp``'s components
-    (``fq.zero_sum_edges``, here from inherited side sums) are split and
+    (:func:`_candidates`, from inherited side sums) are split and
     checked, in id order, side1 before side2.  Every qualifying side sums to
     exactly 0, so no qualifying edge goes unflagged; a side that sums to 0 by
     chance fails the exact ``covered`` check, so it cannot change the answer.

@@ -12,6 +12,7 @@ import warnings
 from collections import Counter, deque
 
 import mafkit as mk
+from mafkit import reduction
 
 
 def all_removal_keys(forest, cap=12):
@@ -67,6 +68,25 @@ def find_applicable_by_bfs(fp, fq):
             if wit is not None:
                 return eid, wit
     return None
+
+
+def zero_sum_edges_by_walk(forest, weight):
+    """Reference for ``reduction._candidates``: sorted ids of the edges one of
+    whose sides has weight 0 mod 2^64.
+
+    ``weight`` maps every label id of ``forest`` to an integer.  The sums
+    come from one full ``reduction._side_sums`` walk; the side above an edge
+    is its component's total minus the side below.
+    """
+    up, below = reduction._side_sums(forest, weight)
+    total = [
+        below[forest.component_root(i) if forest.rooted else min(comp)]
+        for i, comp in enumerate(forest.components())
+    ]
+    return sorted(
+        e for v, e in up.items()
+        if not below[v] or below[v] == total[forest.component_index_of_vertex(v)]
+    )
 
 
 def mss_candidates_by_scan(forest):

@@ -3,6 +3,8 @@
 import csv
 import io
 
+import pytest
+
 import mafkit as mk
 from mafkit import cli
 from mafkit.cli import CSV_FIELDS, main
@@ -89,6 +91,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "pmaf", str(tmp_path / "missing.nwk"))
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("-n", "2", "-m", "2", "-x", "1"),
+    ("-n", "6", "-m", "1", "-x", "1"),
+    ("-n", "6", "-m", "2", "-x", "-1"),
+    ("-n", "6", "-m", "2", "-x", "1", "--contract", "99"),
+    ("-n", "6", "-m", "2", "-x", "1", "--contract", "-1"),
+])
+def test_gen_bad_parameters_are_input_errors(capsys, args):
+    code, out, err = run(capsys, "gen", "--seed", "7", *args)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_amaf_flow(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 import mafkit as mk
 from mafkit import forest as forest_mod
+from mafkit import reduction
 from mafkit.forest import Forest, Label, LabelTable
 
 from helpers import (
@@ -25,6 +26,7 @@ from helpers import (
     random_tree,
     steiner_by_pruning,
     steiner_canonical_by_nesting,
+    zero_sum_edges_by_walk,
 )
 
 
@@ -228,7 +230,7 @@ def test_zero_sum_edges_match_split_sums(rng):
             if any(sum(weight[l] for l in side) % 2**64 == 0
                    for side in (split.side1, split.side2)):
                 want.append(eid)
-        assert f.zero_sum_edges(weight) == want
+        assert zero_sum_edges_by_walk(f, weight) == want
 
 
 # -- is_subforest ------------------------------------------------------------
@@ -534,9 +536,12 @@ def test_scanned_values_pickle_without_their_ancestors():
             "((a,b),(c,(d,e)));\n((a,c),(b,(d,e)));", rooted).forests
         g = f1.remove_edges([f1.pendant_edge(f1.labels.id_of("c"))])
         _, _, removals = mk.reduce_pair(g, f2)  # g inherits what f1 had
+        reduction.find_applicable(f2, g)  # and keeps side sums
+        assert g._weights is not None and g._sums is not None
         copies = [pickle.loads(pickle.dumps(g)), copy.deepcopy(g)]
         for h in copies:
             assert h.same_structure(g) and h._origin is None and h._weights is None
+            assert h._sums is None
             assert mk.reduce_pair(h, f2)[2] == removals
 
 

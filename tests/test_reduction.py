@@ -1,13 +1,17 @@
 """Reduction rule: applicability, fixpoints, optimum preservation."""
 
+import gc
+import weakref
+
 import pytest
 
 import mafkit as mk
+from mafkit import forest as forest_mod
 from mafkit import reduction
 from mafkit.forest import Forest
 from mafkit.reduction import find_applicable
 
-from helpers import find_applicable_by_bfs, random_instance
+from helpers import find_applicable_by_bfs, random_instance, zero_sum_edges_by_walk
 
 
 def test_singleton_triggers_leaf_removal():
@@ -167,7 +171,7 @@ def test_scan_with_colliding_weights_matches_reference(rng, monkeypatch):
     for _ in range(80):
         fp, fq = random_pair(rng, rooted=rng.random() < 0.5)
         weight = zeros(fp.label_partition())
-        assert fq.zero_sum_edges(weight) == sorted(fq.edge_ids())
+        assert zero_sum_edges_by_walk(fq, weight) == sorted(fq.edge_ids())
         hits += scans_match_reference(fp, fq)
     assert hits > 50
 
@@ -211,7 +215,7 @@ def check_every_scan(monkeypatch):
     """
     counts = {"scans": 0, "walks": 0, "inside": False}
     scan, candidates, side_sums = (
-        reduction.find_applicable, reduction._candidates, Forest.side_sums)
+        reduction.find_applicable, reduction._candidates, reduction._side_sums)
 
     def checked_candidates(fq, weight):
         counts["inside"] = True
@@ -219,7 +223,7 @@ def check_every_scan(monkeypatch):
             got = candidates(fq, weight)
         finally:
             counts["inside"] = False
-        assert got == fq.zero_sum_edges(weight)
+        assert got == zero_sum_edges_by_walk(fq, weight)
         return got
 
     def checked_scan(fp, fq):
@@ -232,13 +236,13 @@ def check_every_scan(monkeypatch):
         counts["scans"] += 1
         return got
 
-    def counted_side_sums(self, weight):
+    def counted_side_sums(f, weight):
         counts["walks"] += counts["inside"]  # the reference's walks do not count
-        return side_sums(self, weight)
+        return side_sums(f, weight)
 
     monkeypatch.setattr(reduction, "_candidates", checked_candidates)
     monkeypatch.setattr(reduction, "find_applicable", checked_scan)
-    monkeypatch.setattr(Forest, "side_sums", counted_side_sums)
+    monkeypatch.setattr(reduction, "_side_sums", counted_side_sums)
     return counts
 
 
@@ -262,9 +266,9 @@ def test_carried_scan_matches_full_walk(rng, monkeypatch):
 
 
 def test_carried_scan_survives_evicted_sums(rng, monkeypatch):
-    # with room for two forests' sums, most scans find no kept ancestor and
-    # fall back to the full walk; the answers stay the same
-    monkeypatch.setattr(reduction, "_SUMS_KEPT", 2)
+    # with no value linked to its parent, no scan finds a kept ancestor and
+    # most fall back to the full walk; the answers stay the same
+    monkeypatch.setattr(forest_mod, "_ORIGIN_CHAIN", 0)
     counts = check_every_scan(monkeypatch)
     solve_every_way(rng, 20)
     assert counts["walks"] > counts["scans"] / 2
@@ -298,6 +302,49 @@ def test_removal_rezeroes_each_piece():
         assert sum(gw[lid] for lid in labels) % (1 << 64) == 0
     # one label on each side of the cut took the difference
     assert len(gw.changed) == 2 and {lid for lid in w if w[lid] != gw[lid]} == gw.changed
+
+
+def test_kept_sums_stay_as_they_were(rng, monkeypatch):
+    # side sums kept on a value are never written: descendants carry a copy,
+    # and only a scan of the value itself under other weights replaces them
+    kept = []
+    sums_of = reduction._sums_of
+
+    def recording_sums_of(fq, weight):
+        before = fq._sums
+        got = sums_of(fq, weight)
+        if fq._sums is not before:
+            sums = fq._sums
+            kept.append((fq, sums, sums.weight, dict(sums.weight),
+                         dict(sums.up), dict(sums.below)))
+        return got
+
+    monkeypatch.setattr(reduction, "_sums_of", recording_sums_of)
+    solve_every_way(rng, 20)
+    assert len(kept) > 500
+    latest = {}
+    for fq, sums, weight, weights, up, below in kept:
+        assert sums.weight is weight
+        assert (dict(weight), sums.up, sums.below) == (weights, up, below)
+        latest[id(fq)] = fq, sums
+    for fq, sums in latest.values():
+        assert fq._sums is sums
+
+
+def test_scanned_child_lets_its_parent_go():
+    for rooted in (True, False):
+        f1, f2 = mk.parse_instance(
+            "((a,b),(c,(d,e)));\n((a,c),(b,(d,e)));", rooted).forests
+        find_applicable(f2, f1)  # f1 keeps side sums under f2's weights
+        g = f1.remove_edges([f1.pendant_edge(f1.labels.id_of("c"))])
+        parent = weakref.ref(f1)
+        del f1
+        find_applicable(g, f2)  # g inherits weights
+        assert g._weights is not None and g._origin is not None
+        find_applicable(f2, g)  # and side sums: the origin is not needed now
+        assert g._sums is not None and g._origin is None
+        gc.collect()
+        assert parent() is None
 
 
 # -- grouping keeps a reduced pair reduced (the lemma the solvers rely on) ----

@@ -5,10 +5,13 @@
 
 Reads the run's output on stdin, takes its last line (one JSON object) and
 compares every recorded count of the workload with it: the exact search's
-``fpt.*`` counters, the approximation's ``approx.steps.*`` and the
-reduction's ``reduction.reduce_pair.removals``.  These repeat exactly for
-one seed, and a change that is meant to leave the search alone must not move
-them.  Exits 1 and names every count that differs.  With ``--write`` it
+``fpt.*`` counters, the approximation's ``approx.steps.*``, the
+reduction's ``reduction.reduce_pair.removals``, and the call counts of the
+scan and the derivations (``find_applicable``, ``reduce_pair``,
+``split_labels``, which equals the scan's hits, ``remove_edges`` and
+``group_labels``).  These repeat exactly for one seed, and a change that is
+meant to leave the search alone must not move them: an extra scan,
+derivation or false-positive split shows.  Exits 1 and names every count that differs.  With ``--write`` it
 records the run's counts for the workload instead.
 """
 
@@ -23,6 +26,9 @@ COUNTS = (
                                 "case2", "case31", "case32", "collapses", "rule1_edges")]
     + [f"approx.steps.{kind}" for kind in ("rule1", "group", "ms2", "ms31", "ms32")]
     + ["reduction.reduce_pair.removals"]
+    + [f"{op}.calls" for op in ("reduction.find_applicable", "reduction.reduce_pair",
+                                "forest.split_labels", "forest.remove_edges",
+                                "forest.group_labels")]
 )
 
 
