@@ -55,7 +55,10 @@ CSV_FIELDS = [
 
 def _default_seed() -> int:
     env = os.environ.get("MAF_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise GenerationError(f"MAF_SEED must be an integer, got {env!r}") from None
 
 
 def _add_rootedness(p):

@@ -26,7 +26,8 @@ canonical key) is built at most once per value, on first use.
 There is no depth limit: every walk over a tree uses an explicit stack or a
 worklist, never recursion.  The canonical key holds one flat tuple of ints
 per component (see :func:`_flat_code`), so comparing two keys does not
-recurse either, as comparing nested tuples would.
+recurse either, as comparing nested tuples would.  Its codes hold the one
+order of children in the package, which the Newick writer renders.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import itertools
 import sys
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 RHO = "ρ"
 
@@ -61,8 +63,7 @@ class LabelUniverseError(MafError):
 # labels
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     """One entry of an instance's label table.
 
     ``grouped`` lists the constituent label ids when this label was produced
@@ -84,7 +85,8 @@ class LabelTable:
     applying grouping to both sides in lockstep.
     """
 
-    __slots__ = ("_labels", "_by_name", "_orig_cache", "_n_original", "_last_group", "_base")
+    __slots__ = ("_labels", "_by_name", "_orig_cache", "_n_original", "_last_group", "_base",
+                 "_least")
 
     def __init__(self, labels):
         self._labels = tuple(labels)
@@ -94,12 +96,9 @@ class LabelTable:
         self._orig_cache: dict[int, frozenset[int]] = {}
         self._last_group = None
         self._base = None              # see trimmed
-        n = 0
-        for lab in self._labels:
-            if lab.grouped:
-                break
-            n += 1
-        self._n_original = n
+        self._least = None             # see least_originals
+        self._n_original = next(
+            (i for i, lab in enumerate(self._labels) if lab.grouped), len(self._labels))
 
     @classmethod
     def from_names(cls, names) -> "LabelTable":
@@ -148,6 +147,14 @@ class LabelTable:
     def min_original(self, lid: int) -> int:
         return min(self.originals(lid))
 
+    def least_originals(self) -> list[int]:
+        """The least original label id behind every label id, built once."""
+        if self._least is None:
+            least = self._least = list(range(self._n_original))
+            for lab in self._labels[len(least):]:
+                least.append(min(map(least.__getitem__, lab.grouped)))
+        return self._least
+
     def n_original(self) -> int:
         """Length of the original (ungrouped) prefix of the table."""
         return self._n_original
@@ -187,16 +194,14 @@ class LabelTable:
         table._n_original = self._n_original
         table._last_group = None
         table._base = self.trimmed()
+        table._least = None
         self._last_group = (key, (table, new_id))
         return table, new_id
 
     def same_originals(self, other: "LabelTable") -> bool:
-        if self is other:
-            return True
-        n = self.n_original()
-        if n != other.n_original():
-            return False
-        return all(self._labels[i].name == other._labels[i].name for i in range(n))
+        n = self._n_original
+        return self is other or (
+            n == other._n_original and self._labels[:n] == other._labels[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +278,22 @@ def _flat_code(order, children, low, vlabel):
     """Canonical code of a tree as one flat tuple of ints.
 
     The code lists ``label id or -1, child count`` for every vertex in a
-    preorder that takes children by the least label id in their subtree.
-    Label-free subtrees exist only in forests built with ``normalize=False``;
-    they go after the others, in the order of their own codes, so the code
-    stays exact for them too.  Two trees get equal codes exactly when a map
-    that keeps labels and the top vertex makes them isomorphic.
+    preorder that takes children by the least original label below them:
+    the package's one order of children, which ``newick.serialize`` writes.
+    Labels of one forest cover disjoint sets of originals, so no two
+    labeled children tie.  Label-free subtrees exist only in forests built
+    with ``normalize=False``; they go after the others, in the order of
+    their own codes, so the code stays exact for them too.  Two trees over
+    one label universe get equal codes exactly when a map that keeps labels
+    and the top vertex makes them isomorphic.
 
     ``order`` lists the top vertex and then every other vertex that is not
     a labeled leaf, parents before children; ``children`` maps each of them
     to its list of children (the lists are reordered in place), and ``low``
-    maps each labeled leaf to its label.  Two linear passes: one walks
-    ``order`` backwards to fill in the least label below every vertex, one
-    writes the code with an explicit stack.
+    maps each labeled leaf to the least original behind its label (see
+    :meth:`LabelTable.least_originals`).  Two linear passes: one walks
+    ``order`` backwards to fill in the least original below every vertex,
+    one writes the code with an explicit stack.
     """
     free = False
     for v in reversed(order):
@@ -981,18 +990,19 @@ class Forest:
     def component_canonical(self, idx):
         """Flat canonical code of component ``idx`` (see :func:`_flat_code`).
 
-        The component hangs from its root when rooted and from its least
-        label id when unrooted.
+        The component hangs from its root when rooted and from the leaf
+        with the least original label when unrooted.
         """
         comp = self.components()[idx]
         vlabel = self._vlabel
         if len(comp) == 1:
             (v,) = comp
             return (vlabel.get(v, -1), 0)
+        least = self.labels.least_originals()
         if self.rooted:
             start = self.component_root(idx)
         else:
-            start = min((v for v in comp if v in vlabel), key=vlabel.__getitem__)
+            start = min((v for v in comp if v in vlabel), key=lambda v: least[vlabel[v]])
         adj = self._adj
         order = [start]
         up = {start: None}
@@ -1004,7 +1014,7 @@ class Forest:
                 kids.remove(up[v])
             for w in kids:
                 if w in vlabel:
-                    low[w] = vlabel[w]
+                    low[w] = least[vlabel[w]]
                 else:
                     up[w] = v
                     order.append(w)
@@ -1015,7 +1025,9 @@ class Forest:
 
         ``(rooted, sorted component codes)``, each code a flat tuple of ints
         (see :func:`_flat_code`): comparing two keys never recurses, however
-        deep the trees.
+        deep the trees.  Keys are exact for forests over one label universe,
+        where a label id stands for the same originals in every table: the
+        codes order children by those originals.
         """
         if self._canon is None:
             comps = tuple(
@@ -1233,10 +1245,11 @@ def _steiner_canonical(sup: Forest, vset, eset):
     root exception.
     """
     vlabel, adj = sup._vlabel, sup._adj
+    least = sup.labels.least_originals()
     if sup.rooted:
         top = next(v for v in vset if sup._parent_edge.get(v) not in eset)
     else:
-        top = min((v for v in vset if v in vlabel), key=vlabel.__getitem__)
+        top = min((v for v in vset if v in vlabel), key=lambda v: least[vlabel[v]])
     order = [top]
     into = {top: None}
     children = {}
@@ -1255,7 +1268,7 @@ def _steiner_canonical(sup: Forest, vset, eset):
                 ((e, w),) = on
             kids.append(w)
             if w in vlabel:
-                low[w] = vlabel[w]
+                low[w] = least[vlabel[w]]
             else:
                 into[w] = e
                 order.append(w)

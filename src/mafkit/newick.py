@@ -15,9 +15,10 @@ Reading and writing take time linear in the text and have no depth limit.
 Each line is split once, in C, on its structural characters, and the pieces
 are read in one left-to-right pass with an explicit stack of open vertices
 that builds the forest's own maps as it goes; forced contraction then starts
-from the outermost vertex alone (see :func:`_parse_tree`).  A tree is written
-straight from those maps in linear passes with explicit stacks (see
-:func:`_subtree_text`).
+from the outermost vertex alone (see :func:`_parse_tree`).  The writer walks
+no tree: it renders each component's canonical code (see
+:meth:`Forest.canonical_key`), which holds the one order of children, in one
+pass with an explicit stack (see :func:`_code_text`).
 """
 
 from __future__ import annotations
@@ -236,94 +237,60 @@ def parse_instance(text: str, rooted: bool, name: str = "") -> Instance:
 # serialization
 
 
-def _subtree_text(f: Forest, top, up, names, low) -> str:
-    """Newick text of the subtree hanging at ``top`` away from neighbor ``up``.
-
-    Children are ordered by the smallest original label id they contain
-    (``low`` maps a label id to its smallest original; ``names`` to its
-    name).  Three linear passes: list the subtree parents first, find the
-    smallest label below every vertex walking that list backwards, then
-    write the text with an explicit stack of child iterators.
-    """
-    vlabel, adj = f._vlabel, f._adj
-    if top in vlabel:
-        return names[vlabel[top]]
-    order = [top]
-    parent = {top: up}
-    children = {}
-    mins = {}
-    for v in order:  # grows while it is walked
-        kids = children[v] = [w for w in adj[v].values() if w != parent[v]]
-        for w in kids:
-            lid = vlabel.get(w)
-            if lid is None:
-                parent[w] = v
-                order.append(w)
-            else:
-                mins[w] = low[lid]
-    for v in reversed(order):
-        mins[v] = min(map(mins.__getitem__, children[v]))
-    out = []
-    stack = [iter((top,))]
-    while stack:
-        for v in stack[-1]:
-            if out and out[-1] != "(":
-                out.append(",")
-            kids = children.get(v)
-            if kids is None:
-                out.append(names[vlabel[v]])
-                continue
-            kids.sort(key=mins.__getitem__)
+def _code_text(code, names, start=0) -> str:
+    """Newick text of a flat canonical code (see ``forest._flat_code``) from
+    index ``start`` on, in one pass with an explicit stack that holds, for
+    every open vertex, the number of its children still to come."""
+    out, left = [], []
+    for i in range(start, len(code), 2):
+        if left and out[-1] != "(":
+            out.append(",")
+        if code[i + 1]:
             out.append("(")
-            stack.append(iter(kids))
-            break
-        else:
-            stack.pop()
-            if stack:
-                out.append(")")
+            left.append(code[i + 1])
+            continue
+        out.append(names[code[i]])
+        while left:
+            left[-1] -= 1
+            if left[-1]:
+                break
+            left.pop()
+            out.append(")")
     return "".join(out)
 
 
-def _component_text(f: Forest, idx, names, low) -> str:
-    comp = f.components()[idx]
-    vlabel = f._vlabel
-    if len(comp) == 1:
-        (v,) = comp
-        return names[vlabel[v]]
-    if f.rooted:
-        root = f.component_root(idx)
-        if root in vlabel and names[vlabel[root]] == RHO:
-            # draw from ρ's child so ρ prints as an ordinary leaf
-            child = next(iter(f._adj[root].values()))
-            text = _subtree_text(f, child, root, names, low)
-            if child in vlabel:
-                return "(" + text + "," + RHO + ")"
-            return text[:-1] + "," + RHO + ")"
-        return _subtree_text(f, root, None, names, low)
-    if len(comp) == 2:
-        return "(" + ",".join(sorted(names[vlabel[v]] for v in comp)) + ")"
-    anchor = min((v for v in comp if v in vlabel), key=lambda v: low[vlabel[v]])
-    return _subtree_text(f, next(iter(f._adj[anchor].values())), None, names, low)
+def _component_text(code, names, rooted) -> str:
+    top = code[0]
+    if len(code) == 2 or top < 0:
+        return _code_text(code, names)
+    # a labeled top has one child: ρ when rooted, else the leaf with the
+    # least original label
+    if not code[3]:
+        pair = [names[code[2]], names[top]]
+        return "(" + ",".join(pair if rooted else sorted(pair)) + ")"
+    text = _code_text(code, names, 2)
+    if rooted:
+        # ρ prints as the last leaf of the outermost node
+        return text[:-1] + "," + names[top] + ")"
+    # the hub's children follow the top leaf, which sorts first among them
+    return "(" + names[top] + "," + text[1:]
 
 
 def serialize(f: Forest) -> str:
     """Canonical Newick text, one ';'-terminated line per component.
 
-    Children are ordered by the smallest original label id they contain;
-    rooted components print from their root, with ρ emitted as a leaf of the
-    outermost node.  ``parse_instance(serialize(tree))`` round-trips for
-    single-tree forests.
+    Each line writes out a code of :meth:`Forest.canonical_key`, so children
+    go by the least original label below them.  Rooted components print
+    from their root, with ρ emitted as a leaf of the outermost node;
+    components go by their least original label.
+    ``parse_instance(serialize(tree))`` round-trips for single-tree forests.
     """
-    table = f.labels
-    names = [lab.name for lab in table]
-    n = table.n_original()
-    # an original label is its own smallest original
-    low = [*range(n), *map(table.min_original, range(n, len(table)))]
-    idxs = sorted(
-        range(f.order()),
-        key=lambda i: min(map(low.__getitem__, f.component_labels(i))),
-    )
-    return "\n".join(_component_text(f, i, names, low) + ";" for i in idxs)
+    # a map, not a list: a label-free leaf (-1, only built with normalize=False) fails
+    names = {lab.id: lab.name for lab in f.labels}
+    least = f.labels.least_originals()
+    codes = sorted(f.canonical_key()[1],
+                   key=lambda code: min(least[lid] for lid in code[::2] if lid >= 0))
+    return "\n".join(_component_text(code, names, f.rooted) + ";" for code in codes)
 
 
 def format_instance(instance: Instance, header: str = "") -> str:

@@ -305,21 +305,23 @@ def _sums_of(fq: Forest, weight) -> _SideSums:
 
     Starting from the nearest value with side sums, ``fq`` or an ancestor, a
     copy is carried across each derivation (:func:`_carry_side_sums`) and
-    brought to ``weight`` (:func:`_reweigh`).  With no such value, one full
-    walk.  The result is kept on ``fq``.  Kept sums are never changed, only
+    brought to ``weight`` (:func:`_reweigh`), if ``weight`` is the weights
+    it holds or was derived directly from them.  Otherwise one full walk.
+    The result is kept on ``fq``.  Kept sums are never changed, only
     replaced, so they stay valid for whoever holds them.
     """
     f, chain = _nearest(fq, "_sums")
     sums = f._sums
     if sums is not None and not chain and sums.weight is weight:
         return sums
-    if sums is None:
-        sums = _SideSums(weight, *_side_sums(fq, weight))
-    else:
+    if sums is not None and (sums.weight is weight or (
+            weight.base is not None and weight.base() is sums.weight)):
         sums = sums.copy()
         for origin in chain:
             _carry_side_sums(origin, sums.up, sums.below)
         _reweigh(sums, fq, weight)
+    else:
+        sums = _SideSums(weight, *_side_sums(fq, weight))
     fq._sums = sums
     _release_origin(fq)
     return sums
@@ -389,23 +391,15 @@ def _add_on_path(up, below, edges, v, delta):
 def _reweigh(sums, fq, weight):
     """Bring ``sums`` from the weights it holds to ``weight``, in place.
 
-    Each label whose weight changed moves the sums on its path to the top.
-    When ``weight`` was not derived directly from the held weights, every
-    label is compared, and if many differ one full walk is cheaper.
+    ``weight`` is those weights or was derived directly from them: each
+    label whose weight changed moves the sums on its path to the top.
     """
     old = sums.weight
     if old is weight:
         return
-    if weight.base is not None and weight.base() is old:
-        changed = weight.changed
-    else:
-        changed = [lid for lid, w in weight.items() if old.get(lid) != w]
-        if 4 * len(changed) > len(weight):
-            sums.up, sums.below = _side_sums(fq, weight)
-            sums.weight = weight
-            return
+    sums.weight = weight
     edges, labels = fq._edges, fq.labels
-    for lid in changed:
+    for lid in weight.changed:
         was = old.get(lid)
         if was is None:
             # a label grouped since: its parts' weights stand in the sums
@@ -420,7 +414,6 @@ def _reweigh(sums, fq, weight):
         delta = (weight[lid] - was) & _MASK64
         if delta:
             _add_on_path(sums.up, sums.below, edges, fq._label_vertex[lid], delta)
-    sums.weight = weight
 
 
 def _candidates(fq: Forest, weight) -> list[int]:

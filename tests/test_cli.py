@@ -242,6 +242,14 @@ def test_env_seed_is_read_when_gen_runs(tmp_path, capsys, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_env_seed_not_an_integer_is_bad_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MAF_SEED", "abc")
+    code, out, err = run(capsys, "gen", "-n", "5", "-m", "2", "-x", "1")
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == "error: MAF_SEED must be an integer, got 'abc'\n"
+
+
 def test_pmaf_stdout_certificate_revalidates(tmp_path, capsys):
     main(["gen", "-n", "7", "-m", "2", "-x", "2", "--seed", "5", "--out", str(tmp_path / "i.nwk")])
     code, out, _ = run(capsys, "pmaf", str(tmp_path / "i.nwk"), "--verify")

@@ -324,3 +324,27 @@ def test_serialize_matches_the_accessor_reference(rng):
             assert mk.serialize(f) == serialize_by_accessors(f)
     big = mk.generate_instance(mk.GenSpec(n=2000, m=2, x=5, seed=11)).forests[1]
     assert mk.serialize(big) == serialize_by_accessors(big)
+    # every table above is in name order; here the names are shuffled over
+    # the ids (ρ keeps its own), so that an unrooted single-edge tree, which
+    # is written sorted by name, often reads apart from its code's order
+    swapped = 0
+    for _ in range(60):
+        rooted = rng.random() < 0.5
+        f = random_forest(rng, rng.randint(3, 12), rooted)
+        names = [lab.name for lab in f.labels]
+        taxa = [i for i, name in enumerate(names) if name != mk.RHO]
+        for i, name in zip(taxa, rng.sample([names[i] for i in taxa], len(taxa))):
+            names[i] = name
+        leaves = {v: f.label_of(v) for v in f.vertices() if f.label_of(v) is not None}
+        f = mk.Forest.build(rooted, mk.LabelTable.from_names(names), leaves,
+                            [f.edge_ends(e) for e in f.edge_ids()])
+        while True:
+            assert mk.serialize(f) == serialize_by_accessors(f)
+            for comp in f.components():
+                if not rooted and len(comp) == 2:
+                    a, b = sorted(map(f.label_of, comp), key=f.labels.min_original)
+                    swapped += f.labels.name(a) > f.labels.name(b)
+            if (mss := f.find_mss()) is None:
+                break
+            f = f.group_labels(mss.labels)
+    assert swapped > 10

@@ -260,8 +260,8 @@ def test_carried_scan_matches_full_walk(rng, monkeypatch):
     counts = check_every_scan(monkeypatch)
     solve_every_way(rng, 100)
     assert counts["scans"] > 3000
-    # most scans inherit their sums (on forests this small, a weight change
-    # of two labels already makes a fresh walk the cheaper way)
+    # most scans inherit their sums (a scan under weights not derived from
+    # the ones its inherited sums hold walks afresh)
     assert counts["walks"] < counts["scans"] / 2
 
 
