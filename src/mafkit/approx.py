@@ -130,9 +130,9 @@ def essential_subset(forest: Forest, eids) -> tuple[int, ...]:
     return tuple(keep)
 
 
-def check_metastep_ratio(rec: MetaStepRecord, before: Forest | None = None) -> bool:
+def check_metastep_ratio(rec: MetaStepRecord) -> bool:
     """Re-audit one record's identities; False on any violation."""
-    before = rec.f1_before if before is None else before
+    before = rec.f1_before
     try:
         ess = set(rec.essential)
         if not ess <= set(rec.removed_f1):

@@ -87,8 +87,7 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _verify_or_die(forest, instance):
-    af = certify(forest, instance)
+def _verify_or_die(af, instance):
     if not af.verify(instance):
         raise MafError("certificate failed re-validation against the inputs")
     print(f"verified against {instance.m} input trees")
@@ -114,7 +113,7 @@ def cmd_pmaf(args) -> int:
     print(f"# bootstrap k'={ares.order} start k={k_lo}")
     print(f"# {res.stats.summary()} wall_ms={wall_ms:.1f}")
     if args.verify:
-        _verify_or_die(res.af.forest, instance)
+        _verify_or_die(res.af, instance)
     if args.out:
         _emit(cert + "\n", args.out)
     return EXIT_OK
@@ -131,7 +130,7 @@ def cmd_amaf(args) -> int:
     counts = " ".join(f"{k}={v}" for k, v in res.step_counts().items())
     print(f"# ratio_bound={res.ratio_bound} steps: {counts} wall_ms={wall_ms:.1f}")
     if args.verify:
-        _verify_or_die(res.forest, instance)
+        _verify_or_die(certify(res.forest, instance), instance)
     if args.out:
         _emit(cert + "\n", args.out)
     return EXIT_OK

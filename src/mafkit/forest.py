@@ -10,7 +10,8 @@ All values are immutable: every operation returns a new ``Forest``.  Forests
 are kept irreducible at all times -- unlabeled degree-2 vertices are spliced
 out and unlabeled debris is dropped, with the one exception that a component
 root may keep degree 2 (it stands for the least common ancestor of the
-component's labels).
+component's labels).  No value can be built otherwise, and canonical codes
+are defined for irreducible forests only.
 
 A derived value is built from its parent, not from scratch, and a value is
 never written again once it has been returned.  So a derived value shares
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -270,51 +270,28 @@ def find_root(parent, x):
     return x
 
 
-# above every label id: where label-free subtrees sort among their siblings
-_LABEL_FREE = sys.maxsize
-
-
 def _flat_code(order, children, low, vlabel):
     """Canonical code of a tree as one flat tuple of ints.
 
     The code lists ``label id or -1, child count`` for every vertex in a
     preorder that takes children by the least original label below them:
     the package's one order of children, which ``newick.serialize`` writes.
-    Labels of one forest cover disjoint sets of originals, so no two
-    labeled children tie.  Label-free subtrees exist only in forests built
-    with ``normalize=False``; they go after the others, in the order of
-    their own codes, so the code stays exact for them too.  Two trees over
-    one label universe get equal codes exactly when a map that keeps labels
-    and the top vertex makes them isomorphic.
+    The tree must be irreducible, so every subtree holds a label, and
+    labels of one forest cover disjoint sets of originals, so no two
+    children tie.  Two trees over one label universe get equal codes
+    exactly when a map that keeps labels and the top vertex makes them
+    isomorphic.
 
     ``order`` lists the top vertex and then every other vertex that is not
     a labeled leaf, parents before children; ``children`` maps each of them
-    to its list of children (the lists are reordered in place), and ``low``
-    maps each labeled leaf to the least original behind its label (see
-    :meth:`LabelTable.least_originals`).  Two linear passes: one walks
-    ``order`` backwards to fill in the least original below every vertex,
-    one writes the code with an explicit stack.
+    to its non-empty list of children (the lists are reordered in place),
+    and ``low`` maps each labeled leaf to the least original behind its
+    label (see :meth:`LabelTable.least_originals`).  Two linear passes: one
+    walks ``order`` backwards to fill in the least original below every
+    vertex, one writes the code with an explicit stack.
     """
-    free = False
     for v in reversed(order):
-        kids = children[v]
-        if kids:
-            low[v] = min(map(low.__getitem__, kids))
-        else:
-            low[v] = vlabel.get(v, _LABEL_FREE)
-            free = free or v not in vlabel
-    if free:
-        # codes of the label-free subtrees, children first
-        codes = {}
-        for v in reversed(order):
-            if low[v] == _LABEL_FREE:
-                code = [-1, len(children[v])]
-                for sub in sorted(codes[w] for w in children[v]):
-                    code += sub
-                codes[v] = tuple(code)
-        rank = {code: i for i, code in enumerate(sorted(set(codes.values())))}
-        for v, code in codes.items():
-            low[v] = _LABEL_FREE + rank[code]
+        low[v] = min(map(low.__getitem__, children[v]))
     out = []
     stack = [order[0]]
     while stack:
@@ -400,14 +377,13 @@ class Forest:
     # -- construction
 
     @classmethod
-    def build(cls, rooted, labels, leaf_labels, edge_list, normalize=True) -> "Forest":
+    def build(cls, rooted, labels, leaf_labels, edge_list) -> "Forest":
         """Assemble a forest from raw parts.
 
         ``leaf_labels`` maps vertex id -> label id, ``edge_list`` is an
         iterable of vertex pairs (parent first when rooted) that must not
         close a cycle.  :meth:`_settle` normalizes the maps by forced
-        contraction from every vertex unless ``normalize`` is False, which
-        exists so tests can build reducible inputs on purpose.
+        contraction from every vertex.
         """
         vlabel = dict(leaf_labels)
         adj: dict[int, dict[int, int]] = {v: {} for v in vlabel}
@@ -430,12 +406,12 @@ class Forest:
         label_vertex = {lid: v for v, lid in vlabel.items()}
         f = cls(rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e,
                 label_vertex)
-        return f._settle(list(adj) if normalize else (), strict=normalize)
+        return f._settle(list(adj))
 
-    def _settle(self, seeds, strict=True) -> "Forest":
+    def _settle(self, seeds) -> "Forest":
         """Last step of every assembly: contract from ``seeds``, then check."""
         self._normalize(seeds, [])
-        self._check(strict=strict)
+        self._check()
         # contraction keeps the cycle rank, so the vertex and edge counts give
         # the component count (``order``) exactly when there is no cycle
         if len(self.components()) != self.order():
@@ -564,7 +540,7 @@ class Forest:
                     self._drop_vertex(v)
                     note(("splice", v, pe, parent, ce, child, self._add_edge(parent, child)))
 
-    def _check(self, strict=True, vertices=None):
+    def _check(self, vertices=None):
         """Degree rules of an irreducible forest, and one vertex per label.
 
         ``vertices`` limits the degree rules to those vertices (the ones a
@@ -581,8 +557,6 @@ class Forest:
             if v in self._vlabel:
                 if deg > 1:
                     raise ForestError(f"labeled vertex {v} has degree {deg}")
-            elif not strict:
-                continue
             elif self.rooted:
                 if v in self._parent_edge:
                     if deg < 3:
@@ -743,13 +717,6 @@ class Forest:
         return None
 
     # -- core operations ------------------------------------------------------
-
-    def force_contract(self) -> "Forest":
-        """Fully contracted (irreducible) twin of this forest."""
-        f = self._copy()
-        f._normalize(list(f._adj), [])
-        f._check()
-        return f
 
     def remove_edges(self, eids) -> "Forest":
         """Forest with the given edges deleted, then contracted.
@@ -1236,53 +1203,17 @@ def _steiner(up, depth, leaf_vertices):
     return vset, eset
 
 
-def _steiner_canonical(sup: Forest, vset, eset):
-    """Canonical code of a Steiner subtree after forced contraction.
-
-    The code is the one :meth:`Forest.component_canonical` gives the
-    contracted tree.  Pass-through vertices (unlabeled, two subtree edges)
-    are suppressed; the rooted apex is kept even at degree 2, mirroring the
-    root exception.
-    """
-    vlabel, adj = sup._vlabel, sup._adj
-    least = sup.labels.least_originals()
-    if sup.rooted:
-        top = next(v for v in vset if sup._parent_edge.get(v) not in eset)
-    else:
-        top = min((v for v in vset if v in vlabel), key=lambda v: least[vlabel[v]])
-    order = [top]
-    into = {top: None}
-    children = {}
-    low = {}
-    for v in order:  # grows while it is walked: parents before children
-        in_edge = into[v]
-        kids = children[v] = []
-        for e, w in adj[v].items():
-            if e == in_edge or e not in eset:
-                continue
-            while w not in vlabel:
-                # step over pass-through vertices to the next kept one
-                on = [(f, x) for f, x in adj[w].items() if f != e and f in eset]
-                if len(on) != 1:
-                    break
-                ((e, w),) = on
-            kids.append(w)
-            if w in vlabel:
-                low[w] = least[vlabel[w]]
-            else:
-                into[w] = e
-                order.append(w)
-    return _flat_code(order, children, low, vlabel)
-
-
 def subforest_witness(sub: Forest, sup: Forest):
     """Edge set E with ``sup.remove_edges(E)`` isomorphic to ``sub``, or None.
 
     Both forests are expanded to original labels first.  A component of the
-    candidate embeds as the contracted minimal spanning subtree of its labels;
-    the embeddings must be pairwise vertex-disjoint, which is exactly when one
-    removal set realizes all components at once.  Each host component is hung
-    from one vertex once, and every subtree is found from there.
+    candidate embeds as the contracted minimal spanning subtree of its labels,
+    so the only candidate for E is the set of edges outside those subtrees
+    (each host component is hung from one vertex once, and every subtree is
+    found from there).  The witness is then checked by the removal it names,
+    as :meth:`AgreementForest.verify` checks it: subtrees that share a vertex
+    merge into one component there, and one whose contraction differs from
+    its component gives another code, so either makes the keys differ.
     """
     if sub.rooted != sup.rooted:
         raise LabelUniverseError("rootedness mismatch")
@@ -1306,17 +1237,11 @@ def subforest_witness(sub: Forest, sup: Forest):
     keep_edges: set[int] = set()
     for sup_idx, sub_comps in buckets.items():
         up, depth = _hang(sup, sup_idx)
-        used: set[int] = set()
         for i in sub_comps:
             lvs = [sup.vertex_of_label(l) for l in sub.component_labels(i)]
-            vset, eset = _steiner(up, depth, lvs)
-            if used & vset:
-                return None
-            used |= vset
-            if _steiner_canonical(sup, vset, eset) != sub.component_canonical(i):
-                return None
-            keep_edges |= eset
-    return frozenset(sup.edge_ids() - keep_edges)
+            keep_edges |= _steiner(up, depth, lvs)[1]
+    witness = frozenset(sup.edge_ids() - keep_edges)
+    return witness if sup.remove_edges(witness).same_structure(sub) else None
 
 
 def is_subforest(sub: Forest, sup: Forest) -> bool:

@@ -285,8 +285,7 @@ def serialize(f: Forest) -> str:
     components go by their least original label.
     ``parse_instance(serialize(tree))`` round-trips for single-tree forests.
     """
-    # a map, not a list: a label-free leaf (-1, only built with normalize=False) fails
-    names = {lab.id: lab.name for lab in f.labels}
+    names = [lab.name for lab in f.labels]
     least = f.labels.least_originals()
     codes = sorted(f.canonical_key()[1],
                    key=lambda code: min(least[lid] for lid in code[::2] if lid >= 0))

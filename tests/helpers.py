@@ -162,6 +162,15 @@ def steiner_by_pruning(sup, leaf_vertices):
     return alive, eset
 
 
+def rebuilt(forest):
+    """``forest`` assembled again through ``Forest.build`` from its own parts:
+    its labeled vertices and its edges, in edge-id order."""
+    leaf_labels = {v: forest.label_of(v) for v in forest.vertices()
+                   if forest.label_of(v) is not None}
+    edges = [forest.edge_ends(e) for e in sorted(forest.edge_ids())]
+    return mk.Forest.build(forest.rooted, forest.labels, leaf_labels, edges)
+
+
 def random_instance(rng, rooted, n=None, m=None, x=None):
     n = n if n is not None else rng.randint(4, 7)
     m = m if m is not None else rng.randint(2, 3)

@@ -46,3 +46,24 @@ def test_checker_names_every_count_that_moved(checker, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.strip() == (f"pmaf-exact: fpt.nodes: recorded {recorded['fpt.nodes']}, "
                            f"run gave {recorded['fpt.nodes'] + 1}")
+
+
+def test_write_names_every_count_it_changes(checker, monkeypatch, capsys, tmp_path):
+    with open(RECORD, encoding="utf-8") as fh:
+        record = json.load(fh)
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    recorded = record["pmaf-exact"]
+    moved = dict(recorded, **{"fpt.nodes": recorded["fpt.nodes"] + 1,
+                              "forest.remove_edges.calls": 7})
+    monkeypatch.setattr("sys.stdin", io.StringIO(run_output(moved)))
+    assert checker.main(["pmaf-exact", str(path), "--write"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"pmaf-exact: fpt.nodes: {recorded['fpt.nodes']} → {recorded['fpt.nodes'] + 1}",
+        f"pmaf-exact: forest.remove_edges.calls: {recorded['forest.remove_edges.calls']} → 7",
+    ]
+    assert json.loads(path.read_text(encoding="utf-8")) == dict(record, **{"pmaf-exact": moved})
+    # writing the same counts again changes nothing and names nothing
+    monkeypatch.setattr("sys.stdin", io.StringIO(run_output(moved)))
+    assert checker.main(["pmaf-exact", str(path), "--write"]) == 0
+    assert capsys.readouterr().err == ""

@@ -11,8 +11,10 @@ scan and the derivations (``find_applicable``, ``reduce_pair``,
 ``split_labels``, which equals the scan's hits, ``remove_edges`` and
 ``group_labels``).  These repeat exactly for one seed, and a change that is
 meant to leave the search alone must not move them: an extra scan,
-derivation or false-positive split shows.  Exits 1 and names every count that differs.  With ``--write`` it
-records the run's counts for the workload instead.
+derivation or false-positive split shows.  Exits 1 and names every count
+that differs.  With ``--write`` it records the run's counts for the
+workload instead, and names every count that it changes with its old and
+new value.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ def run_counts(text: str) -> dict[str, int]:
     return {name: int(metrics[name]["value"]) for name in COUNTS}
 
 
-def differences(recorded: dict[str, int], got: dict[str, int]) -> list[str]:
-    return [f"{name}: recorded {recorded.get(name)}, run gave {got.get(name)}"
+def differences(recorded: dict[str, int], got: dict[str, int]) -> list[tuple]:
+    """``(name, recorded value, run's value)`` for every count that differs."""
+    return [(name, recorded.get(name), got.get(name))
             for name in COUNTS if recorded.get(name) != got.get(name)]
 
 
@@ -58,15 +61,17 @@ def main(argv=None) -> int:
             record = json.load(fh)
     except FileNotFoundError:
         record = {}
+    diffs = differences(record.get(args.workload, {}), got)
     if args.write:
         record[args.workload] = got
         with open(args.record, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1, sort_keys=True)
             fh.write("\n")
+        for name, was, now in diffs:
+            print(f"{args.workload}: {name}: {was} → {now}", file=sys.stderr)
         return 0
-    diffs = differences(record.get(args.workload, {}), got)
-    for line in diffs:
-        print(f"{args.workload}: {line}", file=sys.stderr)
+    for name, was, now in diffs:
+        print(f"{args.workload}: {name}: recorded {was}, run gave {now}", file=sys.stderr)
     return 1 if diffs else 0
 
 
