@@ -7,14 +7,17 @@ two to five trees, in-process and takes the sha256 digest of:
 
 * the ``maf gen`` text of every instance;
 * the stdout of ``maf amaf --verify`` and ``maf pmaf --verify`` on it, with
-  the ``wall_ms=`` times masked;
+  the ``wall_ms=`` times masked; ``maf pmaf`` gets two digests, ``pmaf`` for
+  its stdout without the ``# k=`` summary line and ``pmaf-search`` for that
+  line, so a change to the search's shape alone moves only the second;
 * ``serialize`` of every forest along a chain of groupings and cuts that
   starts from the instance's trees.
 
 These repeat exactly, and a change that is meant to leave the output alone
 must not move them.  Exits 1 and names every digest that differs.  With
-``--write`` it records the run's digests instead; a change that is meant to
-change the output records them again and says so.
+``--write`` it records the run's digests instead, and names every digest
+that it changes with its old and new value; a change that is meant to change
+the output records them again and says so.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ CORPUS = (
     (16, 5, 1, 9, False),
 )
 _WALL = re.compile(r"wall_ms=[0-9.]+")
+_SEARCH_LINE = "# k="
 
 
 def _run(argv) -> str:
@@ -83,6 +87,13 @@ def _chain_text(forest, rng) -> str:
     return "\n".join(texts)
 
 
+def split_search_line(text: str) -> tuple[str, str]:
+    """``maf pmaf`` output without its ``# k=`` summary line, and that line."""
+    lines = text.splitlines(keepends=True)
+    return ("".join(l for l in lines if not l.startswith(_SEARCH_LINE)),
+            "".join(l for l in lines if l.startswith(_SEARCH_LINE)))
+
+
 def digests() -> dict[str, str]:
     """Digest of every output of the corpus, by name."""
     out = {}
@@ -100,16 +111,19 @@ def digests() -> dict[str, str]:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             note(f"gen {name}", text)
-            for command in ("amaf", "pmaf"):
-                note(f"{command} {name}", _run([command, path, "--verify", kind]))
+            note(f"amaf {name}", _run(["amaf", path, "--verify", kind]))
+            rest, search = split_search_line(_run(["pmaf", path, "--verify", kind]))
+            note(f"pmaf {name}", rest)
+            note(f"pmaf-search {name}", search)
             rng = random.Random(seed)
             chains = [_chain_text(f, rng) for f in newick.parse_instance(text, rooted).forests]
             note(f"serialize {name}", "\n\n".join(chains))
     return out
 
 
-def differences(recorded: dict[str, str], got: dict[str, str]) -> list[str]:
-    return [f"{name}: recorded {recorded.get(name)}, run gave {got.get(name)}"
+def differences(recorded: dict[str, str], got: dict[str, str]) -> list[tuple]:
+    """``(name, recorded digest, run's digest)`` for every digest that differs."""
+    return [(name, recorded.get(name), got.get(name))
             for name in sorted(recorded.keys() | got.keys())
             if recorded.get(name) != got.get(name)]
 
@@ -120,19 +134,21 @@ def main(argv=None) -> int:
     p.add_argument("--write", action="store_true", help="record this run's digests")
     args = p.parse_args(argv)
     got = digests()
-    if args.write:
-        with open(args.record, "w", encoding="utf-8") as fh:
-            json.dump(got, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return 0
     try:
         with open(args.record, encoding="utf-8") as fh:
             record = json.load(fh)
     except FileNotFoundError:
         record = {}
     diffs = differences(record, got)
-    for line in diffs:
-        print(line, file=sys.stderr)
+    if args.write:
+        with open(args.record, "w", encoding="utf-8") as fh:
+            json.dump(got, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        for name, was, now in diffs:
+            print(f"{name}: {was} → {now}", file=sys.stderr)
+        return 0
+    for name, was, now in diffs:
+        print(f"{name}: recorded {was}, run gave {now}", file=sys.stderr)
     return 1 if diffs else 0
 
 
