@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forest import Forest, Instance, MafError
+from .forest import Forest, Instance, MafError, find_root
 from .reduction import reduce_pair
 
 RULE1 = "rule1"
@@ -113,20 +113,29 @@ def essential_subset(forest: Forest, eids) -> tuple[int, ...]:
     splits a component, so the result is an essential edge set realizing the
     original removal.
 
-    Forests are compared by order alone.  Putting one removed edge back
-    either joins two labeled components, which lowers the order by one, or
-    re-attaches an unlabeled piece that contraction deletes again, which
-    leaves the forest unchanged.  So a trial set gives the same forest
-    exactly when it gives the same order.
+    Putting one removed edge back either joins two labeled components, which
+    lowers the order by one, or re-attaches an unlabeled piece that
+    contraction deletes again, which leaves the forest unchanged.  So one
+    union-find pass decides every trial: join every edge that is not
+    removed, then walk the removed ids in order, keeping an edge whose two
+    ends lie in labeled components and joining the ends of any other, as
+    putting it back does.
     """
-    keep = sorted(eids)
-    if not keep:
+    removed = sorted(set(eids))
+    if not removed:
         return ()
-    target = forest.order_without(keep)
-    for e in sorted(eids):
-        trial = [x for x in keep if x != e]
-        if forest.order_without(trial) == target:
-            keep = trial
+    parent = forest.joined_without(removed)
+    labeled = {find_root(parent, forest.vertex_of_label(lid)) for lid in forest.label_ids()}
+    keep = []
+    for eid in removed:
+        u, v = forest.edge_ends(eid)
+        ru, rv = find_root(parent, u), find_root(parent, v)
+        if ru in labeled and rv in labeled:
+            keep.append(eid)
+        else:
+            parent[rv] = ru
+            if rv in labeled:
+                labeled.add(ru)
     return tuple(keep)
 
 
@@ -134,16 +143,14 @@ def check_metastep_ratio(rec: MetaStepRecord) -> bool:
     """Re-audit one record's identities; False on any violation."""
     before = rec.f1_before
     try:
-        ess = set(rec.essential)
-        if not ess <= set(rec.removed_f1):
+        ess, removed = set(rec.essential), set(rec.removed_f1)
+        if not ess <= removed:
             return False
-        if rec.removed_f1:
-            after_full = before.remove_edges(rec.removed_f1)
-            after_ess = before.remove_edges(rec.essential)
-        else:
-            # nothing leaves the working forest, so both removals give
-            # ``before`` back; the identities below are checked all the same
-            after_full = after_ess = before
+        # an empty removal gives ``before`` back, and an essential set equal
+        # to the whole removal names the same derivation, so neither is made
+        # again; the identities below are checked all the same
+        after_full = before.remove_edges(rec.removed_f1) if removed else before
+        after_ess = after_full if ess == removed else before.remove_edges(rec.essential)
         if not after_full.same_structure(after_ess):
             return False
         if after_full.order() != before.order() + len(rec.essential):

@@ -659,6 +659,13 @@ class Forest:
         order is the number of union-find roots over labeled vertices once
         every other edge is joined.
         """
+        parent = self.joined_without(eids)
+        return len({find_root(parent, v) for v in self._label_vertex.values()})
+
+    def joined_without(self, eids) -> dict[int, int]:
+        """Union-find ``parent`` map of the vertices (see :func:`find_root`)
+        with every edge joined but those in ``eids``, which must be edges of
+        this forest."""
         removed = set(eids)
         if not removed <= self._edges.keys():
             raise ForestError(f"unknown edge ids {sorted(removed - self._edges.keys())}")
@@ -666,7 +673,7 @@ class Forest:
         for eid, (u, v) in self._edges.items():
             if eid not in removed:
                 parent[find_root(parent, v)] = find_root(parent, u)
-        return len({find_root(parent, v) for v in self._label_vertex.values()})
+        return parent
 
     def component_index_of_vertex(self, v) -> int:
         self.components()

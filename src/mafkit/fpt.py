@@ -22,6 +22,24 @@ that keeps other labels; each edge of a cut in ``cuts`` hangs a labeled
 subtree off the path or the hub, which keeps both labels of the pair.  So a
 child whose order would exceed k is counted as the leaf its own call would
 count, and never built.
+
+A node whose reduced pair already has order k settles at once, by this
+lemma: on a reduced pair (F1, F2) over one label set, F1 is an agreement
+forest of the pair (F1 ≤ F2) iff F1 ≅ F2.  The "if" direction is plain.  For
+"only if", let F1 be F2 − E, contracted, with E non-empty, and take an edge e
+of E with a side that holds no other edge of E (from any edge of E, step to
+another on one side while there is one; the walk ends).  That side holds a
+leaf, so a label, and it is connected in F2 − E and cut off from the rest by
+e, so its labels are exactly those of one component of F1, and the rule
+would remove e from F2: the pair was not reduced.  Every agreement forest
+reachable from the node is F1 with further cuts, so at order k the only one
+of order ≤ k is F1 itself, and only when the pair is equal.  An equal pair
+therefore collapses to F1 and the search moves on to the next input forest;
+an unequal one is one leaf, where the case analysis would have branched only
+into children over k.  Equality is tested count-first (``reduction._all_equal``), so a
+canonical key is built only for a pair that may well be equal.  Since a node
+branches only below order k, and a node at depth d has order at least d + 1,
+the branching depth ``max_depth`` is at most k − 1.
 """
 
 from __future__ import annotations
@@ -36,7 +54,7 @@ from .forest import (
     RHO,
     certify,
 )
-from .reduction import reduce_pair
+from .reduction import _all_equal, reduce_pair
 
 
 class NoSolutionError(ForestError):
@@ -104,6 +122,15 @@ def _search(forests, k, stats, depth):
         stats.nodes += 1
         f1, f2, trace = reduce_pair(f1, forests[1])
         stats.rule1_edges += len(trace)
+        # at order k no cut is left: the reduced pair is an agreement forest
+        # only if it is equal (the lemma above), so it collapses or is a leaf
+        if f1.order() >= k:
+            if not _all_equal((f1, f2)):
+                stats.leaves += 1
+                return None
+            stats.collapses += 1
+            forests = [f1.expand_labels()] + forests[2:]
+            continue
         # a grouping keeps the pair reduced (see ``reduction``), so it goes
         # straight back to the case analysis; it still counts as a node
         while (mss := f2.find_mss()) is not None:

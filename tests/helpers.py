@@ -45,6 +45,23 @@ def greedy_essential_by_key(forest, eids):
     return tuple(keep)
 
 
+def greedy_essential_by_order(forest, eids):
+    """Essential subset by one ``order_without`` per removed edge.
+
+    Reference for ``essential_subset``, which decides every trial in one
+    union-find pass.
+    """
+    keep = sorted(eids)
+    if not keep:
+        return ()
+    target = forest.order_without(keep)
+    for e in sorted(eids):
+        trial = [x for x in keep if x != e]
+        if forest.order_without(trial) == target:
+            keep = trial
+    return tuple(keep)
+
+
 def find_applicable_by_bfs(fp, fq):
     """Reference for ``find_applicable``: split and check every edge of ``fq``.
 
@@ -195,11 +212,14 @@ def approximate(instance):
     return mk.approx_rmaf(instance) if instance.rooted else mk.approx_umaf(instance)
 
 
-def _search_eagerly(forests, k, stats, depth):
+def _search_eagerly(forests, k, stats, depth, settle):
     """The exact search as it was before children were built on entry.
 
     Reference for ``fpt._search``: it derives every branch child before it
-    enters the first, and each child over k counts its own leaf.
+    enters the first, and each child over k counts its own leaf.  With
+    ``settle`` a reduced pair at order k collapses when equal and is a leaf
+    otherwise, as in ``fpt._search``; without it the pair goes through the
+    case analysis whatever its order.
     """
     forests = list(forests)
     while True:
@@ -213,6 +233,13 @@ def _search_eagerly(forests, k, stats, depth):
         stats.nodes += 1
         f1, f2, trace = mk.reduce_pair(f1, forests[1])
         stats.rule1_edges += len(trace)
+        if settle and f1.order() >= k:
+            if not f1.same_structure(f2):
+                stats.leaves += 1
+                return None
+            stats.collapses += 1
+            forests = [f1.expand_labels()] + forests[2:]
+            continue
         while (mss := f2.find_mss()) is not None:
             case = f1.sibling_case(mss.labels)
             if case.kind != "mss":
@@ -241,16 +268,16 @@ def _search_eagerly(forests, k, stats, depth):
         stats.max_depth = max(stats.max_depth, depth + 1)
         rest = forests[2:]
         for nf1, nf2 in branches:
-            found = _search_eagerly([nf1, nf2] + rest, k, stats, depth + 1)
+            found = _search_eagerly([nf1, nf2] + rest, k, stats, depth + 1, settle)
             if found is not None:
                 return found
         return None
 
 
-def solve_eagerly(instance, k):
+def solve_eagerly(instance, k, settle=True):
     """``(forest, SearchStats)`` of the reference search at parameter ``k``."""
     stats = mk.SearchStats(k=k)
-    found = _search_eagerly(list(instance.forests), k, stats, 0)
+    found = _search_eagerly(list(instance.forests), k, stats, 0, settle)
     if found is not None and found.has_grouped_labels():
         found = found.expand_labels()
     return found, stats

@@ -1,5 +1,7 @@
 """Approximation driver: ratio ceilings, meta-step bookkeeping, audits."""
 
+import dataclasses
+
 import pytest
 
 import mafkit as mk
@@ -7,7 +9,7 @@ from mafkit import approx
 from mafkit.approx import GROUP, MS2, MS31, MS32, RULE1
 from mafkit.forest import Forest, LabelTable
 
-from helpers import approximate, random_instance
+from helpers import approximate, greedy_essential_by_order, random_forest, random_instance
 
 
 def test_identical_trees(identical_rooted):
@@ -121,6 +123,32 @@ def test_ms2_unrooted_star_has_nontrivial_essential_subset():
     assert rec.declared_ratio == 4
 
 
+def test_essential_subset_matches_the_greedy(rng):
+    stranded = 0
+    for i in range(360):
+        f = random_forest(rng, rng.randint(4, 12), rooted=i % 2 == 0)
+        eids = sorted(f.edge_ids())
+        sub = rng.sample(eids, rng.randint(1, len(eids))) if eids else []
+        ess = approx.essential_subset(f, sub)
+        assert ess == greedy_essential_by_order(f, sub)
+        assert f.remove_edges(ess).same_structure(f.remove_edges(sub))
+        # an unlabeled piece left by the removal: some removed edge is dropped
+        stranded += len(ess) < len(sub)
+    assert stranded > 100
+
+
+def test_essential_subset_of_nothing_builds_nothing(monkeypatch):
+    f = mk.parse_instance("((a,b),c);\n((a,b),c);", rooted=True).forests[0]
+    monkeypatch.setattr(Forest, "joined_without", None)
+    assert approx.essential_subset(f, []) == ()
+
+
+def test_essential_subset_rejects_unknown_edges():
+    f = mk.parse_instance("((a,b),c);\n((a,b),c);", rooted=True).forests[0]
+    with pytest.raises(mk.ForestError, match="unknown edge ids"):
+        approx.essential_subset(f, [min(f.edge_ids()), 999])
+
+
 def test_ms32_scenario(rooted_pair):
     res = mk.approx_rmaf(rooted_pair)
     recs = [r for r in res.trace if r.kind == MS32]
@@ -158,6 +186,36 @@ def test_auditing_a_group_record_builds_no_key(monkeypatch):
     for rec in groups:
         assert approx.check_metastep_ratio(rec)
     assert keyed == []
+
+
+def test_auditing_a_fully_essential_record_derives_once(rng, monkeypatch):
+    # when the essential set is the whole removal, both removals are one
+    derived = []
+    remove_edges = Forest.remove_edges
+
+    def counting(self, eids):
+        derived.append(tuple(sorted(eids)))
+        return remove_edges(self, eids)
+
+    recs = [rec for _ in range(30)
+            for rec in approximate(random_instance(rng, rng.random() < 0.5,
+                                                   n=rng.randint(8, 14), x=2)).trace
+            if rec.removed_f1]
+    monkeypatch.setattr(Forest, "remove_edges", counting)
+    full = partial = 0
+    for rec in recs:
+        derived.clear()
+        assert approx.check_metastep_ratio(rec)
+        if set(rec.essential) == set(rec.removed_f1):
+            assert derived == [rec.removed_f1]
+            full += 1
+            # the identities are still checked against the record's after
+            wrong = dataclasses.replace(rec, f1_after=rec.f1_before)
+            assert not approx.check_metastep_ratio(wrong)
+        else:
+            assert derived == [rec.removed_f1, rec.essential]
+            partial += 1
+    assert full > 20 and partial > 5
 
 
 def test_output_is_over_original_labels(rng):

@@ -126,6 +126,39 @@ def test_amaf_unrooted(tmp_path, capsys):
     assert code == 0 and "ratio_bound=4" in out
 
 
+def test_amaf_verify_compares_each_input_once(tmp_path, capsys, monkeypatch):
+    # ``certify`` checks every witness by its removal; nothing checks it again
+    p = tmp_path / "i.nwk"
+    p.write_text("((a,b),(c,d));\n((a,c),(b,d));\n((a,d),(b,c));\n")
+    same_structure = mk.Forest.same_structure
+    compared = []
+
+    def counted(f, other):
+        compared.append(f)
+        return same_structure(f, other)
+
+    monkeypatch.setattr(mk.Forest, "same_structure", counted)
+    monkeypatch.setattr(mk.AgreementForest, "verify", None)
+    assert run(capsys, "amaf", str(p), "--unrooted")[0] == 0
+    unverified = len(compared)
+    compared.clear()
+    code, out, _ = run(capsys, "amaf", str(p), "--unrooted", "--verify")
+    assert code == 0 and out.splitlines()[-1] == "verified against 3 input trees"
+    assert len(compared) == unverified + 3
+
+
+def test_amaf_verify_fails_when_certify_does(tmp_path, capsys, monkeypatch):
+    def refuse(forest, instance):
+        raise mk.ForestError("forest is not a subforest of every input")
+
+    p = tmp_path / "i.nwk"
+    p.write_text("((a,b),c);\n((a,c),b);\n")
+    monkeypatch.setattr(cli, "certify", refuse)
+    code, out, err = run(capsys, "amaf", str(p), "--verify")
+    assert code != 0 and "verified" not in out
+    assert "not a subforest" in err
+
+
 def test_bench_empty_directory(tmp_path, capsys):
     code, out, _ = run(capsys, "bench", str(tmp_path))
     assert code == 0

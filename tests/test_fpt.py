@@ -8,7 +8,7 @@ import pytest
 import mafkit as mk
 from mafkit import fpt
 
-from helpers import random_instance, solve_eagerly
+from helpers import brute_is_subforest, random_instance, solve_eagerly
 
 
 def test_identical_trees_any_k(identical_rooted):
@@ -258,12 +258,55 @@ def test_search_matches_the_eager_reference(rng):
             forest, again = solve(inst, stats.k)
             ref_forest, ref_stats = solve_eagerly(inst, stats.k)
             assert again == stats == ref_stats, inst.name
+            # only a node below order k branches (see the ``fpt`` docstring)
+            assert stats.max_depth < stats.k
             if ref_forest is None:
                 assert forest is None
             else:
                 assert forest.canonical_key() == ref_forest.canonical_key()
             attempts += 1
     assert attempts > 200
+
+
+def test_settling_at_order_k_keeps_every_result(rng):
+    # the search without the order-k rule finds the same forest, or none
+    attempts = 0
+    for i in range(120):
+        rooted = i % 2 == 0
+        inst = random_instance(rng, rooted=rooted, n=rng.randint(5, 9),
+                               m=rng.randint(2, 4), x=rng.randint(1, 3))
+        for stats in mk.find_min_k(inst).attempts:
+            forest, _ = solve_eagerly(inst, stats.k)
+            free, free_stats = solve_eagerly(inst, stats.k, settle=False)
+            assert (forest is None) == (free is None), inst.name
+            if forest is not None:
+                assert forest.canonical_key() == free.canonical_key(), inst.name
+            assert free_stats.nodes >= stats.nodes
+            assert free_stats.collapses == stats.collapses
+            assert free_stats.rule1_edges == stats.rule1_edges
+            attempts += 1
+    assert attempts > 200
+
+
+def test_a_reduced_pair_agrees_only_when_equal(rng):
+    # the lemma in ``fpt``: on a reduced pair, F1 <= F2 iff F1 is F2
+    equal = grouped = 0
+    for i in range(240):
+        rooted = i % 2 == 0
+        inst = random_instance(rng, rooted=rooted, n=rng.randint(3, 6) if rooted
+                               else rng.randint(4, 7), m=2, x=rng.randint(0, 2))
+        t1, t2 = inst.forests
+        eids = sorted(t1.edge_ids())
+        f1, f2, _ = mk.reduce_pair(t1.remove_edges(rng.sample(eids, rng.randint(0, 2))), t2)
+        if i % 3 == 0:
+            while (mss := f2.find_mss()) is not None and \
+                    f1.sibling_case(mss.labels).kind == "mss":
+                f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
+                grouped += 1
+        same = f1.same_structure(f2)
+        assert same == brute_is_subforest(f1.expand_labels(), f2.expand_labels()), inst.name
+        equal += same
+    assert 30 < equal < 210 and grouped > 20
 
 
 def test_no_branch_child_over_k_is_built(rng, monkeypatch):
@@ -286,6 +329,9 @@ def test_no_branch_child_over_k_is_built(rng, monkeypatch):
             over.append(child.order() > k)
         return child
 
+    def rule_free(inst, k):
+        return solve_eagerly(inst, k, settle=False)
+
     monkeypatch.setattr(mk.Forest, "sibling_case", noting)
     monkeypatch.setattr(mk.Forest, "remove_edges", counting)
     built = over_in_reference = 0
@@ -294,7 +340,7 @@ def test_no_branch_child_over_k_is_built(rng, monkeypatch):
                                m=rng.randint(2, 4), x=rng.randint(1, 3))
         solve = mk.solve_rmaf if inst.rooted else mk.solve_umaf
         for k in range(1, 4):
-            for search in (solve_eagerly, solve):
+            for search in (rule_free, solve):
                 branching.clear()
                 over.clear()
                 search(inst, k)
@@ -323,8 +369,8 @@ def test_lockstep_grouping_builds_one_table(monkeypatch):
     assert res.order == 3 and res.stats.collapses == 4
     # groupings come in pairs, the first forest's then the second's
     pairs = list(zip(calls[::2], calls[1::2]))
-    assert len(pairs) == 88
+    assert len(pairs) == 36
     assert all(a[1] is b[1] for a, b in pairs)
     assert all(a[0] is b[0] for a, b in pairs)
     built = {id(t) for _, t in calls}
-    assert len(built) == 33
+    assert len(built) == 12
