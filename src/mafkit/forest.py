@@ -24,11 +24,15 @@ their parent and a log of what they changed, which ``reduction`` reads.
 Other derived data (components, label partition, original label ids,
 canonical key) is built at most once per value, on first use.
 
-There is no depth limit: every walk over a tree uses an explicit stack or a
-worklist, never recursion.  The canonical key holds one flat tuple of ints
-per component (see :func:`_flat_code`), so comparing two keys does not
-recurse either, as comparing nested tuples would.  Its codes hold the one
-order of children in the package, which the Newick writer renders.
+Structural equality (:meth:`Forest.same_structure`) is one walk that maps
+the vertices of one forest onto the other's, climbing from the labeled
+leaves; it builds no canonical key.  The canonical key holds one flat tuple
+of ints per component (see :func:`_flat_code`): the one order of children in
+the package, which the Newick writer renders, and nothing else reads.
+
+There is no depth limit: every walk over a tree, the equality walk included,
+uses an explicit stack or a worklist, never recursion, and comparing two flat
+keys does not recurse either, as comparing nested tuples would.
 """
 
 from __future__ import annotations
@@ -316,7 +320,8 @@ class Forest:
 
     Vertices and edges carry stable small-integer ids within one value;
     derived values keep the ids of everything they retain.  Structural
-    identity is by canonical form (see :meth:`canonical_key`), never by id.
+    identity is by a label-anchored vertex map (see :meth:`same_structure`),
+    never by id.
     """
 
     __slots__ = (
@@ -1001,7 +1006,9 @@ class Forest:
         (see :func:`_flat_code`): comparing two keys never recurses, however
         deep the trees.  Keys are exact for forests over one label universe,
         where a label id stands for the same originals in every table: the
-        codes order children by those originals.
+        codes order children by those originals.  The codes are the Newick
+        writer's order of children; equality is decided by
+        :meth:`same_structure`, which builds no key.
         """
         if self._canon is None:
             comps = tuple(
@@ -1010,8 +1017,83 @@ class Forest:
             self._canon = (self.rooted, comps)
         return self._canon
 
+    def _up(self) -> dict:
+        """The vertex above each vertex; ``get`` gives None at a top.
+
+        Rooted, the parent: the component roots are the tops, left out of
+        the map.  Unrooted, each component hangs from the leaf with its
+        least label id, its top, which maps to None: one explicit-stack walk
+        per component, started from the labels in id order.
+        """
+        adj = self._adj
+        if self.rooted:
+            return {v: adj[v][e] for v, e in self._parent_edge.items()}
+        up = {}
+        at = self._label_vertex
+        for lid in sorted(at):
+            top = at[lid]
+            if top in up:
+                continue
+            up[top] = None
+            stack = [top]
+            while stack:
+                v = stack.pop()
+                for w in adj[v].values():
+                    if w not in up:
+                        up[w] = v
+                        stack.append(w)
+        return up
+
     def same_structure(self, other: "Forest") -> bool:
-        return self is other or self.canonical_key() == other.canonical_key()
+        """True iff a label-preserving isomorphism maps this forest onto
+        ``other`` (rooted: one that keeps parents).  Labels are compared by id.
+
+        One early-exiting walk, which builds no canonical key.  The
+        rootedness, vertex and edge counts and label-id sets must agree.
+        Then from each label's leaf both forests are climbed at once (see
+        :meth:`_up`), mapping every vertex of this forest met to the vertex
+        of ``other`` met with it.  A climb stops at a vertex already mapped,
+        whose image must be the vertex met in ``other``, and fails when one
+        side reaches a top and the other does not.
+
+        Proof.  A walk that does not fail maps each label's leaf to that
+        label's leaf in ``other``, and a vertex's parent to its image's
+        parent; a vertex is a top iff its image is.  In an irreducible
+        forest every vertex lies above a labeled leaf (a hang point is one),
+        so the map is total, and it is onto: the chain above each leaf of
+        ``other`` is the image of the chain above the same label's leaf
+        here.  Between vertex sets of one size it is a bijection, so it
+        takes the edge from each non-top to its parent onto such an edge,
+        one to one: a label-preserving isomorphism, which keeps parents.
+        Conversely, let φ be a label-preserving isomorphism (keeping parents
+        when rooted).  Unrooted, φ keeps each component's label set, so it
+        maps each hang point, the leaf of the least label, to the other's;
+        so φ keeps the vertex above, rooted or not.  The walk maps each leaf
+        by φ, as labels pin the leaves, and each parent by φ, as parents pin
+        the rest, so no check fails.
+        """
+        if self is other:
+            return True
+        if (self.rooted != other.rooted or len(self._adj) != len(other._adj)
+                or len(self._edges) != len(other._edges)
+                or self._label_vertex.keys() != other._label_vertex.keys()):
+            return False
+        up1, up2 = self._up(), other._up()
+        at2 = other._label_vertex
+        image = {}
+        for lid, v in self._label_vertex.items():
+            w = at2[lid]
+            while v not in image:
+                image[v] = w
+                v, w = up1.get(v), up2.get(w)
+                if v is None or w is None:
+                    if v is not None or w is not None:
+                        return False
+                    break
+            else:
+                if image[v] != w:
+                    return False
+        return True
 
     # -- sibling-set case analysis (how an MSS of one forest sits in another)
 
@@ -1220,7 +1302,7 @@ def subforest_witness(sub: Forest, sup: Forest):
     found from there).  The witness is then checked by the removal it names,
     as :meth:`AgreementForest.verify` checks it: subtrees that share a vertex
     merge into one component there, and one whose contraction differs from
-    its component gives another code, so either makes the keys differ.
+    its component has another structure, so either fails the equality test.
     """
     if sub.rooted != sup.rooted:
         raise LabelUniverseError("rootedness mismatch")

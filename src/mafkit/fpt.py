@@ -36,10 +36,11 @@ reachable from the node is F1 with further cuts, so at order k the only one
 of order ≤ k is F1 itself, and only when the pair is equal.  An equal pair
 therefore collapses to F1 and the search moves on to the next input forest;
 an unequal one is one leaf, where the case analysis would have branched only
-into children over k.  Equality is tested count-first (``reduction._all_equal``), so a
-canonical key is built only for a pair that may well be equal.  Since a node
-branches only below order k, and a node at depth d has order at least d + 1,
-the branching depth ``max_depth`` is at most k − 1.
+into children over k.  Equality is one early-exiting vertex-map walk
+(``Forest.same_structure``) that compares counts and label sets first and
+builds no canonical key.  Since a node branches only below order k, and a
+node at depth d has order at least d + 1, the branching depth ``max_depth``
+is at most k − 1.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .forest import (
     RHO,
     certify,
 )
-from .reduction import _all_equal, reduce_pair
+from .reduction import reduce_pair
 
 
 class NoSolutionError(ForestError):
@@ -125,7 +126,7 @@ def _search(forests, k, stats, depth):
         # at order k no cut is left: the reduced pair is an agreement forest
         # only if it is equal (the lemma above), so it collapses or is a leaf
         if f1.order() >= k:
-            if not _all_equal((f1, f2)):
+            if not f1.same_structure(f2):
                 stats.leaves += 1
                 return None
             stats.collapses += 1

@@ -479,21 +479,6 @@ def find_applicable(fp: Forest, fq: Forest):
     return None
 
 
-def _all_equal(forests) -> bool:
-    """True when every forest has the structure of the first.
-
-    Edge and component counts are compared first, so canonical keys are
-    built only for forests that may well be equal.
-    """
-    first = forests[0]
-    return all(
-        len(f.edge_ids()) == len(first.edge_ids())
-        and f.order() == first.order()
-        and f.same_structure(first)
-        for f in forests[1:]
-    )
-
-
 def _fixpoint(forests):
     """Apply the rule over all ordered pairs (p, q) until none applies.
 
@@ -521,7 +506,7 @@ def _fixpoint(forests):
         eid, wit = found
         forests[q] = forests[q].remove_edges([eid])
         removals.append(Removal(q_index=q, edge=eid, p_index=p, witness=wit))
-        if _all_equal(forests):
+        if all(f.same_structure(forests[0]) for f in forests[1:]):
             break
     return forests, tuple(removals)
 

@@ -147,6 +147,32 @@ def test_amaf_verify_compares_each_input_once(tmp_path, capsys, monkeypatch):
     assert len(compared) == unverified + 3
 
 
+def test_pmaf_verify_builds_keys_only_for_the_certificate(tmp_path, capsys, monkeypatch):
+    # the search, the certificate and its re-validation test equality many
+    # times; only the writer builds a canonical key
+    p = tmp_path / "i.nwk"
+    inst = mk.generate_instance(mk.GenSpec(n=12, m=3, x=2, seed=5, rooted=True))
+    p.write_text(mk.format_instance(inst))
+    keyed, results = [], []
+    canonical_key, find_min_k = mk.Forest.canonical_key, cli.find_min_k
+
+    def counting(self):
+        keyed.append(self)
+        return canonical_key(self)
+
+    def kept(*args):
+        results.append(find_min_k(*args))
+        return results[-1]
+
+    monkeypatch.setattr(mk.Forest, "canonical_key", counting)
+    monkeypatch.setattr(cli, "find_min_k", kept)
+    code, out, _ = run(capsys, "pmaf", str(p), "--verify")
+    assert code == 0 and out.splitlines()[-1] == "verified against 3 input trees"
+    (res,) = results
+    assert res.stats.collapses > 0 and res.stats.nodes > 1
+    assert keyed == [res.af.forest]
+
+
 def test_amaf_verify_fails_when_certify_does(tmp_path, capsys, monkeypatch):
     def refuse(forest, instance):
         raise mk.ForestError("forest is not a subforest of every input")

@@ -59,6 +59,23 @@ def test_deep_caterpillars_parse_solve_and_round_trip(rooted, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rooted", [True, False])
+def test_deep_caterpillars_compare_without_keys(rooted, monkeypatch):
+    # two binary caterpillars over one label set agree in every count, so
+    # only the walk tells them apart, from the innermost cherry up
+    labels = [str(i) for i in range(1, DEPTH + 1)]
+    swapped = [labels[-1], *labels[1:-1], labels[0]]
+    text = caterpillar(labels) + "\n" + caterpillar(swapped) + "\n"
+    first, again = (mk.parse_instance(text, rooted).forests for _ in range(2))
+    keyed = []
+    monkeypatch.setattr(mk.Forest, "canonical_key", lambda self: keyed.append(self))
+    for f, g in zip(first, again):
+        assert f.same_structure(g) and g.same_structure(f)
+    assert not first[0].same_structure(first[1])
+    assert not again[1].same_structure(first[0])
+    assert keyed == []
+
+
+@pytest.mark.parametrize("rooted", [True, False])
 def test_deep_ladder_round_trip(rooted, rng):
     text = ladder(DEPTH, rng) + "\n" + ladder(DEPTH, rng) + "\n"
     round_trip(text, rooted)

@@ -698,6 +698,84 @@ def test_flat_key_matches_nested_reference(rng):
     assert equal > 500 and unequal > 500
 
 
+# -- structural equality against the nested reference --------------------------
+
+
+def _one_edge(f, lids, a, b):
+    """Forest over ``lids`` of ``f``'s table: singletons but for one edge a-b."""
+    leaf_labels = dict(enumerate(lids))
+    return Forest.build(f.rooted, f.labels, leaf_labels, [(lids.index(a), lids.index(b))])
+
+
+def _equality_pairs(rng, rooted):
+    """Fresh pairs over one label table, equal and unequal alike: random
+    removals, a shuffled rebuild, the reduced pair and its lockstep
+    groupings, singletons and single-edge forests."""
+    inst = random_instance(rng, rooted, n=rng.randint(3, 8), m=2, x=rng.randint(0, 3))
+    f1, f2 = inst.forests
+    eids = sorted(f1.edge_ids())
+    cut = rng.sample(eids, rng.randint(0, min(3, len(eids))))
+    g = f1.remove_edges(cut)
+    pairs = [
+        (f1, f2),
+        (g, f1.remove_edges(rng.sample(cut, len(cut)))),
+        (g, f1.remove_edges(rng.sample(eids, len(cut)))),
+        (g, _shuffled_copy(rng, g)),
+        (g, f2.remove_edges(rng.sample(sorted(f2.edge_ids()), len(cut)))),
+    ]
+    a, b, _ = mk.reduce_pair(f1, f2)
+    pairs.append((a, b))
+    while (mss := b.find_mss()) is not None and a.sibling_case(mss.labels).kind == "mss":
+        a, b = a.group_labels(mss.labels), b.group_labels(mss.labels)
+        pairs.append((a, b))
+    lids = sorted(f1.label_ids())
+    pairs.append((Forest.singletons(rooted, f1.labels, lids), f1.remove_edges(eids)))
+    # rooted, the one edge a forest of singletons can keep hangs off ρ
+    ends = [f1.labels.id_of(mk.RHO)] if rooted else rng.sample(lids, 1)
+    x, y = (rng.choice([l for l in lids if l != ends[0]]) for _ in range(2))
+    pairs.append((_one_edge(f1, lids, ends[0], x), _one_edge(f1, lids, ends[0], y)))
+    return pairs
+
+
+def test_same_structure_matches_nested_reference(rng, monkeypatch):
+    keyed = []
+    canonical_key = Forest.canonical_key
+
+    def counting(self):
+        keyed.append(self)
+        return canonical_key(self)
+
+    monkeypatch.setattr(Forest, "canonical_key", counting)
+    outcomes = {True: 0, False: 0}
+    hard = 0  # unequal with equal edge counts and label partitions
+    kinds = {True: 0, False: 0}
+    for _ in range(60):
+        rooted = rng.random() < 0.5
+        for f, g in _equality_pairs(rng, rooted):
+            got = f.same_structure(g)
+            assert got == g.same_structure(f)
+            assert got == (canonical_key_by_nesting(f) == canonical_key_by_nesting(g))
+            outcomes[got] += 1
+            kinds[rooted] += 1
+            hard += not got and len(f.edge_ids()) == len(g.edge_ids()) and (
+                set(f.label_partition()) == set(g.label_partition()))
+    assert keyed == []
+    assert sum(outcomes.values()) >= 400 and min(outcomes.values()) > 50
+    assert min(kinds.values()) > 100 and hard > 20
+
+
+def test_same_structure_needs_equal_vertex_counts():
+    # both cherry roots climb to the star's hub, and every check of the walk
+    # holds: only the vertex count tells these forests apart
+    star = parse1("(a,b,c,d);")
+    star = star.remove_edges([star.pendant_edge(star.labels.id_of(mk.RHO))])
+    rho, a, b, c, d = (star.labels.id_of(x) for x in (mk.RHO, *"abcd"))
+    cherries = Forest.build(True, star.labels, {0: rho, 1: a, 2: b, 3: c, 4: d},
+                            [(5, 1), (5, 2), (6, 3), (6, 4)])
+    assert len(star.edge_ids()) == len(cherries.edge_ids())
+    assert not star.same_structure(cherries) and not cherries.same_structure(star)
+
+
 def _witness_by_reference(sub, sup):
     """``subforest_witness`` from the references alone, and whether two
     Steiner subtrees overlapped.

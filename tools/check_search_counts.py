@@ -9,10 +9,12 @@ compares every recorded count of the workload with it: the exact search's
 reduction's ``reduction.reduce_pair.removals``, and the call counts of the
 scan and the derivations (``find_applicable``, ``reduce_pair``,
 ``split_labels``, which equals the scan's hits, ``remove_edges`` and
-``group_labels``).  These repeat exactly for one seed, and a change that is
-meant to leave the search alone must not move them: an extra scan,
-derivation or false-positive split shows.  Exits 1 and names every count
-that differs.  With ``--write`` it records the run's counts for the
+``group_labels``).  It also compares ``forest.canonical_key.calls``: only
+the Newick writer builds keys, one per certificate it writes, since the
+equality test builds none.  These repeat exactly for one seed, and a change
+that is meant to leave the search alone must not move them: an extra scan,
+derivation, false-positive split or key shows.  Exits 1 and names every
+count that differs.  With ``--write`` it records the run's counts for the
 workload instead, and names every count that it changes with its old and
 new value.
 """
@@ -30,7 +32,7 @@ COUNTS = (
     + ["reduction.reduce_pair.removals"]
     + [f"{op}.calls" for op in ("reduction.find_applicable", "reduction.reduce_pair",
                                 "forest.split_labels", "forest.remove_edges",
-                                "forest.group_labels")]
+                                "forest.group_labels", "forest.canonical_key")]
 )
 
 
