@@ -39,7 +39,6 @@ from .fpt import (
     find_min_k,
     solve_rmaf,
     solve_umaf,
-    unique_maximal_af,
 )
 from .newick import NewickError, NewickWarning, format_instance, parse_instance, serialize
 from .oracle import OracleResult, OracleSizeError, brute_force_maf
@@ -91,5 +90,4 @@ __all__ = [
     "solve_rmaf",
     "solve_umaf",
     "subforest_witness",
-    "unique_maximal_af",
 ]

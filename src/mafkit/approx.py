@@ -12,10 +12,10 @@ a 4-approximation on unrooted ones.
 The case analysis is ``Forest.sibling_case``, shared with the exact search:
 a meta-step cuts the pendant edges of the case's pair plus the first edge of
 each of its ``cuts``, except that an unrooted path step takes the two
-smallest edges off the whole path interior.  A grouping leaves the pair
-reduced and unequal (the lemma in ``reduction``), so after one the driver
-goes straight back to the case analysis, with no reduction scan and no
-equality test.
+smallest edges off the whole path interior.  Each round reduces the pair,
+stops if it is equal, groups while the case is a common sibling set, and
+cuts.  By the pair lemmas in ``reduction`` a grouping leaves the pair reduced
+and unequal, and a reduced unequal pair has a sibling set in the partner.
 
 Every step is recorded with the removed edges, the working-forest subset, and
 an essential subset (a removal set of the same effect in which every edge
@@ -196,38 +196,33 @@ def _approximate(instance: Instance) -> ApproxResult:
         # the working forest and each fresh partner share the label universe;
         # grouping below extends both tables in lockstep
         budget = 8 * (len(f1.original_label_ids()) + 1) ** 2
-        grouped = False
         while True:
             budget -= 1
             if budget < 0:
                 raise MafError("approximation made no progress")
+            _, fi, removals = reduce_pair(f1, fi)
+            # replay the working-forest removals: each record keeps its own
+            # before and after forests
+            for rem in removals:
+                if rem.q_index == 0:
+                    nf1 = f1.remove_edges([rem.edge])
+                    trace.append(_record(RULE1, idx, f1, nf1, (rem.edge,), ()))
+                    f1 = nf1
+                else:
+                    trace.append(_record(RULE1, idx, f1, f1, (), (rem.edge,)))
+            if f1.same_structure(fi):
+                break
             # a grouping leaves the pair reduced and unequal (see
-            # ``reduction``), so right after one neither check can fire
-            if not grouped:
-                _, fi, removals = reduce_pair(f1, fi)
-                # replay the working-forest removals: each record keeps its
-                # own before and after forests
-                for rem in removals:
-                    if rem.q_index == 0:
-                        nf1 = f1.remove_edges([rem.edge])
-                        trace.append(_record(RULE1, idx, f1, nf1, (rem.edge,), ()))
-                        f1 = nf1
-                    else:
-                        trace.append(_record(RULE1, idx, f1, f1, (), (rem.edge,)))
-                if f1.same_structure(fi):
+            # ``reduction``), so it goes straight back to the case analysis
+            while (mss := fi.find_mss()) is not None:
+                case = f1.sibling_case(mss.labels)
+                if case.kind != "mss":
                     break
-
-            mss = fi.find_mss()
-            if mss is None:
-                raise MafError("unequal pair with no sibling set after reduction")
-            case = f1.sibling_case(mss.labels)
-            grouped = case.kind == "mss"
-            if grouped:
-                nf1 = f1.group_labels(mss.labels)
-                nfi = fi.group_labels(mss.labels)
+                nf1, nfi = f1.group_labels(mss.labels), fi.group_labels(mss.labels)
                 trace.append(_record(GROUP, idx, f1, nf1, (), ()))
                 f1, fi = nf1, nfi
-                continue
+            if mss is None:  # impossible by the lemmas in ``reduction``
+                raise MafError("unequal reduced pair with no sibling set")
 
             a, b = case.pair
             if case.kind == "path" and not f1.rooted:

@@ -89,20 +89,21 @@ class LabelTable:
     applying grouping to both sides in lockstep.
     """
 
-    __slots__ = ("_labels", "_by_name", "_orig_cache", "_n_original", "_last_group", "_base",
-                 "_least")
+    __slots__ = ("_labels", "_by_name", "_n_original", "_last_group", "_base", "_least")
 
     def __init__(self, labels):
         self._labels = tuple(labels)
         self._by_name = {lab.name: lab.id for lab in self._labels}
         if len(self._by_name) != len(self._labels):
             raise ForestError("duplicate label name in table")
-        self._orig_cache: dict[int, frozenset[int]] = {}
         self._last_group = None
         self._base = None              # see trimmed
-        self._least = None             # see least_originals
         self._n_original = next(
             (i for i, lab in enumerate(self._labels) if lab.grouped), len(self._labels))
+        # least original id behind each label id; a group's parts come first
+        least = self._least = []
+        for lab in self._labels:
+            least.append(min(map(least.__getitem__, lab.grouped)) if lab.grouped else lab.id)
 
     @classmethod
     def from_names(cls, names) -> "LabelTable":
@@ -126,37 +127,23 @@ class LabelTable:
     def originals(self, lid: int) -> frozenset[int]:
         """Fully expanded set of original label ids behind ``lid``.
 
-        Groups nest, so the expansion works through an explicit stack of
-        labels whose parts are not expanded yet; every label met is cached.
+        Groups nest, so the expansion works through an explicit stack.
         """
-        cache = self._orig_cache
-        got = cache.get(lid)
-        if got is not None:
-            return got
-        stack = [lid]
+        out, stack = [], [lid]
         while stack:
-            top = stack[-1]
+            top = stack.pop()
             parts = self._labels[top].grouped
-            if not parts:
-                cache[top] = frozenset((top,))
+            if parts:
+                stack.extend(parts)
             else:
-                todo = [p for p in parts if p not in cache]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                cache[top] = frozenset().union(*(cache[p] for p in parts))
-            stack.pop()
-        return cache[lid]
+                out.append(top)
+        return frozenset(out)
 
     def min_original(self, lid: int) -> int:
-        return min(self.originals(lid))
+        return self._least[lid]
 
     def least_originals(self) -> list[int]:
-        """The least original label id behind every label id, built once."""
-        if self._least is None:
-            least = self._least = list(range(self._n_original))
-            for lab in self._labels[len(least):]:
-                least.append(min(map(least.__getitem__, lab.grouped)))
+        """The least original label id behind every label id."""
         return self._least
 
     def n_original(self) -> int:
@@ -194,11 +181,10 @@ class LabelTable:
         table = object.__new__(LabelTable)
         table._labels = self._labels + (Label(new_id, name, parts),)
         table._by_name = {**self._by_name, name: new_id}
-        table._orig_cache = dict(self._orig_cache)
         table._n_original = self._n_original
         table._last_group = None
         table._base = self.trimmed()
-        table._least = None
+        table._least = self._least + [self._least[parts[0]]]
         self._last_group = (key, (table, new_id))
         return table, new_id
 
@@ -422,12 +408,6 @@ class Forest:
         if len(self.components()) != self.order():
             raise ForestError("edge list has a cycle")
         return self
-
-    @classmethod
-    def singletons(cls, rooted, labels, lids) -> "Forest":
-        """Forest consisting of one isolated leaf per label in ``lids``."""
-        leaf_labels = {v: lid for v, lid in enumerate(sorted(lids))}
-        return cls.build(rooted, labels, leaf_labels, [])
 
     def _copy(self) -> "Forest":
         """Writable child value sharing every adjacency row with this one."""

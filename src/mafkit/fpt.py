@@ -6,9 +6,7 @@ the structures disagree branch on the ways a maximal agreement forest of the
 pair can treat the sibling set.  A grouping leaves a reduced pair reduced
 (the lemma in ``reduction``), so the pair is not reduced again after one.
 Rooted branching is at most three-way, so a completed search visits at most
-3^k leaves; unrooted branching is four-way with a 4^k bound.  Once the
-second forest runs out of sibling sets the pair collapses to its unique
-maximal agreement forest and the recursion moves on to the next input forest.
+3^k leaves; unrooted branching is four-way with a 4^k bound.
 
 The case analysis itself lives in ``Forest.sibling_case``, which the
 approximation shares: the search branches on cutting either label of the
@@ -23,24 +21,17 @@ subtree off the path or the hub, which keeps both labels of the pair.  So a
 child whose order would exceed k is counted as the leaf its own call would
 count, and never built.
 
-A node whose reduced pair already has order k settles at once, by this
-lemma: on a reduced pair (F1, F2) over one label set, F1 is an agreement
-forest of the pair (F1 ≤ F2) iff F1 ≅ F2.  The "if" direction is plain.  For
-"only if", let F1 be F2 − E, contracted, with E non-empty, and take an edge e
-of E with a side that holds no other edge of E (from any edge of E, step to
-another on one side while there is one; the walk ends).  That side holds a
-leaf, so a label, and it is connected in F2 − E and cut off from the rest by
-e, so its labels are exactly those of one component of F1, and the rule
-would remove e from F2: the pair was not reduced.  Every agreement forest
-reachable from the node is F1 with further cuts, so at order k the only one
-of order ≤ k is F1 itself, and only when the pair is equal.  An equal pair
-therefore collapses to F1 and the search moves on to the next input forest;
-an unequal one is one leaf, where the case analysis would have branched only
-into children over k.  Equality is one early-exiting vertex-map walk
-(``Forest.same_structure``) that compares counts and label sets first and
-builds no canonical key.  Since a node branches only below order k, and a
-node at depth d has order at least d + 1, the branching depth ``max_depth``
-is at most k − 1.
+A node collapses at one site, when its reduced pair is equal: the first
+forest is then an agreement forest of the pair and every other one is a cut
+of it, so the search moves on to the next input forest with it.  By the pair
+lemmas in ``reduction`` it finds the pair equal two ways.  At order k, where
+no cut is left, a reduced pair agrees only if it is equal, so one equality
+test (``Forest.same_structure``, which builds no canonical key) decides the
+node; an unequal pair is a leaf where the case analysis would have branched
+only into children over k.  Below k, the pair is equal once the groupings
+leave the second forest with no sibling set.  So only nodes below order k
+branch, and as a node at depth d has order at least d + 1, the branching
+depth ``max_depth`` is at most k − 1.
 """
 
 from __future__ import annotations
@@ -86,32 +77,7 @@ class SearchStats:
         )
 
 
-def unique_maximal_af(f1: Forest, f2: Forest) -> Forest:
-    """The single maximal agreement forest of a pair whose second forest has
-    no maximal sibling set.
-
-    Such a forest is all singleton trees plus at most one single-edge tree;
-    in the rooted case that edge hangs off ρ.  The pair's unique maximal
-    agreement forest is the second forest itself, unless the edge's two
-    labels sit in different components of the first forest, in which case it
-    degenerates to all singletons.
-    """
-    if f2.find_mss() is not None:
-        raise ForestError("second forest still has a maximal sibling set")
-    eids = list(f2.edge_ids())
-    if not eids:
-        return f2
-    if len(eids) > 1:
-        raise ForestError("no-MSS forest cannot have more than one edge")
-    u, v = f2.edge_ends(eids[0])
-    x, y = f2.label_of(u), f2.label_of(v)
-    if f1.component_index_of_label(x) == f1.component_index_of_label(y):
-        return f2
-    return Forest.singletons(f2.rooted, f2.labels, f2.label_ids())
-
-
 def _search(forests, k, stats, depth):
-    forests = list(forests)
     while True:
         f1 = forests[0]
         if len(forests) == 1:
@@ -123,30 +89,28 @@ def _search(forests, k, stats, depth):
         stats.nodes += 1
         f1, f2, trace = reduce_pair(f1, forests[1])
         stats.rule1_edges += len(trace)
-        # at order k no cut is left: the reduced pair is an agreement forest
-        # only if it is equal (the lemma above), so it collapses or is a leaf
-        if f1.order() >= k:
-            if not f1.same_structure(f2):
-                stats.leaves += 1
-                return None
-            stats.collapses += 1
-            forests = [f1.expand_labels()] + forests[2:]
-            continue
-        # a grouping keeps the pair reduced (see ``reduction``), so it goes
-        # straight back to the case analysis; it still counts as a node
-        while (mss := f2.find_mss()) is not None:
-            case = f1.sibling_case(mss.labels)
-            if case.kind != "mss":
-                break
-            stats.case1 += 1
-            stats.nodes += 1
-            f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
-        forests[0], forests[1] = f1, f2
-
+        if f1.order() < k:
+            # a grouping keeps the pair reduced (see ``reduction``), so it goes
+            # straight back to the case analysis; it still counts as a node
+            while (mss := f2.find_mss()) is not None:
+                case = f1.sibling_case(mss.labels)
+                if case.kind != "mss":
+                    break
+                stats.case1 += 1
+                stats.nodes += 1
+                f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
+        elif f1.same_structure(f2):
+            mss = None
+        else:
+            # at order k no cut is left, and a reduced pair agrees only if it
+            # is equal (see ``reduction``): this one has no solution
+            stats.leaves += 1
+            return None
+        # the one collapse site: the pair is equal, by the test at order k,
+        # and below it by the no-sibling-set lemma in ``reduction``
         if mss is None:
             stats.collapses += 1
-            collapsed = unique_maximal_af(f1, f2)
-            forests = [collapsed.expand_labels()] + forests[2:]
+            forests = [f1.expand_labels()] + forests[2:]
             continue
 
         if case.kind == "siblings":
@@ -179,10 +143,7 @@ def _solve(instance: Instance, k: int) -> tuple[Forest | None, SearchStats]:
     if k < 1:
         raise ForestError("parameter k must be at least 1")
     stats = SearchStats(k=k)
-    found = _search(list(instance.forests), k, stats, 0)
-    if found is not None and found.has_grouped_labels():
-        found = found.expand_labels()
-    return found, stats
+    return _search(list(instance.forests), k, stats, 0), stats
 
 
 def solve_rmaf(instance: Instance, k: int):

@@ -49,6 +49,9 @@ unions of whole components (a split adds exactly the two pieces' sums to
 those, a grouping merges labels of one component), so any other side sums to
 0 only by the same 2^-64 chance as under fresh weights.
 
+Three lemmas on a reduced pair (F1, F2) over one label set, one that admits
+no removal in either direction, carry both solvers.
+
 Grouping keeps a pair reduced.  Let (F, G) admit no removal in either
 direction, and let S be a sibling set maximal in both; F' and G' group S
 into one leaf s.  The edges of F' are those of F minus the pendant edges of
@@ -62,6 +65,29 @@ because undoing the grouping of s (as ``expand_labels`` does) turns
 isomorphic F', G' back into isomorphic F, G.  Both solvers rely on this: a
 Case-1 grouping goes straight back to the case analysis, with no
 ``reduce_pair`` and no equality test in between.
+
+A reduced pair agrees iff it is equal: F1 is an agreement forest of the pair
+(F1 ≤ F2) iff F1 ≅ F2.  The "if" direction is plain.  For "only if", let F1
+be F2 − E, contracted, with E non-empty, and take an edge e of E with a side
+that holds no other edge of E (from any edge of E, step to another on one
+side while there is one; the walk ends).  That side holds a leaf, so a
+label, and it is connected in F2 − E and cut off from the rest by e, so its
+labels are exactly those of one component of F1, and the rule would remove
+e from F2: the pair was not reduced.
+
+A reduced pair whose second forest has no maximal sibling set is equal.
+Such an F2 has at most one edge (``Forest.find_mss``): it is all singletons
+plus at most one single-edge tree {a, b}, and rooted, one of a and b is ρ.
+A side that holds both or neither of a and b (any side, if F2 has no edge)
+is a union of whole F2 components, so every edge of F1 separates a from b,
+or the rule would remove it.  So F1 has no edge if F2 has none.  Otherwise
+each edge of F1 lies on the path from a to b, which is then its whole
+component, with inner vertices unlabeled of degree 2.  F1 is irreducible,
+so there are none: an unrooted forest has no such vertex, and a rooted one
+only a component root, whose two neighbors are its children, while ρ, an
+end of the path, has no parent.  So F1 has at most the one edge a–b.  If it
+has it, F1 ≅ F2; if not, the side {a} of F2's edge a–b is a whole F1
+component, and the pair was not reduced.
 """
 
 from __future__ import annotations

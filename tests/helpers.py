@@ -27,8 +27,9 @@ def all_removal_keys(forest, cap=12):
 
 
 def brute_is_subforest(sub, sup):
-    s = sub.expand_labels() if sub.has_grouped_labels() else sub
-    return s.canonical_key() in all_removal_keys(sup)
+    """Whether some edge subset of ``sup`` removes to ``sub``; both forests
+    carry one label table, grouped or not."""
+    return sub.canonical_key() in all_removal_keys(sup)
 
 
 def greedy_essential_by_key(forest, eids):
@@ -219,7 +220,9 @@ def _search_eagerly(forests, k, stats, depth, settle):
     enters the first, and each child over k counts its own leaf.  With
     ``settle`` a reduced pair at order k collapses when equal and is a leaf
     otherwise, as in ``fpt._search``; without it the pair goes through the
-    case analysis whatever its order.
+    case analysis whatever its order, and an equal pair groups down until
+    its second forest has no sibling set.  Either way an equal reduced pair
+    collapses to its first forest, at one site.
     """
     forests = list(forests)
     while True:
@@ -233,26 +236,22 @@ def _search_eagerly(forests, k, stats, depth, settle):
         stats.nodes += 1
         f1, f2, trace = mk.reduce_pair(f1, forests[1])
         stats.rule1_edges += len(trace)
-        if settle and f1.order() >= k:
-            if not f1.same_structure(f2):
-                stats.leaves += 1
-                return None
-            stats.collapses += 1
-            forests = [f1.expand_labels()] + forests[2:]
-            continue
-        while (mss := f2.find_mss()) is not None:
-            case = f1.sibling_case(mss.labels)
-            if case.kind != "mss":
-                break
-            stats.case1 += 1
-            stats.nodes += 1
-            f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
-        forests[0], forests[1] = f1, f2
-
+        if not settle or f1.order() < k:
+            while (mss := f2.find_mss()) is not None:
+                case = f1.sibling_case(mss.labels)
+                if case.kind != "mss":
+                    break
+                stats.case1 += 1
+                stats.nodes += 1
+                f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
+        elif f1.same_structure(f2):
+            mss = None
+        else:
+            stats.leaves += 1
+            return None
         if mss is None:
             stats.collapses += 1
-            collapsed = mk.unique_maximal_af(f1, f2)
-            forests = [collapsed.expand_labels()] + forests[2:]
+            forests = [f1.expand_labels()] + forests[2:]
             continue
 
         if case.kind == "siblings":
@@ -277,10 +276,7 @@ def _search_eagerly(forests, k, stats, depth, settle):
 def solve_eagerly(instance, k, settle=True):
     """``(forest, SearchStats)`` of the reference search at parameter ``k``."""
     stats = mk.SearchStats(k=k)
-    found = _search_eagerly(list(instance.forests), k, stats, 0, settle)
-    if found is not None and found.has_grouped_labels():
-        found = found.expand_labels()
-    return found, stats
+    return _search_eagerly(list(instance.forests), k, stats, 0, settle), stats
 
 
 def names(forest, lids):

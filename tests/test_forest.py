@@ -246,7 +246,7 @@ def test_subforest_reflexive(rooted_pair):
 
 def test_singletons_always_subforest():
     f = parse1("((a,b),(c,d));")
-    s = Forest.singletons(True, f.labels, f.label_ids())
+    s = f.remove_edges(sorted(f.edge_ids()))
     assert mk.is_subforest(s, f)
 
 
@@ -729,7 +729,7 @@ def _equality_pairs(rng, rooted):
         a, b = a.group_labels(mss.labels), b.group_labels(mss.labels)
         pairs.append((a, b))
     lids = sorted(f1.label_ids())
-    pairs.append((Forest.singletons(rooted, f1.labels, lids), f1.remove_edges(eids)))
+    pairs.append((rebuilt(f1.remove_edges(eids)), f1.remove_edges(eids)))
     # rooted, the one edge a forest of singletons can keep hangs off ρ
     ends = [f1.labels.id_of(mk.RHO)] if rooted else rng.sample(lids, 1)
     x, y = (rng.choice([l for l in lids if l != ends[0]]) for _ in range(2))

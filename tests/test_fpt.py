@@ -81,34 +81,6 @@ def test_generated_bound_twenty_leaves():
     assert res.order <= spec.order_bound() == 3
 
 
-def test_unique_maximal_af_all_singletons(rooted_pair):
-    f1 = rooted_pair.forests[0]
-    sing = f1.remove_edges(sorted(f1.edge_ids()))
-    out = mk.unique_maximal_af(f1, sing)
-    assert out.same_structure(sing)
-
-
-def test_unique_maximal_af_rho_edge_cases():
-    inst = mk.parse_instance("((a,b),c);\n((a,b),c);", rooted=True)
-    f1 = inst.forests[0]
-    # keep only the rho pendant edge: {rho-c} plus singletons
-    a, b = f1.labels.id_of("a"), f1.labels.id_of("b")
-    f2 = f1.remove_edges([f1.pendant_edge(a), f1.pendant_edge(b)])
-    assert len(list(f2.edge_ids())) == 1
-    # rho and c share a component in f1: the pair's maximal AF is f2 itself
-    assert mk.unique_maximal_af(f1, f2).same_structure(f2)
-    # but if they are separated, it collapses to singletons
-    c = f1.labels.id_of("c")
-    f1_split = f1.remove_edges([f1.pendant_edge(c)])
-    out = mk.unique_maximal_af(f1_split, f2)
-    assert out.order() == 4
-
-
-def test_unique_maximal_af_requires_no_mss(rooted_pair):
-    with pytest.raises(mk.ForestError):
-        mk.unique_maximal_af(*rooted_pair.forests)
-
-
 def test_find_min_k_reports_smallest(rooted_pair, identical_rooted):
     assert mk.find_min_k(identical_rooted).order == 1
     res = mk.find_min_k(rooted_pair)

@@ -1,6 +1,7 @@
 """Reduction rule: applicability, fixpoints, optimum preservation."""
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -11,7 +12,12 @@ from mafkit import reduction
 from mafkit.forest import Forest
 from mafkit.reduction import find_applicable
 
-from helpers import find_applicable_by_bfs, random_instance, zero_sum_edges_by_walk
+from helpers import (
+    brute_is_subforest,
+    find_applicable_by_bfs,
+    random_instance,
+    zero_sum_edges_by_walk,
+)
 
 
 def test_singleton_triggers_leaf_removal():
@@ -431,6 +437,58 @@ def test_grouping_a_full_star_keeps_pair_reduced():
     assert not g1.same_structure(g2)
     # and the grouping find_mss prefers, two of the three star leaves
     assert group_checked(f1, f2)[2] >= 1
+
+
+# -- a reduced pair whose second forest has no sibling set is equal -----------
+
+
+def pairs_to_reduce(rng, inst):
+    """Pairs over one label table: the first tree against each later one both
+    ways, after lockstep groupings, and with random cuts of the first tree
+    down to all singletons.  Rooted, also a second forest that keeps only
+    ρ's pendant edge, against the first tree with and without that edge's
+    other label cut off."""
+    t1 = inst.forests[0]
+    eids = sorted(t1.edge_ids())
+    cuts = [t1.remove_edges(rng.sample(eids, rng.randint(1, len(eids)))) for _ in range(2)]
+    cuts.append(t1.remove_edges(eids))
+    pairs = []
+    for ti in inst.forests[1:]:
+        pairs += [(t1, ti), (ti, t1)] + [(g, ti) for g in cuts]
+        f1, f2 = t1, ti
+        while (mss := f2.find_mss()) is not None and f1.sibling_case(mss.labels).kind == "mss":
+            f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
+            pairs.append((f1, f2))
+    if inst.rooted:
+        rho = t1.labels.id_of(mk.RHO)
+        c = rng.choice(sorted(t1.label_ids() - {rho}))
+        rho_edge = t1.remove_edges(
+            [t1.pendant_edge(lid) for lid in t1.label_ids() if lid not in (rho, c)])
+        assert len(rho_edge.edge_ids()) == 1
+        pairs += [(t1, rho_edge), (t1.remove_edges([t1.pendant_edge(c)]), rho_edge)]
+    return pairs
+
+
+def test_reduced_pair_without_sibling_set_is_equal():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    hits = {0: 0, 1: 0}  # by the second forest's edge count
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), rooted=st.booleans(),
+                      m=st.integers(2, 4))
+    def check(seed, rooted, m):
+        rng = random.Random(seed)
+        for f1, f2 in pairs_to_reduce(rng, random_instance(rng, rooted, m=m)):
+            a, b, _ = mk.reduce_pair(f1, f2)
+            if b.find_mss() is not None:
+                continue
+            hits[len(b.edge_ids())] += 1
+            assert a.same_structure(b)
+            assert brute_is_subforest(a, b) and brute_is_subforest(b, a)
+
+    check()
+    assert hits[0] + hits[1] > 30 and hits[1] > 0
 
 
 # -- forests must share their label ids ---------------------------------------
