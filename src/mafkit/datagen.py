@@ -120,6 +120,8 @@ def internal_edges(f: Forest) -> list[int]:
 
 def contract_random_edges(f: Forest, count: int, seed) -> Forest:
     """Contract ``count`` uniformly chosen internal edges into multifurcations."""
+    if count < 0:
+        raise GenerationError("contract count cannot be negative")
     rng = _as_rng(seed)
     pool = internal_edges(f)
     if count > len(pool):
@@ -200,6 +202,8 @@ def apply_random_spr(f: Forest, x: int, seed) -> Forest:
     outside the pruned subtree (and also not be ρ's pendant edge); draws that
     admit no target are rejected and redrawn.
     """
+    if x < 0:
+        raise GenerationError("SPR count cannot be negative")
     rng = _as_rng(seed)
     for _ in range(x):
         f = _one_spr(f, rng)

@@ -997,32 +997,53 @@ class Forest:
             self._canon = (self.rooted, comps)
         return self._canon
 
-    def _up(self) -> dict:
-        """The vertex above each vertex; ``get`` gives None at a top.
+    def _hanging(self):
+        """Every component hung from one top: ``(order, up)``.
 
-        Rooted, the parent: the component roots are the tops, left out of
-        the map.  Unrooted, each component hangs from the leaf with its
-        least label id, its top, which maps to None: one explicit-stack walk
-        per component, started from the labels in id order.
+        A rooted component hangs from its root, an unrooted one from its
+        leaf with the least label id.  ``order`` lists every vertex, each
+        component as one run that starts at its top, parents before
+        children; ``up`` maps every vertex but the tops to the vertex above
+        it.  The walk grows a list while it reads it, without recursion.
         """
         adj = self._adj
         if self.rooted:
-            return {v: adj[v][e] for v, e in self._parent_edge.items()}
+            tops = [v for v in adj if v not in self._parent_edge]
+        else:
+            at = self._label_vertex
+            tops = [at[lid] for lid in sorted(at)]
+        order = []
         up = {}
-        at = self._label_vertex
-        for lid in sorted(at):
-            top = at[lid]
+        for top in tops:
             if top in up:
                 continue
-            up[top] = None
-            stack = [top]
-            while stack:
-                v = stack.pop()
+            run = [top]
+            for v in run:  # grows while it is walked
+                p = up.get(v)
                 for w in adj[v].values():
-                    if w not in up:
+                    if w != p:
                         up[w] = v
-                        stack.append(w)
-        return up
+                        run.append(w)
+            order += run
+        return order, up
+
+    def _edges_up(self, vertices, up) -> list[int]:
+        """Ids of the edges from each of ``vertices`` to the vertex above it
+        in the hanging ``up`` (see :meth:`_hanging`): the parent edge when
+        rooted, where ``up`` maps to parents, and looked up among the
+        vertex's neighbors when not."""
+        if self.rooted:
+            pe = self._parent_edge
+            return [pe[v] for v in vertices]
+        adj = self._adj
+        out = []
+        for v in vertices:
+            p = up[v]
+            for e, w in adj[v].items():
+                if w == p:
+                    out.append(e)
+                    break
+        return out
 
     def same_structure(self, other: "Forest") -> bool:
         """True iff a label-preserving isomorphism maps this forest onto
@@ -1030,11 +1051,13 @@ class Forest:
 
         One early-exiting walk, which builds no canonical key.  The
         rootedness, vertex and edge counts and label-id sets must agree.
-        Then from each label's leaf both forests are climbed at once (see
-        :meth:`_up`), mapping every vertex of this forest met to the vertex
-        of ``other`` met with it.  A climb stops at a vertex already mapped,
-        whose image must be the vertex met in ``other``, and fails when one
-        side reaches a top and the other does not.
+        Then from each label's leaf both forests are climbed at once, each
+        hung as :meth:`_hanging` hangs it (rooted, the parents are read off
+        the parent edges, with no walk), mapping every vertex of this forest
+        met to the vertex of ``other`` met with it.  A climb stops at a
+        vertex already mapped, whose image must be the vertex met in
+        ``other``, and fails when one side reaches a top and the other does
+        not.
 
         Proof.  A walk that does not fail maps each label's leaf to that
         label's leaf in ``other``, and a vertex's parent to its image's
@@ -1058,7 +1081,12 @@ class Forest:
                 or len(self._edges) != len(other._edges)
                 or self._label_vertex.keys() != other._label_vertex.keys()):
             return False
-        up1, up2 = self._up(), other._up()
+        if self.rooted:
+            adj1, adj2 = self._adj, other._adj
+            up1 = {v: adj1[v][e] for v, e in self._parent_edge.items()}
+            up2 = {v: adj2[v][e] for v, e in other._parent_edge.items()}
+        else:
+            up1, up2 = self._hanging()[1], other._hanging()[1]
         at2 = other._label_vertex
         image = {}
         for lid, v in self._label_vertex.items():
@@ -1228,48 +1256,27 @@ def certify(forest: Forest, instance: Instance) -> AgreementForest:
 # subforest testing
 
 
-def _hang(sup: Forest, idx):
-    """Parent links and depths of component ``idx`` hung from one vertex.
+def _steiner(sup: Forest, up, depth, leaf_vertices):
+    """Vertex and edge sets of the minimal subtree of ``sup`` spanning
+    ``leaf_vertices``.
 
-    The component hangs from its root when rooted and from its smallest
-    vertex when unrooted; ``up`` maps every other vertex to its
-    ``(edge, parent)``.  The walk uses an explicit stack.
-    """
-    comp = sup.components()[idx]
-    top = sup.component_root(idx) if sup.rooted else min(comp)
-    up = {}
-    depth = {top: 0}
-    stack = [top]
-    while stack:
-        v = stack.pop()
-        d = depth[v] + 1
-        for e, w in sup._adj[v].items():
-            if w not in depth:
-                up[w] = (e, v)
-                depth[w] = d
-                stack.append(w)
-    return up, depth
-
-
-def _steiner(up, depth, leaf_vertices):
-    """Vertex and edge sets of the minimal subtree spanning ``leaf_vertices``.
-
-    ``up`` and ``depth`` come from :func:`_hang` on the component holding
-    them.  The deepest vertex reached so far climbs one edge at a time until
-    all paths meet, so only the subtree itself is visited.
+    ``up`` and ``depth`` come from a hanging of ``sup`` (see
+    :meth:`Forest._hanging`).  The deepest vertex reached so far climbs one
+    edge at a time until all paths meet, so only the subtree itself is
+    visited.
     """
     vset = set(leaf_vertices)
     heap = [(-depth[v], v) for v in vset]
     heapq.heapify(heap)
-    eset = set()
+    climbed = []
     while len(heap) > 1:
         _, v = heapq.heappop(heap)
-        e, p = up[v]
-        eset.add(e)
+        climbed.append(v)
+        p = up[v]
         if p not in vset:
             vset.add(p)
             heapq.heappush(heap, (-depth[p], p))
-    return vset, eset
+    return vset, set(sup._edges_up(climbed, up))
 
 
 def subforest_witness(sub: Forest, sup: Forest):
@@ -1278,7 +1285,7 @@ def subforest_witness(sub: Forest, sup: Forest):
     Both forests are expanded to original labels first.  A component of the
     candidate embeds as the contracted minimal spanning subtree of its labels,
     so the only candidate for E is the set of edges outside those subtrees
-    (each host component is hung from one vertex once, and every subtree is
+    (``sup`` is hung once, see :meth:`Forest._hanging`, and every subtree is
     found from there).  The witness is then checked by the removal it names,
     as :meth:`AgreementForest.verify` checks it: subtrees that share a vertex
     merge into one component there, and one whose contraction differs from
@@ -1295,20 +1302,17 @@ def subforest_witness(sub: Forest, sup: Forest):
     if sub.label_ids() != sup.label_ids():
         raise LabelUniverseError("label sets differ")
 
-    buckets: dict[int, list[int]] = {}
-    for i in range(sub.order()):
-        lset = sub.component_labels(i)
-        sup_comps = {sup.component_index_of_label(l) for l in lset}
-        if len(sup_comps) != 1:
-            return None
-        buckets.setdefault(next(iter(sup_comps)), []).append(i)
-
+    lsets = sub.label_partition()
+    if any(len({sup.component_index_of_label(l) for l in lset}) != 1 for lset in lsets):
+        return None
+    order, up = sup._hanging()
+    depth = {}
+    for v in order:
+        p = up.get(v)
+        depth[v] = 0 if p is None else depth[p] + 1
     keep_edges: set[int] = set()
-    for sup_idx, sub_comps in buckets.items():
-        up, depth = _hang(sup, sup_idx)
-        for i in sub_comps:
-            lvs = [sup.vertex_of_label(l) for l in sub.component_labels(i)]
-            keep_edges |= _steiner(up, depth, lvs)[1]
+    for lset in lsets:
+        keep_edges |= _steiner(sup, up, depth, [sup.vertex_of_label(l) for l in lset])[1]
     witness = frozenset(sup.edge_ids() - keep_edges)
     return witness if sup.remove_edges(witness).same_structure(sub) else None
 

@@ -28,11 +28,13 @@ witness forest sum to 0 mod 2^64.
   was.
 * A removal breaks it only where it splits a component, and each new piece
   is brought back to a zero sum by changing the weight of one of its labels.
-* The scanned forest keeps, per vertex, the weight of its subtree in a
-  hanging of each component from one top.  A derivation of it is replayed on
-  those sums (a cut edge subtracts its subtree along the path to the top;
-  contraction and grouping only hand a vertex's place to a neighbor), and a
-  label whose weight changed adds the change along its leaf-to-top path.  A
+* The scanned forest keeps, per vertex, the vertex above it and the weight
+  of its subtree in a hanging of each component from one top (a fresh scan
+  takes ``Forest._hanging``: the root, or the leaf with the least label
+  id).  A derivation of it is replayed on those sums (a cut edge subtracts
+  its subtree along the path to the top and makes a new top; contraction and
+  grouping only hand a vertex's place to a neighbor), and a label whose
+  weight changed adds the change along its leaf-to-top path.  A
   scan then costs the changes times the depth, plus one pass over the sums
   to collect the edges one of whose sides sums to 0.
 * A value with no kept ancestor gets fresh weights from ``_label_weights``
@@ -271,7 +273,7 @@ class _SideSums:
     """Side sums of one forest's edges under one weight map.
 
     ``up`` and ``below`` are as from :func:`_side_sums`: ``up`` maps every
-    vertex but the tops to the edge to its parent, ``below`` every vertex to
+    vertex but the tops to the vertex above it, ``below`` every vertex to
     the weight of its subtree.
     """
 
@@ -287,42 +289,21 @@ class _SideSums:
 
 
 def _side_sums(f: Forest, weight):
-    """Hang every component of ``f`` from one vertex and sum the weights below.
+    """Sum the weights below every vertex of ``f`` as :meth:`Forest._hanging`
+    hangs it.
 
-    ``weight`` maps every label id of ``f`` to an integer.  A rooted
-    component hangs from its root, an unrooted one from its smallest vertex;
-    the walk uses an explicit stack.  Returns ``(up, below)``: ``up`` maps
-    every vertex but the tops to the id of the edge to its parent, and
-    ``below`` maps every vertex to the total weight of the labels in its
-    subtree, mod 2^64.  So the two sides of the edge ``up[v]`` weigh
-    ``below[v]`` and the top's ``below`` minus that.
+    ``weight`` maps every label id of ``f`` to an integer.  Returns ``(up,
+    below)``: ``up`` maps every vertex but the tops to the vertex above it,
+    and ``below`` maps every vertex to the total weight of the labels in its
+    subtree, mod 2^64.  So the two sides of the edge from ``v`` to ``up[v]``
+    weigh ``below[v]`` and the top's ``below`` minus that.
     """
-    adj, vlabel = f._adj, f._vlabel
-    if f.rooted:
-        tops = [v for v in adj if v not in f._parent_edge]
-    else:
-        tops = sorted(adj)  # so each component is entered at its smallest
-    up = {}
-    parent = {}
-    order = []
-    for top in tops:
-        if top in parent:
-            continue
-        parent[top] = None
-        stack = [top]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for e, w in adj[v].items():
-                if w not in parent:
-                    parent[w] = v
-                    up[w] = e
-                    stack.append(w)
+    vlabel = f._vlabel
+    order, up = f._hanging()
     below = {v: weight[vlabel[v]] if v in vlabel else 0 for v in order}
     for v in reversed(order):
-        p = parent[v]
-        if p is not None:
-            below[p] += below[v]
+        if v in up:
+            below[up[v]] += below[v]
     return up, {v: s & _MASK64 for v, s in below.items()}
 
 
@@ -343,8 +324,8 @@ def _sums_of(fq: Forest, weight) -> _SideSums:
     if sums is not None and (sums.weight is weight or (
             weight.base is not None and weight.base() is sums.weight)):
         sums = sums.copy()
-        for origin in chain:
-            _carry_side_sums(origin, sums.up, sums.below)
+        for _, log, _ in chain:
+            _carry_side_sums(log, sums.up, sums.below)
         _reweigh(sums, fq, weight)
     else:
         sums = _SideSums(weight, *_side_sums(fq, weight))
@@ -353,65 +334,60 @@ def _sums_of(fq: Forest, weight) -> _SideSums:
     return sums
 
 
-def _carry_side_sums(origin, up, below):
+def _carry_side_sums(log, up, below):
     """Turn a parent's :func:`_side_sums` into its child's, in place.
 
-    ``origin`` is the child's ``(parent, log, _)``.  The sums stay under the
-    parent's weights, a grouped label read as the sum of its parts.  A cut
-    edge subtracts the subtree below it along the path to its old top, and
-    the subtree's top becomes a top.  Contraction and grouping move no label
-    to the other side of any edge: a dropped or spliced vertex hands its
-    place in the hanging to a neighbor, and a grouped leaf's weight stays in
-    the sums of the vertex that takes its label.  The hanging may differ
-    from the one a fresh walk picks; the side sums of every edge are the
-    same.
+    ``log`` is the child's change log (see ``Forest.remove_edges``).  The
+    sums stay under the parent's weights, a grouped label read as the sum of
+    its parts.  A cut edge subtracts the subtree below it along the path to
+    its old top, and the subtree's upper end becomes a top.  Contraction and
+    grouping move no label to the other side of any edge: a dropped or
+    spliced vertex hands its place in the hanging to a neighbor, and a
+    grouped leaf's weight stays in the sums of the vertex that takes its
+    label.  So the tops need not be the ones :meth:`Forest._hanging` picks
+    (a cut leaves one wherever it falls); the side sums of every edge are
+    the same.
     """
-    parent, log, _ = origin
     for step in log:
         kind = step[0]
         if kind == "cut":
-            _, e, x, y = step
-            child, other = (y, x) if up.get(y) == e else (x, y)
+            _, _, x, y = step
+            child, other = (y, x) if up.get(y) == x else (x, y)
             del up[child]
             if below[child]:
-                _add_on_path(up, below, parent._edges, other, -below[child])
+                _add_on_path(up, below, other, -below[child])
         elif kind == "gone" or kind == "merge":
-            _, v, e, w = step
-            if up.get(v) == e:
+            _, v, _, w = step
+            if up.get(v) == w:
                 del up[v]  # a leaf of the hanging
             else:
                 del up[w]  # v was a top with the one child w
                 below[w] = below[v]
             del below[v]
         elif kind == "splice":
-            _, v, e1, w1, e2, w2, e = step
-            pe = up.pop(v, None)
-            if pe == e1:
-                up[w2] = e
-            elif pe == e2:
-                up[w1] = e
+            _, v, _, w1, _, w2, _ = step
+            p = up.pop(v, None)
+            if p == w1:
+                up[w2] = w1
+            elif p == w2:
+                up[w1] = w2
             else:  # v was a top: w1 takes its place
                 del up[w1]
-                up[w2] = e
+                up[w2] = w1
                 below[w1] = below[v]
             del below[v]
         elif kind == "drop":
             del below[step[1]]
 
 
-def _add_on_path(up, below, edges, v, delta):
+def _add_on_path(up, below, v, delta):
     """Add ``delta`` to the sums of ``v`` and every vertex above it.
 
-    ``up`` and ``below`` are a hanging with its sums (see :func:`_side_sums`),
-    and ``edges`` maps its edge ids to their ends.
+    ``up`` and ``below`` are a hanging with its sums (see :func:`_side_sums`).
     """
-    while True:
+    while v is not None:
         below[v] = (below[v] + delta) & _MASK64
-        e = up.get(v)
-        if e is None:
-            return
-        x, y = edges[e]
-        v = x if y == v else y
+        v = up.get(v)
 
 
 def _reweigh(sums, fq, weight):
@@ -424,7 +400,7 @@ def _reweigh(sums, fq, weight):
     if old is weight:
         return
     sums.weight = weight
-    edges, labels = fq._edges, fq.labels
+    labels = fq.labels
     for lid in weight.changed:
         was = old.get(lid)
         if was is None:
@@ -439,34 +415,33 @@ def _reweigh(sums, fq, weight):
                     parts.extend(labels[part].grouped)
         delta = (weight[lid] - was) & _MASK64
         if delta:
-            _add_on_path(sums.up, sums.below, edges, fq._label_vertex[lid], delta)
+            _add_on_path(sums.up, sums.below, fq._label_vertex[lid], delta)
 
 
 def _candidates(fq: Forest, weight) -> list[int]:
     """Sorted ids of the edges of ``fq`` one of whose sides sums to 0 under
     ``weight``, from the inherited side sums.
 
-    An edge is flagged when the side below it sums to 0 or to its
-    component's total.  Totals are few, so the test against the own total
-    (a climb to the top) runs only for a sum equal to some total.
+    The edge from ``v`` up to ``up[v]`` is flagged when the side below it
+    sums to 0 or to its component's total.  Totals are few, so the test
+    against the own total (a climb to the top) runs only for a sum equal to
+    some total.  Only the flagged vertices have their edge id looked up.
     """
     sums = _sums_of(fq, weight)
-    up, below, edges = sums.up, sums.below, fq._edges
+    up, below = sums.up, sums.below
     totals = {below[v] for v in below.keys() - up.keys()}
     totals.discard(0)
 
     def top_total(v):
-        while (e := up.get(v)) is not None:
-            x, y = edges[e]
-            v = x if y == v else y
+        while (p := up.get(v)) is not None:
+            v = p
         return below[v]
 
     flagged = [
-        e for v, e in up.items()
+        v for v in up
         if not (s := below[v]) or (s in totals and s == top_total(v))
     ]
-    flagged.sort()
-    return flagged
+    return sorted(fq._edges_up(flagged, up))
 
 
 def find_applicable(fp: Forest, fq: Forest):

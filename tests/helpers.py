@@ -93,18 +93,19 @@ def zero_sum_edges_by_walk(forest, weight):
     whose sides has weight 0 mod 2^64.
 
     ``weight`` maps every label id of ``forest`` to an integer.  The sums
-    come from one full ``reduction._side_sums`` walk; the side above an edge
-    is its component's total minus the side below.
+    come from one full ``reduction._side_sums`` walk; the side above the
+    edge from ``v`` to ``up[v]`` is its component's total, read at the one
+    vertex of the component left out of ``up``, minus the side below.
     """
     up, below = reduction._side_sums(forest, weight)
-    total = [
-        below[forest.component_root(i) if forest.rooted else min(comp)]
-        for i, comp in enumerate(forest.components())
-    ]
-    return sorted(
-        e for v, e in up.items()
+    total = {}
+    for v in below.keys() - up.keys():
+        total[forest.component_index_of_vertex(v)] = below[v]
+    flagged = [
+        v for v in up
         if not below[v] or below[v] == total[forest.component_index_of_vertex(v)]
-    )
+    ]
+    return sorted(next(e for e, w in forest.neighbors(v) if w == up[v]) for v in flagged)
 
 
 def mss_candidates_by_scan(forest):

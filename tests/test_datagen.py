@@ -50,6 +50,12 @@ def test_contract_too_many():
         mk.contract_random_edges(t, 99, seed=1)
 
 
+def test_contract_rejects_negative_count():
+    t = mk.random_binary_tree(5, seed=2)
+    with pytest.raises(mk.GenerationError, match="contract count cannot be negative"):
+        mk.contract_random_edges(t, -1, seed=1)
+
+
 def test_contract_preserves_leaves_and_order(rng):
     t = mk.random_binary_tree(9, seed=6)
     pool = internal_edges(t)
@@ -62,6 +68,12 @@ def test_contract_preserves_leaves_and_order(rng):
 def test_spr_zero_identity():
     t = mk.random_binary_tree(7, seed=1)
     assert mk.apply_random_spr(t, 0, seed=5).same_structure(t)
+
+
+def test_spr_rejects_negative_count():
+    t = mk.random_binary_tree(7, seed=1)
+    with pytest.raises(mk.GenerationError, match="SPR count cannot be negative"):
+        mk.apply_random_spr(t, -2, seed=5)
 
 
 def test_spr_preserves_leafset_and_stays_a_tree():

@@ -309,16 +309,57 @@ def test_subforest_witness_realizes_embedding(rng):
         assert sup.remove_edges(wit).same_structure(sub)
 
 
+def hanging_depths(f):
+    """``up`` from ``Forest._hanging`` and the depth of every vertex below
+    its top, read off ``order``."""
+    order, up = f._hanging()
+    depth = {}
+    for v in order:
+        depth[v] = depth[up[v]] + 1 if v in up else 0
+    return up, depth
+
+
+def test_hanging_contract(rng):
+    kinds = {(rooted, grouped): 0 for rooted in (True, False) for grouped in (True, False)}
+    for _ in range(120):
+        rooted = rng.random() < 0.5
+        f = random_forest(rng, rng.randint(3, 12), rooted, max_cuts=rng.randint(0, 3))
+        mss = f.find_mss()
+        if mss is not None and rng.random() < 0.5:
+            f = f.group_labels(mss)
+        kinds[rooted, f.has_grouped_labels()] += 1
+        order, up = f._hanging()
+        assert sorted(order) == sorted(f.vertices())
+        pos = {v: i for i, v in enumerate(order)}
+        for comp in f.components():
+            run = order[min(pos[v] for v in comp):][:len(comp)]
+            assert set(run) == comp
+            top = run[0]
+            assert top not in up and all(v in up for v in run[1:])
+            if rooted:
+                assert f.parent_vertex(top) is None
+            else:
+                assert top == f.vertex_of_label(min(f.label_of(v) for v in comp
+                                                    if f.label_of(v) is not None))
+        for v, p in up.items():
+            assert pos[p] < pos[v]
+            assert any(w == p for _, w in f.neighbors(v))
+        if rooted:
+            assert up == {v: f.parent_vertex(v) for v in f.vertices()
+                          if f.parent_vertex(v) is not None}
+    assert min(kinds.values()) > 5
+
+
 def test_steiner_matches_pruning_reference(rng):
     checked = 0
     for _ in range(60):
         sup = random_forest(rng, rng.randint(3, 12), rooted=rng.random() < 0.5)
-        for idx, comp in enumerate(sup.components()):
-            up, depth = forest_mod._hang(sup, idx)
+        up, depth = hanging_depths(sup)
+        for comp in sup.components():
             leaves = sorted(v for v in comp if sup.label_of(v) is not None)
             for _ in range(4):
                 targets = rng.sample(leaves, rng.randint(1, len(leaves)))
-                assert forest_mod._steiner(up, depth, targets) == steiner_by_pruning(
+                assert forest_mod._steiner(sup, up, depth, targets) == steiner_by_pruning(
                     sup, targets
                 )
                 checked += 1
@@ -339,7 +380,7 @@ def test_witness_matches_pruning_reference(rng, monkeypatch):
         got = mk.subforest_witness(sub, sup)
         with monkeypatch.context() as patch:
             patch.setattr(
-                forest_mod, "_steiner", lambda up, depth, lvs: steiner_by_pruning(sup, lvs)
+                forest_mod, "_steiner", lambda f, up, depth, lvs: steiner_by_pruning(f, lvs)
             )
             want = mk.subforest_witness(sub, sup)
         assert got == want
