@@ -27,7 +27,6 @@ from .forest import (
     LabelTable,
     LabelUniverseError,
     MafError,
-    SiblingSet,
     certify,
     is_subforest,
     subforest_witness,
@@ -69,7 +68,6 @@ __all__ = [
     "RHO",
     "Removal",
     "SearchStats",
-    "SiblingSet",
     "apply_random_spr",
     "approx_rmaf",
     "approx_umaf",

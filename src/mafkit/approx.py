@@ -215,10 +215,10 @@ def _approximate(instance: Instance) -> ApproxResult:
             # a grouping leaves the pair reduced and unequal (see
             # ``reduction``), so it goes straight back to the case analysis
             while (mss := fi.find_mss()) is not None:
-                case = f1.sibling_case(mss.labels)
+                case = f1.sibling_case(mss)
                 if case.kind != "mss":
                     break
-                nf1, nfi = f1.group_labels(mss.labels), fi.group_labels(mss.labels)
+                nf1, nfi = f1.group_labels(mss), fi.group_labels(mss)
                 trace.append(_record(GROUP, idx, f1, nf1, (), ()))
                 f1, fi = nf1, nfi
             if mss is None:  # impossible by the lemmas in ``reduction``

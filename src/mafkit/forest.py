@@ -38,7 +38,6 @@ keys does not recurse either, as comparing nested tuples would.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -208,18 +207,6 @@ class EdgeSplit:
 
 
 @dataclass(frozen=True)
-class SiblingSet:
-    """A maximal sibling set: its labels and its hub vertex.
-
-    ``hub`` is the common parent (rooted) or common neighbor (unrooted); it is
-    absent for an unrooted single-edge tree.
-    """
-
-    labels: frozenset[int]
-    hub: int | None
-
-
-@dataclass(frozen=True)
 class SiblingCase:
     """How a sibling set of one forest sits inside another forest.
 
@@ -244,12 +231,17 @@ class SiblingCase:
     * rooted path: the edges off the path, sparing its least common ancestor;
     * unrooted path: the edges off ``path[1]``, then those off ``path[-2]``;
     * split: none.
+
+    For ``"mss"``, ``hub`` is the labels' shared parent (rooted) or shared
+    unlabeled neighbor (unrooted), the vertex grouping turns into their
+    leaf; it is None for an unrooted single-edge tree and for other kinds.
     """
 
     kind: str
     pair: tuple[int, int] | None = None
     path: tuple[int, ...] = ()
     cuts: tuple[tuple[int, ...], ...] = ()
+    hub: int | None = None
 
 
 def find_root(parent, x):
@@ -757,8 +749,9 @@ class Forest:
             sides.append(frozenset(vlabel[x] for x in side if x in vlabel))
         return EdgeSplit(eid, *sides)
 
-    def find_mss(self) -> SiblingSet | None:
-        """Deterministically pick a maximal sibling set, if any exists.
+    def find_mss(self) -> frozenset[int] | None:
+        """Deterministically pick a maximal sibling set: its label ids, or
+        None if there is none (:meth:`sibling_case` names its hub).
 
         Rooted forests have no MSS iff they have at most one edge (which is
         then the ρ pendant edge); unrooted forests have none iff they are
@@ -779,7 +772,7 @@ class Forest:
         return min(self._mss.values(), key=lambda entry: entry[0])[1]
 
     def _mss_entry(self, v):
-        """Least ``(key, SiblingSet)`` among the candidates filed under ``v``."""
+        """Least ``(key, labels)`` among the candidates filed under ``v``."""
         if v in self._vlabel:
             # unrooted single-edge tree, filed under its smaller vertex
             row = self._adj[v]
@@ -788,65 +781,35 @@ class Forest:
             w = next(iter(row.values()))
             if w < v or w not in self._vlabel:
                 return None
-            cands = [SiblingSet(frozenset((self._vlabel[v], self._vlabel[w])), None)]
+            cands = [frozenset((self._vlabel[v], self._vlabel[w]))]
         elif self.rooted:
             pe = self._parent_edge.get(v)
             kids = [w for e, w in self._adj[v].items() if e != pe]
             if len(kids) < 2 or any(w not in self._vlabel for w in kids):
                 return None
-            cands = [SiblingSet(frozenset(self._vlabel[w] for w in kids), v)]
+            cands = [frozenset(self._vlabel[w] for w in kids)]
         else:
             leaves = [w for w in self._adj[v].values() if w in self._vlabel]
             extra = len(self._adj[v]) - len(leaves)
             if len(leaves) < 2 or extra > 1:
                 return None
             s = frozenset(self._vlabel[w] for w in leaves)
-            cands = [SiblingSet(s, v)]
+            cands = [s]
             if not extra and len(s) >= 3:
                 # a full star also admits every one-leaf-short subset
                 # (degree |S|+1), which the selection rule may prefer
-                cands.extend(SiblingSet(s - {lid}, v) for lid in s)
-        return min(((self._mss_key(ss.labels), ss) for ss in cands),
+                cands.extend(s - {lid} for lid in s)
+        return min(((self._mss_key(lids), lids) for lids in cands),
                    key=lambda entry: entry[0])
 
     def _mss_key(self, lids):
         ids = sorted(lids)
         return (min(self.labels.min_original(l) for l in ids), len(ids), tuple(ids))
 
-    def _mss_hub(self, lids):
-        """Validate that ``lids`` is an MSS here; return its hub (or None)."""
-        s = frozenset(lids)
-        if len(s) < 2:
-            raise ForestError("sibling set needs at least two labels")
-        verts = [self._label_vertex[l] for l in s]
-        if self.rooted:
-            hubs = {self.parent_vertex(v) for v in verts}
-            if len(hubs) != 1 or None in hubs:
-                raise ForestError("labels do not share a parent")
-            (p,) = hubs
-            pe = self._parent_edge.get(p)
-            kids = [w for e, w in self._adj[p].items() if e != pe]
-            if frozenset(self._vlabel.get(w, -1) for w in kids) != s:
-                raise ForestError("labels are not a maximal sibling set")
-            return p
-        if len(s) == 2:
-            v1, v2 = verts
-            if self._adj[v1] and next(iter(self._adj[v1].values())) == v2:
-                return None  # single-edge tree
-        hubs = set()
-        for v in verts:
-            if len(self._adj[v]) != 1:
-                raise ForestError("labels are not a maximal sibling set")
-            hubs.add(next(iter(self._adj[v].values())))
-        if len(hubs) != 1:
-            raise ForestError("labels do not share a neighbor")
-        (p,) = hubs
-        if p in self._vlabel or len(self._adj[p]) - len(s) > 1:
-            raise ForestError("labels are not a maximal sibling set")
-        return p
-
-    def group_labels(self, sibling_set) -> "Forest":
-        """Shrink a maximal sibling set into one grouped leaf label.
+    def group_labels(self, lids) -> "Forest":
+        """Shrink the maximal sibling set ``lids`` (label ids) into one
+        grouped leaf label; :meth:`sibling_case` decides that it is one and
+        names its hub, and any other label set raises ``ForestError``.
 
         The hub keeps its vertex id and becomes the new leaf; for an unrooted
         single-edge tree the two leaves merge into one labeled vertex.  The
@@ -856,9 +819,11 @@ class Forest:
         to the vertex ``w`` that takes its label, then ``("group", lids,
         new_id)``.
         """
-        lids = sibling_set.labels if isinstance(sibling_set, SiblingSet) else sibling_set
         lids = frozenset(lids)
-        hub = self._mss_hub(lids)
+        case = self.sibling_case(lids)
+        if case.kind != "mss":
+            raise ForestError("labels are not a maximal sibling set")
+        hub = case.hub
         table, new_id = self.labels.with_group(lids)
         f = self._copy()
         f.labels = table
@@ -1105,54 +1070,69 @@ class Forest:
 
     # -- sibling-set case analysis (how an MSS of one forest sits in another)
 
-    def _are_siblings(self, v1, v2) -> bool:
-        if self.rooted:
-            p1, p2 = self.parent_vertex(v1), self.parent_vertex(v2)
-            return p1 is not None and p1 == p2
-        if len(self._adj[v1]) == 1 and next(iter(self._adj[v1].values())) == v2:
-            return True
-        n1 = next(iter(self._adj[v1].values())) if self._adj[v1] else None
-        n2 = next(iter(self._adj[v2].values())) if self._adj[v2] else None
-        return n1 is not None and n1 == n2 and n1 not in self._vlabel
-
     def sibling_case(self, lids) -> SiblingCase:
-        """Classify how the label set ``lids`` (an MSS elsewhere) sits here."""
-        order = sorted(lids, key=lambda l: (self.labels.min_original(l), l))
-        verts = {l: self._label_vertex[l] for l in order}
-        for v in verts.values():
-            if not self._adj[v]:
+        """Classify how the label set ``lids`` (an MSS elsewhere) sits here.
+
+        The one place that decides whether labels are siblings and where
+        their hub is (:meth:`group_labels` asks it too).  A label's hub is
+        its parent (rooted) or its one neighbor (unrooted); two labels are
+        siblings if they share a hub or, unrooted, form a single-edge tree.
+        ``ForestError`` is raised for fewer than two labels, a singleton
+        label and, rooted, a label without a parent (ρ).
+
+        ``pair`` is the first pair that are not siblings, in
+        ``itertools.combinations`` order over the labels sorted by least
+        original then id (``order``).  It is ``(order[0], order[j])`` for the
+        least j whose label neither shares ``order[0]``'s hub nor is it; if
+        there is no such j, every two labels are siblings:
+
+        * sharing an unlabeled hub is transitive (and a shared hub has two
+          labeled neighbors, so it is unlabeled);
+        * a single-edge tree has no third leaf: its leaves are each other's
+          hub, so a third label is no sibling of ``order[0]``;
+        * ρ has no parent, so it is no label's sibling, and it is refused;
+          it is the one labeled vertex with a child, so no rooted label is
+          another's hub.
+
+        The same facts tell "every two are siblings" before the sort: the
+        labels all have one hub, or are two, each the other's hub.
+        """
+        adj, at, pe = self._adj, self._label_vertex, self._parent_edge
+        rooted = self.rooted
+        hub = {}
+        for l in lids:
+            v = at[l]
+            if not adj[v]:
                 raise ForestError("sibling case undefined for singleton label")
-        pair = None
-        for a, b in itertools.combinations(order, 2):
-            if not self._are_siblings(verts[a], verts[b]):
-                pair = (a, b)
-                break
-        if pair is None:
-            if not self.rooted and len(order) == 2:
-                va, vb = verts[order[0]], verts[order[1]]
-                if next(iter(self._adj[va].values())) == vb:
-                    return SiblingCase("mss")
-            hub = (
-                self.parent_vertex(verts[order[0]])
-                if self.rooted
-                else next(iter(self._adj[verts[order[0]]].values()))
-            )
-            leaf_edges = {next(iter(self._adj[verts[l]])) for l in order}
-            if self.rooted:
-                pe = self._parent_edge.get(hub)
-                extra = [e for e in self._adj[hub] if e != pe and e not in leaf_edges]
-            else:
-                extra = [e for e in self._adj[hub] if e not in leaf_edges]
-            extra = tuple(sorted(extra))
-            if (self.rooted and not extra) or (not self.rooted and len(extra) <= 1):
-                return SiblingCase("mss")
-            cuts = (extra,) if self.rooted else (extra[:1], extra[1:2])
+            if rooted and v not in pe:
+                raise ForestError("sibling case undefined for parentless label (ρ)")
+            hub[l] = next(iter(adj[v].values()))
+        if len(hub) < 2:
+            raise ForestError("sibling set needs at least two labels")
+        if len(hub) == 2:
+            a, b = hub
+            if hub[a] == at[b]:
+                return SiblingCase("mss")   # an unrooted single-edge tree
+        hubs = set(hub.values())
+        if len(hubs) == 1:
+            (p,) = hubs
+            up = pe.get(p) if rooted else None
+            surplus = len(adj[p]) - len(hub) - (up is not None)
+            if surplus <= (0 if rooted else 1):
+                return SiblingCase("mss", hub=p)
+        least = self.labels.least_originals()
+        order = sorted(hub, key=lambda l: (least[l], l))
+        if len(hubs) == 1:
+            ends = {at[l] for l in hub}
+            extra = tuple(sorted(e for e, w in adj[p].items() if w not in ends and e != up))
+            cuts = (extra,) if rooted else (extra[:1], extra[1:2])
             return SiblingCase("siblings", pair=(order[0], order[1]), cuts=cuts)
-        a, b = pair
-        path = self.tree_path(verts[a], verts[b])
+        h0 = hub[order[0]]
+        pair = (order[0], next(l for l in order[1:] if hub[l] != h0 and at[l] != h0))
+        path = self.tree_path(at[pair[0]], at[pair[1]])
         if path is None:
             return SiblingCase("split", pair=pair)
-        if self.rooted:
+        if rooted:
             # every other path vertex has its parent on the path
             on = set(path)
             lca = next(v for v in path if self.parent_vertex(v) not in on)
@@ -1235,6 +1215,9 @@ class AgreementForest:
         return self.forest.order()
 
     def verify(self, instance: Instance) -> bool:
+        """True iff each input forest has a witness that removes it to this one."""
+        if len(self.witnesses) != instance.m:
+            return False
         for f, removed in zip(instance.forests, self.witnesses):
             if not f.remove_edges(removed).same_structure(self.forest):
                 return False

@@ -93,12 +93,12 @@ def _search(forests, k, stats, depth):
             # a grouping keeps the pair reduced (see ``reduction``), so it goes
             # straight back to the case analysis; it still counts as a node
             while (mss := f2.find_mss()) is not None:
-                case = f1.sibling_case(mss.labels)
+                case = f1.sibling_case(mss)
                 if case.kind != "mss":
                     break
                 stats.case1 += 1
                 stats.nodes += 1
-                f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
+                f1, f2 = f1.group_labels(mss), f2.group_labels(mss)
         elif f1.same_structure(f2):
             mss = None
         else:

@@ -10,6 +10,7 @@ import random
 import re
 import warnings
 from collections import Counter, deque
+from typing import NamedTuple
 
 import mafkit as mk
 from mafkit import reduction
@@ -108,6 +109,13 @@ def zero_sum_edges_by_walk(forest, weight):
     return sorted(next(e for e, w in forest.neighbors(v) if w == up[v]) for v in flagged)
 
 
+class Candidate(NamedTuple):
+    """A maximal sibling set candidate of ``mss_candidates_by_scan``."""
+
+    labels: frozenset
+    hub: object  # the hub vertex, or None for an unrooted single-edge tree
+
+
 def mss_candidates_by_scan(forest):
     """Every maximal sibling set candidate, found by scanning every vertex.
 
@@ -125,33 +133,75 @@ def mss_candidates_by_scan(forest):
         if forest.rooted:
             kids = [w for e, w in nbrs if e != forest.parent_edge(p)]
             if len(kids) >= 2 and all(forest.label_of(w) is not None for w in kids):
-                cands.append(mk.SiblingSet(frozenset(forest.label_of(w) for w in kids), p))
+                cands.append(Candidate(frozenset(forest.label_of(w) for w in kids), p))
             continue
         leaves = [forest.label_of(w) for _, w in nbrs if forest.label_of(w) is not None]
         extra = len(nbrs) - len(leaves)
         if len(leaves) >= 2 and extra <= 1:
             s = frozenset(leaves)
-            cands.append(mk.SiblingSet(s, p))
+            cands.append(Candidate(s, p))
             if not extra and len(s) >= 3:
-                cands.extend(mk.SiblingSet(s - {lid}, p) for lid in s)
+                cands.extend(Candidate(s - {lid}, p) for lid in s)
     if not forest.rooted:
         for comp in forest.components():
             if len(comp) == 2:
-                cands.append(mk.SiblingSet(frozenset(forest.label_of(v) for v in comp), None))
+                cands.append(Candidate(frozenset(forest.label_of(v) for v in comp), None))
     return cands
 
 
 def find_mss_by_scan(forest):
-    """Reference for ``Forest.find_mss``: the least candidate of a full scan."""
+    """Reference for ``Forest.find_mss``: the labels of the least candidate
+    of a full scan.  Also checks that ``Forest.sibling_case`` names the
+    candidate's hub."""
     cands = mss_candidates_by_scan(forest)
     if not cands:
         return None
 
-    def key(ss):
-        ids = sorted(ss.labels)
+    def key(cand):
+        ids = sorted(cand.labels)
         return (min(forest.labels.min_original(l) for l in ids), len(ids), tuple(ids))
 
-    return min(cands, key=key)
+    best = min(cands, key=key)
+    case = forest.sibling_case(best.labels)
+    assert case.kind == "mss" and case.hub == best.hub
+    return best.labels
+
+
+def sibling_case_by_pairs(forest, lids):
+    """Reference for the ``(kind, pair)`` of ``Forest.sibling_case``.
+
+    The labels are sorted by least original and every pair of them is tried
+    in ``itertools.combinations`` order; the first pair that is not siblings
+    (rooted: one parent; unrooted: one unlabeled neighbor, or a single-edge
+    tree) is the case's pair, a split or a path by its components.
+    """
+    order = sorted(lids, key=lambda l: (forest.labels.min_original(l), l))
+    verts = [forest.vertex_of_label(l) for l in order]
+
+    def one_neighbor(v):
+        return next((w for _, w in forest.neighbors(v)), None)
+
+    def are_siblings(v1, v2):
+        if forest.rooted:
+            p1, p2 = forest.parent_vertex(v1), forest.parent_vertex(v2)
+            return p1 is not None and p1 == p2
+        if forest.degree(v1) == 1 and one_neighbor(v1) == v2:
+            return True
+        n1, n2 = one_neighbor(v1), one_neighbor(v2)
+        return n1 is not None and n1 == n2 and forest.label_of(n1) is None
+
+    for (a, va), (b, vb) in itertools.combinations(zip(order, verts), 2):
+        if not are_siblings(va, vb):
+            same = forest.component_index_of_vertex(va) == forest.component_index_of_vertex(vb)
+            return ("path" if same else "split"), (a, b)
+    hub = forest.parent_vertex(verts[0]) if forest.rooted else one_neighbor(verts[0])
+    if forest.label_of(hub) is not None:
+        return "mss", None  # a single-edge tree
+    up = forest.parent_vertex(hub) if forest.rooted else None
+    surplus = sum(1 for _, w in forest.neighbors(hub) if w not in verts and w != up)
+    if surplus <= (0 if forest.rooted else 1):
+        return "mss", None
+    return "siblings", (order[0], order[1])
 
 
 def steiner_by_pruning(sup, leaf_vertices):
@@ -239,12 +289,12 @@ def _search_eagerly(forests, k, stats, depth, settle):
         stats.rule1_edges += len(trace)
         if not settle or f1.order() < k:
             while (mss := f2.find_mss()) is not None:
-                case = f1.sibling_case(mss.labels)
+                case = f1.sibling_case(mss)
                 if case.kind != "mss":
                     break
                 stats.case1 += 1
                 stats.nodes += 1
-                f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
+                f1, f2 = f1.group_labels(mss), f2.group_labels(mss)
         elif f1.same_structure(f2):
             mss = None
         else:

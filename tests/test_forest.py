@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from helpers import (
     random_instance,
     random_tree,
     rebuilt,
+    sibling_case_by_pairs,
     steiner_by_pruning,
     steiner_canonical_by_nesting,
     zero_sum_edges_by_walk,
@@ -42,7 +44,7 @@ def derive(rng, f):
     pick = rng.random()
     if cands and pick < 0.5:
         f.find_mss()  # so that the grouping carries the sibling-set table
-        return f.group_labels(rng.choice(cands))
+        return f.group_labels(rng.choice(cands).labels)
     if eids and pick < 0.85:
         return f.remove_edges(rng.sample(eids, rng.randint(1, min(3, len(eids)))))
     return f.expand_labels()
@@ -299,6 +301,19 @@ def test_subforest_universe_mismatch():
         mk.is_subforest(f, g)
 
 
+def test_verify_needs_one_witness_per_input():
+    text = "((a,b),(c,d));\n((a,b),(c,d));\n((a,c),(b,d));"
+    for rooted in (True, False):
+        three = mk.parse_instance(text, rooted)
+        two = mk.Instance(rooted, three.forests[:2])
+        af = mk.certify(three.forests[0], two)
+        assert af.verify(two)
+        # the third tree is not a cut of the first, and has no witness here
+        assert not mk.is_subforest(three.forests[0], three.forests[2])
+        assert not af.verify(three)
+        assert not mk.AgreementForest(af.forest, af.witnesses[:1]).verify(two)
+
+
 def test_subforest_witness_realizes_embedding(rng):
     for _ in range(20):
         sup = random_forest(rng, rng.randint(4, 6), rooted=rng.random() < 0.5, max_cuts=1)
@@ -394,8 +409,8 @@ def test_witness_matches_pruning_reference(rng, monkeypatch):
 def test_mss_rooted_cherry():
     f = parse1("((a,b),c);")
     mss = f.find_mss()
-    assert names(f, mss.labels) == ["a", "b"]
-    assert mss.hub == f.parent_vertex(f.vertex_of_label(f.labels.id_of("a")))
+    assert names(f, mss) == ["a", "b"]
+    assert f.sibling_case(mss).hub == f.parent_vertex(f.vertex_of_label(f.labels.id_of("a")))
 
 
 def test_mss_none_on_singletons():
@@ -409,8 +424,8 @@ def test_mss_unrooted_single_edge_tree():
     g = f.remove_edges(cuts)
     assert sorted(len(c) for c in g.components()) == [1, 1, 2]
     mss = g.find_mss()
-    assert names(g, mss.labels) == ["a", "b"]
-    assert mss.hub is None
+    assert names(g, mss) == ["a", "b"]
+    assert g.sibling_case(mss).hub is None
 
 
 def test_mss_rooted_none_iff_at_most_one_edge():
@@ -439,7 +454,7 @@ def test_mss_unrooted_star_prefers_spec_tiebreak():
     f = parse1("(a,b,c);", rooted=False)
     mss = f.find_mss()
     # full star: the two-smallest subset wins on the size tiebreak
-    assert names(f, mss.labels) == ["a", "b"]
+    assert names(f, mss) == ["a", "b"]
 
 
 def test_find_mss_matches_scan_along_chains(rng):
@@ -453,7 +468,7 @@ def test_find_mss_matches_scan_along_chains(rng):
             if not cands:
                 break
             if rng.random() < 0.85:
-                f = f.group_labels(rng.choice(cands))
+                f = f.group_labels(rng.choice(cands).labels)
                 assert f._mss is not None  # patched from the parent, not rebuilt
                 groupings += 1
             else:
@@ -471,7 +486,7 @@ def test_find_mss_after_grouping_stars_and_single_edges():
     for f in forests:
         for ss in mss_candidates_by_scan(f):
             f.find_mss()
-            g = f.group_labels(ss)
+            g = f.group_labels(ss.labels)
             assert g.find_mss() == find_mss_by_scan(g)
             if g.find_mss() is not None:
                 h = g.group_labels(g.find_mss())
@@ -480,7 +495,8 @@ def test_find_mss_after_grouping_stars_and_single_edges():
     ab = frozenset(star.labels.id_of(x) for x in "ab")
     star.find_mss()
     # grouping a one-leaf-short subset of a star leaves a single-edge tree
-    assert star.group_labels(ab).find_mss().hub is None
+    g = star.group_labels(ab)
+    assert g.sibling_case(g.find_mss()).hub is None
 
 
 def full_mss_table(f):
@@ -497,7 +513,7 @@ def test_removal_patches_sibling_set_table(rng):
             assert f.find_mss() == find_mss_by_scan(f)
             cands = mss_candidates_by_scan(f)
             if cands and rng.random() < 0.4:
-                f = f.group_labels(rng.choice(cands))
+                f = f.group_labels(rng.choice(cands).labels)
             else:
                 eids = sorted(f.edge_ids())
                 f = f.remove_edges(rng.sample(eids, rng.randint(1, min(3, len(eids)))))
@@ -506,6 +522,73 @@ def test_removal_patches_sibling_set_table(rng):
             assert f._mss is not None
             assert f._mss == full_mss_table(f)
     assert removals > 400
+
+
+# -- sibling_case --------------------------------------------------------------
+
+
+def _sibling_case_sets(rng, f):
+    """Label sets of two to four labels, none a singleton: the sibling-set
+    candidates, single-edge trees with a third label, and random draws from
+    the leaves around one vertex, from one component and from the whole
+    forest."""
+    lids = sorted(l for l in f.label_ids() if f.degree(f.vertex_of_label(l)))
+    by_comp, around = {}, {}
+    for l in lids:
+        by_comp.setdefault(f.component_index_of_label(l), []).append(l)
+        (_, w), = f.neighbors(f.vertex_of_label(l))
+        around.setdefault(w, []).append(l)
+    cands = [c.labels for c in mss_candidates_by_scan(f)]
+    sets = list(cands)
+    sets += [s | {rng.choice(lids)} for s in cands if len(s) == 2 and len(lids) > 2]
+    for pool in [lids, *by_comp.values(), *around.values()] * 2:
+        if len(pool) >= 2:
+            sets.append(frozenset(rng.sample(pool, rng.randint(2, min(4, len(pool))))))
+    return sets
+
+
+def test_sibling_case_matches_pairwise_rule(rng):
+    seen = Counter()
+    for trial in range(300):
+        rooted = trial % 2 == 0
+        f = random_forest(rng, rng.randint(3, 12), rooted)
+        for _ in range(rng.randint(0, 4)):
+            f = derive(rng, f)
+        rho = f.labels.id_of(mk.RHO) if rooted else None
+        for lids in _sibling_case_sets(rng, f):
+            kind, pair = sibling_case_by_pairs(f, lids)
+            if rho in lids:
+                # ρ is no label's sibling, and a set that holds it is refused
+                assert kind in ("split", "path") and len(lids) >= 2
+                with pytest.raises(mk.ForestError, match="parentless"):
+                    f.sibling_case(lids)
+                seen["rho"] += 1
+                continue
+            case = f.sibling_case(lids)
+            assert (case.kind, case.pair) == (kind, pair)
+            seen[kind] += 1
+            seen["grouped"] += f.has_grouped_labels()
+            seen["single edge"] += not rooted and any(
+                f.label_of(w) is not None
+                for l in lids for _, w in f.neighbors(f.vertex_of_label(l)))
+            seen["across"] += len({f.component_index_of_label(l) for l in lids}) > 1
+    assert min(seen.values()) > 100 and len(seen) == 8, seen
+
+
+def test_bad_label_sets_raise_forest_error():
+    for rooted in (True, False):
+        f = parse1("((a,b),(c,d));", rooted)
+        a, b, c = (f.labels.id_of(x) for x in "abc")
+        f = f.remove_edges([f.pendant_edge(c)])
+        bad = [[a], [c, a], [a, b, c]]
+        if rooted:
+            bad += [[f.labels.id_of(mk.RHO), a], [f.labels.id_of(mk.RHO), a, b]]
+        for lids in bad:
+            with pytest.raises(mk.ForestError):
+                f.sibling_case(lids)
+            with pytest.raises(mk.ForestError):
+                f.group_labels(lids)
+        assert f.group_labels([a, b]).order() == f.order()
 
 
 # -- group / expand ----------------------------------------------------------
@@ -644,7 +727,7 @@ def test_with_group_tables_are_independent():
 def test_lockstep_grouping_builds_one_table():
     inst = mk.parse_instance("((a,b),(c,d));\n((a,b),c,d);", rooted=True)
     f1, f2 = inst.forests
-    ab = f2.find_mss().labels
+    ab = f2.find_mss()
     assert f1.labels is f2.labels
     g1, g2 = f1.group_labels(ab), f2.group_labels(ab)
     assert g1.labels is g2.labels and g1.labels.id_of("a+b") == len(f1.labels)
@@ -766,8 +849,8 @@ def _equality_pairs(rng, rooted):
     ]
     a, b, _ = mk.reduce_pair(f1, f2)
     pairs.append((a, b))
-    while (mss := b.find_mss()) is not None and a.sibling_case(mss.labels).kind == "mss":
-        a, b = a.group_labels(mss.labels), b.group_labels(mss.labels)
+    while (mss := b.find_mss()) is not None and a.sibling_case(mss).kind == "mss":
+        a, b = a.group_labels(mss), b.group_labels(mss)
         pairs.append((a, b))
     lids = sorted(f1.label_ids())
     pairs.append((rebuilt(f1.remove_edges(eids)), f1.remove_edges(eids)))

@@ -272,8 +272,8 @@ def test_a_reduced_pair_agrees_only_when_equal(rng):
         f1, f2, _ = mk.reduce_pair(t1.remove_edges(rng.sample(eids, rng.randint(0, 2))), t2)
         if i % 3 == 0:
             while (mss := f2.find_mss()) is not None and \
-                    f1.sibling_case(mss.labels).kind == "mss":
-                f1, f2 = f1.group_labels(mss.labels), f2.group_labels(mss.labels)
+                    f1.sibling_case(mss).kind == "mss":
+                f1, f2 = f1.group_labels(mss), f2.group_labels(mss)
                 grouped += 1
         same = f1.same_structure(f2)
         assert same == brute_is_subforest(f1.expand_labels(), f2.expand_labels()), inst.name

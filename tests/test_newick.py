@@ -319,7 +319,7 @@ def test_serialize_matches_the_accessor_reference(rng):
         assert mk.serialize(f) == serialize_by_accessors(f)
         grouped = 0
         while (mss := f.find_mss()) is not None and grouped < 4:
-            f = f.group_labels(mss.labels)
+            f = f.group_labels(mss)
             grouped += 1
             assert mk.serialize(f) == serialize_by_accessors(f)
     big = mk.generate_instance(mk.GenSpec(n=2000, m=2, x=5, seed=11)).forests[1]
@@ -346,5 +346,5 @@ def test_serialize_matches_the_accessor_reference(rng):
                     swapped += f.labels.name(a) > f.labels.name(b)
             if (mss := f.find_mss()) is None:
                 break
-            f = f.group_labels(mss.labels)
+            f = f.group_labels(mss)
     assert swapped > 10
