@@ -21,14 +21,18 @@ wrote are checked against the degree rules.  A removal or a grouping also
 patches its parent's sibling-set table (see :meth:`Forest.find_mss`) where
 it can change, instead of leaving it to be built again.  Derivations record
 their parent and a log of what they changed, which ``reduction`` reads.
-Other derived data (components, label partition, original label ids,
-canonical key) is built at most once per value, on first use.
+Other derived data (label partition, original label ids, canonical key) is
+built at most once per value, on first use.
 
-Structural equality (:meth:`Forest.same_structure`) is one walk that maps
-the vertices of one forest onto the other's, climbing from the labeled
-leaves; it builds no canonical key.  The canonical key holds one flat tuple
-of ints per component (see :func:`_flat_code`): the one order of children in
-the package, which the Newick writer renders, and nothing else reads.
+One walk finds a forest's components: :meth:`Forest._hanging` hangs each
+from one top, the root or the leaf with the least original label.  The
+label partition, structural equality, the reduction's side sums, the
+Steiner witness and the canonical key all read that hanging.  Structural
+equality (:meth:`Forest.same_structure`) maps the vertices of one forest
+onto the other's, climbing from the labeled leaves; it builds no canonical
+key.  The canonical key holds one flat tuple of ints per component (see
+:func:`_flat_codes`): the one order of children in the package, which the
+Newick writer renders, and nothing else reads.
 
 There is no depth limit: every walk over a tree, the equality walk included,
 uses an explicit stack or a worklist, never recursion, and comparing two flat
@@ -252,41 +256,52 @@ def find_root(parent, x):
     return x
 
 
-def _flat_code(order, children, low, vlabel):
-    """Canonical code of a tree as one flat tuple of ints.
+def _flat_codes(order, up, vlabel, least):
+    """Canonical code of every hung tree, each as one flat tuple of ints.
 
-    The code lists ``label id or -1, child count`` for every vertex in a
+    A code lists ``label id or -1, child count`` for every vertex in a
     preorder that takes children by the least original label below them:
     the package's one order of children, which ``newick.serialize`` writes.
-    The tree must be irreducible, so every subtree holds a label, and
+    The trees must be irreducible, so every subtree holds a label, and
     labels of one forest cover disjoint sets of originals, so no two
     children tie.  Two trees over one label universe get equal codes
     exactly when a map that keeps labels and the top vertex makes them
     isomorphic.
 
-    ``order`` lists the top vertex and then every other vertex that is not
-    a labeled leaf, parents before children; ``children`` maps each of them
-    to its non-empty list of children (the lists are reordered in place),
-    and ``low`` maps each labeled leaf to the least original behind its
-    label (see :meth:`LabelTable.least_originals`).  Two linear passes: one
-    walks ``order`` backwards to fill in the least original below every
-    vertex, one writes the code with an explicit stack.
+    ``order`` and ``up`` are a hanging (see :meth:`Forest._hanging`), and
+    ``least`` maps each label id to the least original behind it (see
+    :meth:`LabelTable.least_originals`).  Two linear passes: one walks
+    ``order`` backwards to gather every vertex's children and the least
+    original below it, one writes the codes, top by top, with an explicit
+    stack.
     """
-    for v in reversed(order):
-        low[v] = min(map(low.__getitem__, children[v]))
-    out = []
-    stack = [order[0]]
-    while stack:
-        v = stack.pop()
-        kids = children.get(v)
-        if kids is None:
-            out += (vlabel[v], 0)
+    children = {}
+    low = {}
+    for v in reversed(order):  # children before parents
+        if v not in children:
+            low[v] = least[vlabel[v]]
+        p = up.get(v)
+        if p is not None:
+            children.setdefault(p, []).append(v)
+            low[p] = min(low.get(p, low[v]), low[v])
+    codes = []
+    for top in order:
+        if top in up:
             continue
-        out += (vlabel.get(v, -1), len(kids))
-        if len(kids) > 1:
-            kids.sort(key=low.__getitem__, reverse=True)
-        stack += kids
-    return tuple(out)
+        out = []
+        stack = [top]
+        while stack:
+            v = stack.pop()
+            kids = children.get(v)
+            if kids is None:
+                out += (vlabel[v], 0)
+                continue
+            out += (vlabel.get(v, -1), len(kids))
+            if len(kids) > 1:
+                kids.sort(key=low.__getitem__, reverse=True)
+            stack += kids
+        codes.append(tuple(out))
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +328,10 @@ class Forest:
         "_next_e",
         "_label_vertex",
         "_own",
-        "_comps",
-        "_comp_of_v",
         "_canon",
         "_mss",
         "_partition",
+        "_comp_of",
         "_weights",
         "_sums",
         "_orig_ids",
@@ -337,11 +351,10 @@ class Forest:
         self._next_e = next_e
         self._label_vertex = label_vertex  # label id -> vertex
         self._own = set()              # vertices whose adjacency row is private
-        self._comps = None
-        self._comp_of_v = None
         self._canon = None
         self._mss = None               # sibling-set table, see find_mss
         self._partition = None
+        self._comp_of = None           # label id -> index in the partition
         self._weights = None           # label weights as a reduction witness
         self._sums = None              # side sums of the latest reduction scan
         self._orig_ids = None          # see original_label_ids
@@ -364,14 +377,17 @@ class Forest:
         """Assemble a forest from raw parts.
 
         ``leaf_labels`` maps vertex id -> label id, ``edge_list`` is an
-        iterable of vertex pairs (parent first when rooted) that must not
-        close a cycle.  :meth:`_settle` normalizes the maps by forced
-        contraction from every vertex.
+        iterable of vertex pairs (parent first when rooted).  Each edge is
+        joined in a union-find (:func:`find_root`) as it comes, and one whose
+        ends are already joined closes a cycle and raises ``ForestError``.
+        :meth:`_settle` then normalizes the maps by forced contraction from
+        every vertex.
         """
         vlabel = dict(leaf_labels)
         adj: dict[int, dict[int, int]] = {v: {} for v in vlabel}
         edges: dict[int, tuple[int, int]] = {}
         parent_edge: dict[int, int] = {}
+        joined: dict[int, int] = {}
         for eid, (u, v) in enumerate(edge_list):
             if u == v:
                 raise ForestError("self-loop edge")
@@ -384,6 +400,11 @@ class Forest:
                 if v in parent_edge:
                     raise ForestError(f"vertex {v} has two parents")
                 parent_edge[v] = eid
+            ru = find_root(joined, joined.setdefault(u, u))
+            rv = find_root(joined, joined.setdefault(v, v))
+            if ru == rv:
+                raise ForestError("edge list has a cycle")
+            joined[rv] = ru
         next_v = max(adj, default=-1) + 1
         next_e = len(edges)
         label_vertex = {lid: v for v, lid in vlabel.items()}
@@ -392,13 +413,11 @@ class Forest:
         return f._settle(list(adj))
 
     def _settle(self, seeds) -> "Forest":
-        """Last step of every assembly: contract from ``seeds``, then check."""
+        """Last step of every assembly: contract from ``seeds``, then check
+        the degree rules.  The maps must hold no cycle: :meth:`build` rejects
+        one as its edges come, and the parser gives each vertex one parent."""
         self._normalize(seeds, [])
         self._check()
-        # contraction keeps the cycle rank, so the vertex and edge counts give
-        # the component count (``order``) exactly when there is no cycle
-        if len(self.components()) != self.order():
-            raise ForestError("edge list has a cycle")
         return self
 
     def _copy(self) -> "Forest":
@@ -602,29 +621,6 @@ class Forest:
             raise ForestError(f"label {self.labels.name(lid)} is not a pendant leaf")
         return next(iter(d))
 
-    def components(self) -> tuple[frozenset[int], ...]:
-        if self._comps is None:
-            adj = self._adj
-            comps = []
-            comp_of = {}
-            for v0 in sorted(adj):
-                if v0 in comp_of:
-                    continue
-                idx = len(comps)
-                comp_of[v0] = idx
-                comp = [v0]
-                stack = [v0]
-                while stack:
-                    for w in adj[stack.pop()].values():
-                        if w not in comp_of:
-                            comp_of[w] = idx
-                            comp.append(w)
-                            stack.append(w)
-                comps.append(frozenset(comp))
-            self._comps = tuple(comps)
-            self._comp_of_v = comp_of
-        return self._comps
-
     def order(self) -> int:
         """Number of connected components: vertices minus edges, in a forest."""
         return len(self._adj) - len(self._edges)
@@ -652,31 +648,31 @@ class Forest:
                 parent[find_root(parent, v)] = find_root(parent, u)
         return parent
 
-    def component_index_of_vertex(self, v) -> int:
-        self.components()
-        return self._comp_of_v[v]
+    def label_partition(self) -> tuple[frozenset[int], ...]:
+        """The label set of every component, in the order of the runs of
+        :meth:`_hanging`; built once per value, with the index of each
+        label's part (see :meth:`component_index_of_label`)."""
+        if self._partition is None:
+            order, up = self._hanging()
+            vlabel = self._vlabel
+            parts = []
+            comp_of = self._comp_of = {}
+            for v in order:
+                if v not in up:  # a top starts the next run
+                    part = []
+                    parts.append(part)
+                lid = vlabel.get(v)
+                if lid is not None:
+                    part.append(lid)
+                    comp_of[lid] = len(parts) - 1
+            self._partition = tuple(map(frozenset, parts))
+        return self._partition
 
     def component_index_of_label(self, lid) -> int:
-        return self.component_index_of_vertex(self._label_vertex[lid])
-
-    def component_labels(self, idx) -> frozenset[int]:
-        return frozenset(
-            self._vlabel[v] for v in self.components()[idx] if v in self._vlabel
-        )
-
-    def component_root(self, idx) -> int:
-        """Rooted: the unique parentless vertex of component ``idx``."""
-        for v in self.components()[idx]:
-            if v not in self._parent_edge:
-                return v
-        raise ForestError("component without root")
-
-    def label_partition(self) -> tuple[frozenset[int], ...]:
-        if self._partition is None:
-            self._partition = tuple(
-                self.component_labels(i) for i in range(self.order())
-            )
-        return self._partition
+        """Index in :meth:`label_partition` of the part that holds ``lid``."""
+        if self._comp_of is None:
+            self.label_partition()
+        return self._comp_of[lid]
 
     def tree_path(self, v1, v2):
         """Vertex path between v1 and v2, or None if in different components."""
@@ -911,72 +907,40 @@ class Forest:
 
     # -- canonical structure -------------------------------------------------
 
-    def component_canonical(self, idx):
-        """Flat canonical code of component ``idx`` (see :func:`_flat_code`).
-
-        The component hangs from its root when rooted and from the leaf
-        with the least original label when unrooted.
-        """
-        comp = self.components()[idx]
-        vlabel = self._vlabel
-        if len(comp) == 1:
-            (v,) = comp
-            return (vlabel.get(v, -1), 0)
-        least = self.labels.least_originals()
-        if self.rooted:
-            start = self.component_root(idx)
-        else:
-            start = min((v for v in comp if v in vlabel), key=lambda v: least[vlabel[v]])
-        adj = self._adj
-        order = [start]
-        up = {start: None}
-        children = {}
-        low = {}
-        for v in order:  # grows while it is walked: parents before children
-            kids = children[v] = list(adj[v].values())
-            if up[v] is not None:
-                kids.remove(up[v])
-            for w in kids:
-                if w in vlabel:
-                    low[w] = least[vlabel[w]]
-                else:
-                    up[w] = v
-                    order.append(w)
-        return _flat_code(order, children, low, vlabel)
-
     def canonical_key(self):
         """Order-independent structural fingerprint of the whole forest.
 
         ``(rooted, sorted component codes)``, each code a flat tuple of ints
-        (see :func:`_flat_code`): comparing two keys never recurses, however
+        written from the component's top in :meth:`_hanging` (see
+        :func:`_flat_codes`): comparing two keys never recurses, however
         deep the trees.  Keys are exact for forests over one label universe,
         where a label id stands for the same originals in every table: the
-        codes order children by those originals.  The codes are the Newick
-        writer's order of children; equality is decided by
+        tops and the order of children go by those originals.  The codes are
+        the Newick writer's order of children; equality is decided by
         :meth:`same_structure`, which builds no key.
         """
         if self._canon is None:
-            comps = tuple(
-                sorted(self.component_canonical(i) for i in range(self.order()))
-            )
-            self._canon = (self.rooted, comps)
+            codes = _flat_codes(*self._hanging(), self._vlabel, self.labels.least_originals())
+            self._canon = (self.rooted, tuple(sorted(codes)))
         return self._canon
 
     def _hanging(self):
         """Every component hung from one top: ``(order, up)``.
 
-        A rooted component hangs from its root, an unrooted one from its
-        leaf with the least label id.  ``order`` lists every vertex, each
-        component as one run that starts at its top, parents before
-        children; ``up`` maps every vertex but the tops to the vertex above
-        it.  The walk grows a list while it reads it, without recursion.
+        The one walk that finds a forest's components.  A rooted component
+        hangs from its root, an unrooted one from its leaf with the least
+        original label.  ``order`` lists every vertex, each component as one
+        run that starts at its top, parents before children; ``up`` maps
+        every vertex but the tops to the vertex above it.  The walk grows a
+        list while it reads it, without recursion.
         """
         adj = self._adj
         if self.rooted:
             tops = [v for v in adj if v not in self._parent_edge]
         else:
             at = self._label_vertex
-            tops = [at[lid] for lid in sorted(at)]
+            least = self.labels.least_originals()
+            tops = [at[lid] for lid in sorted(at, key=least.__getitem__)]
         order = []
         up = {}
         for top in tops:
@@ -1035,10 +999,10 @@ class Forest:
         one to one: a label-preserving isomorphism, which keeps parents.
         Conversely, let φ be a label-preserving isomorphism (keeping parents
         when rooted).  Unrooted, φ keeps each component's label set, so it
-        maps each hang point, the leaf of the least label, to the other's;
-        so φ keeps the vertex above, rooted or not.  The walk maps each leaf
-        by φ, as labels pin the leaves, and each parent by φ, as parents pin
-        the rest, so no check fails.
+        maps each hang point, the leaf of the least original label, to the
+        other's; so φ keeps the vertex above, rooted or not.  The walk maps
+        each leaf by φ, as labels pin the leaves, and each parent by φ, as
+        parents pin the rest, so no check fails.
         """
         if self is other:
             return True
@@ -1268,11 +1232,12 @@ def subforest_witness(sub: Forest, sup: Forest):
     Both forests are expanded to original labels first.  A component of the
     candidate embeds as the contracted minimal spanning subtree of its labels,
     so the only candidate for E is the set of edges outside those subtrees
-    (``sup`` is hung once, see :meth:`Forest._hanging`, and every subtree is
-    found from there).  The witness is then checked by the removal it names,
-    as :meth:`AgreementForest.verify` checks it: subtrees that share a vertex
-    merge into one component there, and one whose contraction differs from
-    its component has another structure, so either fails the equality test.
+    (every subtree is found from one hanging of ``sup``, see
+    :meth:`Forest._hanging`).  The witness is then checked by the removal it
+    names, as :meth:`AgreementForest.verify` checks it: subtrees that share a
+    vertex merge into one component there, and one whose contraction differs
+    from its component has another structure, so either fails the equality
+    test.
     """
     if sub.rooted != sup.rooted:
         raise LabelUniverseError("rootedness mismatch")

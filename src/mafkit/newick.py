@@ -238,7 +238,7 @@ def parse_instance(text: str, rooted: bool, name: str = "") -> Instance:
 
 
 def _code_text(code, names, start=0) -> str:
-    """Newick text of a flat canonical code (see ``forest._flat_code``) from
+    """Newick text of a flat canonical code (see ``forest._flat_codes``) from
     index ``start`` on, in one pass with an explicit stack that holds, for
     every open vertex, the number of its children still to come."""
     out, left = [], []

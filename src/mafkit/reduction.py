@@ -30,8 +30,8 @@ witness forest sum to 0 mod 2^64.
   is brought back to a zero sum by changing the weight of one of its labels.
 * The scanned forest keeps, per vertex, the vertex above it and the weight
   of its subtree in a hanging of each component from one top (a fresh scan
-  takes ``Forest._hanging``: the root, or the leaf with the least label
-  id).  A derivation of it is replayed on those sums (a cut edge subtracts
+  takes ``Forest._hanging``: the root, or the leaf with the least original
+  label).  A derivation of it is replayed on those sums (a cut edge subtracts
   its subtree along the path to the top and makes a new top; contraction and
   grouping only hand a vertex's place to a neighbor), and a label whose
   weight changed adds the change along its leaf-to-top path.  A

@@ -16,6 +16,36 @@ import mafkit as mk
 from mafkit import reduction
 
 
+def components_by_walk(forest):
+    """Reference for the components ``Forest._hanging`` finds: vertex sets,
+    each walked from its least vertex not yet reached, in that order."""
+    comps = []
+    reached = set()
+    for v0 in sorted(forest.vertices()):
+        if v0 in reached:
+            continue
+        comp = {v0}
+        stack = [v0]
+        while stack:
+            for _, w in forest.neighbors(stack.pop()):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        reached |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def component_of(forest, v):
+    """Vertex set of the component of ``forest`` that holds ``v``."""
+    return next(comp for comp in components_by_walk(forest) if v in comp)
+
+
+def labels_of(forest, comp):
+    """Label ids on the vertices of ``comp``."""
+    return frozenset(forest.label_of(v) for v in comp if forest.label_of(v) is not None)
+
+
 def all_removal_keys(forest, cap=12):
     """Canonical keys of every forest reachable by deleting an edge subset."""
     eids = sorted(forest.edge_ids())
@@ -100,12 +130,10 @@ def zero_sum_edges_by_walk(forest, weight):
     """
     up, below = reduction._side_sums(forest, weight)
     total = {}
-    for v in below.keys() - up.keys():
-        total[forest.component_index_of_vertex(v)] = below[v]
-    flagged = [
-        v for v in up
-        if not below[v] or below[v] == total[forest.component_index_of_vertex(v)]
-    ]
+    for comp in components_by_walk(forest):
+        (top,) = comp - up.keys()
+        total.update(dict.fromkeys(comp, below[top]))
+    flagged = [v for v in up if not below[v] or below[v] == total[v]]
     return sorted(next(e for e, w in forest.neighbors(v) if w == up[v]) for v in flagged)
 
 
@@ -143,7 +171,7 @@ def mss_candidates_by_scan(forest):
             if not extra and len(s) >= 3:
                 cands.extend(Candidate(s - {lid}, p) for lid in s)
     if not forest.rooted:
-        for comp in forest.components():
+        for comp in components_by_walk(forest):
             if len(comp) == 2:
                 cands.append(Candidate(frozenset(forest.label_of(v) for v in comp), None))
     return cands
@@ -192,8 +220,7 @@ def sibling_case_by_pairs(forest, lids):
 
     for (a, va), (b, vb) in itertools.combinations(zip(order, verts), 2):
         if not are_siblings(va, vb):
-            same = forest.component_index_of_vertex(va) == forest.component_index_of_vertex(vb)
-            return ("path" if same else "split"), (a, b)
+            return ("path" if vb in component_of(forest, va) else "split"), (a, b)
     hub = forest.parent_vertex(verts[0]) if forest.rooted else one_neighbor(verts[0])
     if forest.label_of(hub) is not None:
         return "mss", None  # a single-edge tree
@@ -211,7 +238,7 @@ def steiner_by_pruning(sup, leaf_vertices):
     is not a target until none is left; returns the vertex and edge sets.
     """
     targets = set(leaf_vertices)
-    comp = sup.components()[sup.component_index_of_vertex(next(iter(targets)))]
+    comp = component_of(sup, next(iter(targets)))
     deg = {v: dict(sup.neighbors(v)) for v in comp}
     queue = deque(v for v in comp if len(deg[v]) <= 1 and v not in targets)
     alive = set(comp)
@@ -538,12 +565,13 @@ def _nested_down(forest, v, in_edge, edge_ok=None, contract=False):
     return (lid, tuple(sorted(_nested_down(forest, w, e, edge_ok, contract) for e, w in kids)))
 
 
-def component_canonical_by_nesting(forest, idx):
-    """Reference for ``Forest.component_canonical``: ``(label, sorted children)``
-    nested per vertex, from the root (rooted) or the least label (unrooted)."""
-    comp = forest.components()[idx]
+def component_canonical_by_nesting(forest, comp):
+    """Reference for one code of ``Forest.canonical_key``: ``(label, sorted
+    children)`` nested per vertex of the component ``comp`` (a vertex set),
+    from the root (rooted) or the least label (unrooted)."""
     if forest.rooted:
-        return _nested_down(forest, forest.component_root(idx), None)
+        root = next(v for v in comp if forest.parent_vertex(v) is None)
+        return _nested_down(forest, root, None)
     anchor = min(
         (v for v in comp if forest.label_of(v) is not None), key=forest.label_of
     )
@@ -552,7 +580,9 @@ def component_canonical_by_nesting(forest, idx):
 
 def canonical_key_by_nesting(forest):
     """Reference for ``Forest.canonical_key`` on nested tuples."""
-    comps = sorted(component_canonical_by_nesting(forest, i) for i in range(forest.order()))
+    comps = sorted(
+        component_canonical_by_nesting(forest, comp) for comp in components_by_walk(forest)
+    )
     return (forest.rooted, tuple(comps))
 
 
@@ -809,13 +839,12 @@ def _accessor_subtree_text(f, top, up=None):
     return "".join(out)
 
 
-def _accessor_component_text(f, idx):
-    comp = f.components()[idx]
+def _accessor_component_text(f, comp):
     if len(comp) == 1:
         (v,) = comp
         return f.labels.name(f.label_of(v))
     if f.rooted:
-        root = f.component_root(idx)
+        root = next(v for v in comp if f.parent_vertex(v) is None)
         lid = f.label_of(root)
         if lid is not None and f.labels.name(lid) == mk.RHO:
             child = next(w for _, w in f.neighbors(root))
@@ -836,8 +865,8 @@ def _accessor_component_text(f, idx):
 
 def serialize_by_accessors(f):
     """Reference for ``serialize``: every vertex read through the accessors."""
-    idxs = sorted(
-        range(f.order()),
-        key=lambda i: min(f.labels.min_original(l) for l in f.component_labels(i)),
+    comps = sorted(
+        components_by_walk(f),
+        key=lambda comp: min(map(f.labels.min_original, labels_of(f, comp))),
     )
-    return "\n".join(_accessor_component_text(f, i) + ";" for i in idxs)
+    return "\n".join(_accessor_component_text(f, comp) + ";" for comp in comps)

@@ -18,8 +18,11 @@ from helpers import (
     brute_is_subforest,
     canonical_key_by_nesting,
     component_canonical_by_nesting,
+    component_of,
+    components_by_walk,
     find_mss_by_scan,
     greedy_essential_by_key,
+    labels_of,
     mss_candidates_by_scan,
     names,
     random_forest,
@@ -68,22 +71,29 @@ def test_order_counts_components_along_derivations(rng):
     for _ in range(60):
         f = random_forest(rng, rng.randint(3, 9), rooted=rng.random() < 0.5)
         for _ in range(8):
-            assert f.order() == len(f.components())
+            assert f.order() == len(components_by_walk(f))
             f = derive(rng, f)
-        assert f.order() == len(f.components())
+        assert f.order() == len(components_by_walk(f))
 
 
 def test_cyclic_edge_list_is_rejected():
-    table = LabelTable.from_names(["a", "b", "c"])
+    table = LabelTable.from_names(["a", "b", "c", "d", "e"])
     leaves = {0: 0, 1: 1, 2: 2}
     # every vertex of the triangle 3-4-5 keeps degree 3, so contraction
     # leaves the cycle in place; rooted, each of them has one parent
     triangle = [(3, 0), (4, 1), (5, 2), (3, 4), (4, 5), (5, 3)]
+    # the same triangle in a second component, beside a valid cherry of d, e
+    beside = {**leaves, 6: 3, 7: 4}
+    cherry = [(8, 6), (8, 7)]
     for rooted in (True, False):
-        with pytest.raises(mk.ForestError):
+        with pytest.raises(mk.ForestError, match="cycle"):
             Forest.build(rooted, table, leaves, triangle)
+        with pytest.raises(mk.ForestError, match="cycle"):
+            Forest.build(rooted, table, beside, cherry + triangle)
+        with pytest.raises(mk.ForestError, match="self-loop edge"):
+            Forest.build(rooted, table, leaves, [(3, 0), (3, 1), (3, 3)])
     # a doubled edge: contracting its degree-2 end would close a self-loop
-    with pytest.raises(mk.ForestError):
+    with pytest.raises(mk.ForestError, match="cycle"):
         Forest.build(False, table, leaves, [(0, 3), (1, 3), (2, 3), (3, 4), (3, 4)])
 
 
@@ -144,7 +154,7 @@ def test_remove_all_edges_gives_singletons():
     f = parse1("((a,b),c);")
     g = f.remove_edges(sorted(f.edge_ids()))
     assert g.order() == 4
-    assert all(len(c) == 1 for c in g.components())
+    assert all(len(c) == 1 for c in components_by_walk(g))
 
 
 def test_remove_unknown_edge():
@@ -219,7 +229,7 @@ def test_split_sides_partition_component(rng):
         for eid in sorted(f.edge_ids()):
             split = f.split_labels(eid)
             u, _ = f.edge_ends(eid)
-            comp = f.component_labels(f.component_index_of_vertex(u))
+            comp = labels_of(f, component_of(f, u))
             assert split.side1 | split.side2 == comp
             assert not (split.side1 & split.side2)
 
@@ -336,6 +346,8 @@ def hanging_depths(f):
 
 def test_hanging_contract(rng):
     kinds = {(rooted, grouped): 0 for rooted in (True, False) for grouped in (True, False)}
+    # unrooted components whose least original label is not their least id
+    moved = 0
     for _ in range(120):
         rooted = rng.random() < 0.5
         f = random_forest(rng, rng.randint(3, 12), rooted, max_cuts=rng.randint(0, 3))
@@ -346,23 +358,31 @@ def test_hanging_contract(rng):
         order, up = f._hanging()
         assert sorted(order) == sorted(f.vertices())
         pos = {v: i for i, v in enumerate(order)}
-        for comp in f.components():
+        runs = []
+        for comp in components_by_walk(f):
             run = order[min(pos[v] for v in comp):][:len(comp)]
             assert set(run) == comp
             top = run[0]
             assert top not in up and all(v in up for v in run[1:])
+            lids = labels_of(f, comp)
+            runs.append((pos[top], lids))
             if rooted:
                 assert f.parent_vertex(top) is None
             else:
-                assert top == f.vertex_of_label(min(f.label_of(v) for v in comp
-                                                    if f.label_of(v) is not None))
+                assert top == f.vertex_of_label(min(lids, key=f.labels.min_original))
+                moved += top != f.vertex_of_label(min(lids))
+        # the label partition lists the runs' label sets in the runs' order
+        partition = f.label_partition()
+        assert partition == tuple(lids for _, lids in sorted(runs))
+        for i, lids in enumerate(partition):
+            assert all(f.component_index_of_label(l) == i for l in lids)
         for v, p in up.items():
             assert pos[p] < pos[v]
             assert any(w == p for _, w in f.neighbors(v))
         if rooted:
             assert up == {v: f.parent_vertex(v) for v in f.vertices()
                           if f.parent_vertex(v) is not None}
-    assert min(kinds.values()) > 5
+    assert min(kinds.values()) > 5 and moved > 0
 
 
 def test_steiner_matches_pruning_reference(rng):
@@ -370,7 +390,7 @@ def test_steiner_matches_pruning_reference(rng):
     for _ in range(60):
         sup = random_forest(rng, rng.randint(3, 12), rooted=rng.random() < 0.5)
         up, depth = hanging_depths(sup)
-        for comp in sup.components():
+        for comp in components_by_walk(sup):
             leaves = sorted(v for v in comp if sup.label_of(v) is not None)
             for _ in range(4):
                 targets = rng.sample(leaves, rng.randint(1, len(leaves)))
@@ -422,7 +442,7 @@ def test_mss_unrooted_single_edge_tree():
     f = parse1("((a,b),(c,d));", rooted=False)
     cuts = [f.pendant_edge(f.labels.id_of("c")), f.pendant_edge(f.labels.id_of("d"))]
     g = f.remove_edges(cuts)
-    assert sorted(len(c) for c in g.components()) == [1, 1, 2]
+    assert sorted(len(c) for c in components_by_walk(g)) == [1, 1, 2]
     mss = g.find_mss()
     assert names(g, mss) == ["a", "b"]
     assert g.sibling_case(mss).hub is None
@@ -607,7 +627,7 @@ def test_group_unrooted_single_edge():
         [f.pendant_edge(f.labels.id_of("c")), f.pendant_edge(f.labels.id_of("d"))]
     )
     h = g.group_labels(g.find_mss())
-    assert sorted(len(c) for c in h.components()) == [1, 1, 1]
+    assert sorted(len(c) for c in components_by_walk(h)) == [1, 1, 1]
     assert "a+b" in [h.labels.name(l) for l in h.label_ids()]
 
 
@@ -806,9 +826,14 @@ def test_flat_key_matches_nested_reference(rng):
         forests = _family(rng, rooted=rng.random() < 0.5)
         flat = [f.canonical_key() for f in forests]
         nested = [canonical_key_by_nesting(f) for f in forests]
-        comps = [(f, i) for f in forests for i in range(f.order())]
-        flat_c = [f.component_canonical(i) for f, i in comps]
-        nested_c = [component_canonical_by_nesting(f, i) for f, i in comps]
+        # each code of a key pairs with its component by the labels it lists
+        flat_c, nested_c = [], []
+        for f, key in zip(forests, flat):
+            code_of = {frozenset(code[::2]) - {-1}: code for code in key[1]}
+            assert len(code_of) == len(key[1]) == f.order()
+            for comp in components_by_walk(f):
+                flat_c.append(code_of[labels_of(f, comp)])
+                nested_c.append(component_canonical_by_nesting(f, comp))
         for keys, ref in ((flat, nested), (flat_c, nested_c)):
             for i in range(len(keys)):
                 for j in range(i):
@@ -909,8 +934,10 @@ def _witness_by_reference(sub, sup):
     vertex-disjoint and each has the nested code of its component; else it
     is the set of edges outside the subtrees.
     """
-    lsets = [sub.component_labels(i) for i in range(sub.order())]
-    if any(len({sup.component_index_of_label(l) for l in lset}) != 1 for lset in lsets):
+    comps = components_by_walk(sub)
+    lsets = [labels_of(sub, comp) for comp in comps]
+    if any(len({component_of(sup, sup.vertex_of_label(l)) for l in lset}) != 1
+           for lset in lsets):
         return None, False
     trees = [steiner_by_pruning(sup, [sup.vertex_of_label(l) for l in lset]) for lset in lsets]
     seen = set()
@@ -918,8 +945,9 @@ def _witness_by_reference(sub, sup):
         if seen & vset:
             return None, True
         seen |= vset
-    for i, (vset, eset) in enumerate(trees):
-        if steiner_canonical_by_nesting(sup, vset, eset) != component_canonical_by_nesting(sub, i):
+    for comp, (vset, eset) in zip(comps, trees):
+        nested = component_canonical_by_nesting(sub, comp)
+        if steiner_canonical_by_nesting(sup, vset, eset) != nested:
             return None, False
     return frozenset(sup.edge_ids()).difference(*(eset for _, eset in trees)), False
 

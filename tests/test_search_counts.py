@@ -28,12 +28,17 @@ def run_output(counts):
 def test_record_holds_every_count_of_both_solver_workloads(checker):
     with open(RECORD, encoding="utf-8") as fh:
         record = json.load(fh)
-    assert sorted(record) == ["amaf-large", "pmaf-exact"]
+    assert sorted(record) == ["amaf-large", "newick-io", "pmaf-exact"]
     for counts in record.values():
         assert sorted(counts) == sorted(checker.COUNTS)
-    # the exact search runs on pmaf-exact only, and both approximate
+    # the exact search runs on pmaf-exact only, both solver workloads
+    # approximate, and newick-io runs no solver but writes Newick text
+    solvers = [record["amaf-large"], record["pmaf-exact"]]
+    io = record["newick-io"]
     assert record["pmaf-exact"]["fpt.attempts"] > 0 == record["amaf-large"]["fpt.attempts"]
-    assert all(c["approx.steps.group"] > 0 for c in record.values())
+    assert all(c["approx.steps.group"] > 0 for c in solvers)
+    assert io["fpt.attempts"] == io["approx.steps.group"] == 0
+    assert io["forest.canonical_key.calls"] > 0
 
 
 def test_checker_names_every_count_that_moved(checker, monkeypatch, capsys):

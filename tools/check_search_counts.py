@@ -10,8 +10,8 @@ reduction's ``reduction.reduce_pair.removals``, and the call counts of the
 scan and the derivations (``find_applicable``, ``reduce_pair``,
 ``split_labels``, which equals the scan's hits, ``remove_edges`` and
 ``group_labels``).  It also compares ``forest.canonical_key.calls``: only
-the Newick writer builds keys, one per certificate it writes, since the
-equality test builds none.  These repeat exactly for one seed, and a change
+the Newick writer builds keys, one per forest it writes (a certificate, or
+a tree of ``newick-io``), since the equality test builds none.  These repeat exactly for one seed, and a change
 that is meant to leave the search alone must not move them: an extra scan,
 derivation, false-positive split or key shows.  Exits 1 and names every
 count that differs.  With ``--write`` it records the run's counts for the
