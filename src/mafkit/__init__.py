@@ -41,7 +41,7 @@ from .fpt import (
 )
 from .newick import NewickError, NewickWarning, format_instance, parse_instance, serialize
 from .oracle import OracleResult, OracleSizeError, brute_force_maf
-from .reduction import Removal, reduce_instance, reduce_pair
+from .reduction import Removal, reduce_pair
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "is_subforest",
     "parse_instance",
     "random_binary_tree",
-    "reduce_instance",
     "reduce_pair",
     "serialize",
     "solve_rmaf",

@@ -50,8 +50,6 @@ MS2 = "ms2"
 MS31 = "ms31"
 MS32 = "ms32"
 
-_ESSENTIAL_CAPS_ROOTED = {RULE1: None, GROUP: 0, MS2: 3, MS31: 2, MS32: 3}
-_ESSENTIAL_CAPS_UNROOTED = {RULE1: None, GROUP: 0, MS2: 4, MS31: 2, MS32: 4}
 _CASE_KINDS = {"siblings": MS2, "split": MS31, "path": MS32}
 
 
@@ -140,7 +138,12 @@ def essential_subset(forest: Forest, eids) -> tuple[int, ...]:
 
 
 def check_metastep_ratio(rec: MetaStepRecord) -> bool:
-    """Re-audit one record's identities; False on any violation."""
+    """Re-audit one record's identities; False on any violation.
+
+    A reduction step keeps every edge it removes as essential, a grouping
+    has none, and a cut step removes at most as many essential edges
+    as its ratio; a record of any other kind fails.
+    """
     before = rec.f1_before
     try:
         ess, removed = set(rec.essential), set(rec.removed_f1)
@@ -157,14 +160,16 @@ def check_metastep_ratio(rec: MetaStepRecord) -> bool:
             return False
         if len(rec.essential) != rec.f1_after.order() - before.order():
             return False
-        caps = _ESSENTIAL_CAPS_ROOTED if before.rooted else _ESSENTIAL_CAPS_UNROOTED
-        cap = caps[rec.kind]
+        ratio = declared_ratio(rec.kind, before.rooted)
         if rec.kind == RULE1:
             if len(rec.essential) != len(rec.removed_f1):
                 return False
-        elif cap is not None and len(rec.essential) > cap:
+        elif rec.kind == GROUP:
+            if rec.essential:
+                return False
+        elif rec.kind not in _CASE_KINDS.values() or len(rec.essential) > ratio:
             return False
-        if rec.declared_ratio != declared_ratio(rec.kind, before.rooted):
+        if rec.declared_ratio != ratio:
             return False
     except MafError:
         return False

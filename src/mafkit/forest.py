@@ -21,8 +21,8 @@ wrote are checked against the degree rules.  A removal or a grouping also
 patches its parent's sibling-set table (see :meth:`Forest.find_mss`) where
 it can change, instead of leaving it to be built again.  Derivations record
 their parent and a log of what they changed, which ``reduction`` reads.
-Other derived data (label partition, original label ids, canonical key) is
-built at most once per value, on first use.
+Other derived data (label partition, original label ids) is built at most
+once per value, on first use.
 
 One walk finds a forest's components: :meth:`Forest._hanging` hangs each
 from one top, the root or the leaf with the least original label.  The
@@ -236,9 +236,10 @@ class SiblingCase:
     * unrooted path: the edges off ``path[1]``, then those off ``path[-2]``;
     * split: none.
 
-    For ``"mss"``, ``hub`` is the labels' shared parent (rooted) or shared
-    unlabeled neighbor (unrooted), the vertex grouping turns into their
-    leaf; it is None for an unrooted single-edge tree and for other kinds.
+    For ``"mss"``, ``hub`` is the vertex grouping turns into the labels'
+    leaf: their shared parent (rooted), their shared unlabeled neighbor
+    (unrooted), or the smaller leaf vertex of an unrooted single-edge tree.
+    It is None for the other kinds.
     """
 
     kind: str
@@ -328,7 +329,6 @@ class Forest:
         "_next_e",
         "_label_vertex",
         "_own",
-        "_canon",
         "_mss",
         "_partition",
         "_comp_of",
@@ -351,7 +351,6 @@ class Forest:
         self._next_e = next_e
         self._label_vertex = label_vertex  # label id -> vertex
         self._own = set()              # vertices whose adjacency row is private
-        self._canon = None
         self._mss = None               # sibling-set table, see find_mss
         self._partition = None
         self._comp_of = None           # label id -> index in the partition
@@ -755,9 +754,10 @@ class Forest:
         original label id is least wins, ties broken by size then id tuple.
 
         The candidates are kept in a table with their selection keys, one
-        entry per vertex: a hub's best candidate, or an unrooted single-edge
-        tree under its smaller vertex.  The table is built on the first call
-        and carried through :meth:`group_labels` and :meth:`remove_edges`.
+        entry per hub (the vertex :meth:`sibling_case` names, an unrooted
+        single-edge tree's smaller vertex included): its best candidate.
+        The table is built on the first call and carried through
+        :meth:`group_labels` and :meth:`remove_edges`.
         """
         if self._mss is None:
             self._mss = {
@@ -770,7 +770,7 @@ class Forest:
     def _mss_entry(self, v):
         """Least ``(key, labels)`` among the candidates filed under ``v``."""
         if v in self._vlabel:
-            # unrooted single-edge tree, filed under its smaller vertex
+            # unrooted single-edge tree, filed under its hub, the smaller vertex
             row = self._adj[v]
             if self.rooted or len(row) != 1:
                 return None
@@ -807,13 +807,14 @@ class Forest:
         grouped leaf label; :meth:`sibling_case` decides that it is one and
         names its hub, and any other label set raises ``ForestError``.
 
-        The hub keeps its vertex id and becomes the new leaf; for an unrooted
-        single-edge tree the two leaves merge into one labeled vertex.  The
-        label table is extended with the grouped label; the component count is
+        Every shape takes one path: each leaf of ``lids`` but the hub is
+        dropped with its edge, and the hub keeps its vertex id and becomes
+        the new leaf.  For an unrooted single-edge tree the hub is its
+        smaller leaf vertex, so the two leaves merge into one.  The label
+        table is extended with the grouped label; the component count is
         unchanged.  The origin log (see :meth:`remove_edges`) holds
-        ``("merge", v, e, w)`` for each leaf ``v`` dropped with its edge ``e``
-        to the vertex ``w`` that takes its label, then ``("group", lids,
-        new_id)``.
+        ``("merge", v, e, hub)`` for each leaf ``v`` dropped with its edge
+        ``e``, then ``("group", lids, new_id)``.
         """
         lids = frozenset(lids)
         case = self.sibling_case(lids)
@@ -824,31 +825,21 @@ class Forest:
         f = self._copy()
         f.labels = table
         log = []
-        if hub is None:
-            v1, v2 = sorted(f._label_vertex[l] for l in lids)
-            eid = next(iter(f._adj[v1]))
+        for l in lids:
+            v = f._label_vertex.pop(l)
+            if v == hub:  # a leaf of a single-edge tree keeps its place
+                continue
+            eid = next(iter(f._adj[v]))
             f._del_edge(eid)
-            for l in lids:
-                del f._label_vertex[l]
-            f._vlabel.pop(v2)
-            f._drop_vertex(v2)
-            f._vlabel[v1] = new_id
-            f._label_vertex[new_id] = v1
-            log.append(("merge", v2, eid, v1))
-            touched = (v1, v2)
-        else:
-            for l in lids:
-                v = f._label_vertex.pop(l)
-                eid = next(iter(f._adj[v]))
-                f._del_edge(eid)
-                del f._vlabel[v]
-                f._drop_vertex(v)
-                log.append(("merge", v, eid, hub))
-            f._vlabel[hub] = new_id
-            f._label_vertex[new_id] = hub
-            # rooted, the hub's one neighbor left is its parent; unrooted, it
-            # is the one non-leaf neighbor, or a leaf of a new single-edge tree
-            touched = (hub, *f._adj[hub].values())
+            del f._vlabel[v]
+            f._drop_vertex(v)
+            log.append(("merge", v, eid, hub))
+        f._vlabel[hub] = new_id
+        f._label_vertex[new_id] = hub
+        # the hub's neighbor left, if any: rooted, its parent; unrooted, the
+        # one non-leaf neighbor or a leaf of a new single-edge tree (a
+        # single-edge tree grouped whole leaves none)
+        touched = (hub, *f._adj[hub].values())
         log.append(("group", lids, new_id))
         f._check(vertices=f._own)
         f._link(self, log)
@@ -917,12 +908,11 @@ class Forest:
         where a label id stands for the same originals in every table: the
         tops and the order of children go by those originals.  The codes are
         the Newick writer's order of children; equality is decided by
-        :meth:`same_structure`, which builds no key.
+        :meth:`same_structure`, which builds no key.  Only the writer asks
+        for a key, once per forest it writes, so none is kept.
         """
-        if self._canon is None:
-            codes = _flat_codes(*self._hanging(), self._vlabel, self.labels.least_originals())
-            self._canon = (self.rooted, tuple(sorted(codes)))
-        return self._canon
+        codes = _flat_codes(*self._hanging(), self._vlabel, self.labels.least_originals())
+        return (self.rooted, tuple(sorted(codes)))
 
     def _hanging(self):
         """Every component hung from one top: ``(order, up)``.
@@ -1041,8 +1031,11 @@ class Forest:
         their hub is (:meth:`group_labels` asks it too).  A label's hub is
         its parent (rooted) or its one neighbor (unrooted); two labels are
         siblings if they share a hub or, unrooted, form a single-edge tree.
-        ``ForestError`` is raised for fewer than two labels, a singleton
-        label and, rooted, a label without a parent (ρ).
+        An ``"mss"`` case always names the vertex that grouping keeps: the
+        shared hub, or the smaller leaf vertex of a single-edge tree.
+        ``ForestError`` is raised for fewer than two labels, a label id not
+        in this forest, a singleton label and, rooted, a label without a
+        parent (ρ).
 
         ``pair`` is the first pair that are not siblings, in
         ``itertools.combinations`` order over the labels sorted by least
@@ -1065,7 +1058,9 @@ class Forest:
         rooted = self.rooted
         hub = {}
         for l in lids:
-            v = at[l]
+            v = at.get(l)
+            if v is None:
+                raise ForestError(f"label id {l} is not in the forest")
             if not adj[v]:
                 raise ForestError("sibling case undefined for singleton label")
             if rooted and v not in pe:
@@ -1075,8 +1070,8 @@ class Forest:
             raise ForestError("sibling set needs at least two labels")
         if len(hub) == 2:
             a, b = hub
-            if hub[a] == at[b]:
-                return SiblingCase("mss")   # an unrooted single-edge tree
+            if hub[a] == at[b]:  # an unrooted single-edge tree
+                return SiblingCase("mss", hub=min(at[a], at[b]))
         hubs = set(hub.values())
         if len(hubs) == 1:
             (p,) = hubs
@@ -1231,13 +1226,14 @@ def subforest_witness(sub: Forest, sup: Forest):
 
     Both forests are expanded to original labels first.  A component of the
     candidate embeds as the contracted minimal spanning subtree of its labels,
-    so the only candidate for E is the set of edges outside those subtrees
-    (every subtree is found from one hanging of ``sup``, see
-    :meth:`Forest._hanging`).  The witness is then checked by the removal it
-    names, as :meth:`AgreementForest.verify` checks it: subtrees that share a
-    vertex merge into one component there, and one whose contraction differs
-    from its component has another structure, so either fails the equality
-    test.
+    so the only candidate for E is the set of edges outside those subtrees.
+    One hanging of ``sup`` (see :meth:`Forest._hanging`) gives each vertex
+    its top, which tells whether a component's labels lie in one component
+    of ``sup``, and its depth, by which the subtrees are found.  The witness
+    is then checked by the removal it names, as
+    :meth:`AgreementForest.verify` checks it: subtrees that share a vertex
+    merge into one component there, and one whose contraction differs from
+    its component has another structure, so either fails the equality test.
     """
     if sub.rooted != sup.rooted:
         raise LabelUniverseError("rootedness mismatch")
@@ -1250,17 +1246,22 @@ def subforest_witness(sub: Forest, sup: Forest):
     if sub.label_ids() != sup.label_ids():
         raise LabelUniverseError("label sets differ")
 
-    lsets = sub.label_partition()
-    if any(len({sup.component_index_of_label(l) for l in lset}) != 1 for lset in lsets):
-        return None
     order, up = sup._hanging()
-    depth = {}
+    depth, top = {}, {}
     for v in order:
         p = up.get(v)
-        depth[v] = 0 if p is None else depth[p] + 1
+        if p is None:
+            depth[v], top[v] = 0, v
+        else:
+            depth[v], top[v] = depth[p] + 1, top[p]
+    # every component of ``sub`` must lie under one top of ``sup``
+    at = sup._label_vertex
+    lsets = sub.label_partition()
+    if any(len({top[at[l]] for l in lset}) != 1 for lset in lsets):
+        return None
     keep_edges: set[int] = set()
     for lset in lsets:
-        keep_edges |= _steiner(sup, up, depth, [sup.vertex_of_label(l) for l in lset])[1]
+        keep_edges |= _steiner(sup, up, depth, [at[l] for l in lset])[1]
     witness = frozenset(sup.edge_ids() - keep_edges)
     return witness if sup.remove_edges(witness).same_structure(sub) else None
 

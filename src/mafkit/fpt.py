@@ -150,10 +150,12 @@ def solve_rmaf(instance: Instance, k: int):
     """Agreement forest of order ≤ k for a rooted instance, or None."""
     if not instance.rooted:
         raise ForestError("solve_rmaf needs a rooted instance")
-    rho = instance.forests[0].labels.id_of(RHO)
-    for f in instance.forests:
-        if rho not in f.label_ids():
-            raise ForestError("rooted forest lacks the root label")
+    try:
+        rho = instance.forests[0].labels.id_of(RHO)
+    except KeyError:
+        rho = None  # a table without ρ: no forest holds it
+    if any(rho not in f.label_ids() for f in instance.forests):
+        raise ForestError("rooted forest lacks the root label")
     return _solve(instance, k)
 
 

@@ -3,8 +3,11 @@
 An edge of one forest can be deleted outright when one side of its split is
 exactly a union of whole components of another forest: no agreement forest
 can keep such an edge, so removals preserve the full set of maximum agreement
-forests.  Solvers drive forest pairs to the fixpoint ("strongly reducible")
-before doing any case analysis or branching.
+forests.  Both solvers apply the rule to one pair (F1, F2) at a time, and
+:func:`reduce_pair` is the one loop that drives a pair to the fixpoint
+("strongly reducible"), in both directions, before any case analysis or
+branching: the exact search reduces its first two forests, the
+approximation its working forest against the current partner.
 
 A scan finds such edges in time linear in the forest, not with one search
 per edge.  Every label gets a random 64-bit weight, drawn so that the weights
@@ -94,12 +97,11 @@ component, and the pair was not reduced.
 
 from __future__ import annotations
 
-import itertools
 import random
 import weakref
 from dataclasses import dataclass
 
-from .forest import Forest, Instance, LabelUniverseError
+from .forest import Forest, LabelUniverseError
 
 
 @dataclass(frozen=True)
@@ -480,56 +482,33 @@ def find_applicable(fp: Forest, fq: Forest):
     return None
 
 
-def _fixpoint(forests):
-    """Apply the rule over all ordered pairs (p, q) until none applies.
+def reduce_pair(f1: Forest, f2: Forest):
+    """Apply the rule in both directions to fixpoint.
 
-    Pairs are scanned in ``itertools.permutations`` order, edges in id order;
-    the first hit is applied and the scan restarts.  The order is fixed
-    because confluence is not assumed.  A removal that makes all forests
-    equal ends the loop at once: in equal forests every side of an edge is a
-    proper part of one component, so the next round could not hit.
+    Each round scans direction (p=0, q=1), then (p=1, q=0), edges in id
+    order; the first hit is applied and the round starts again.  The order
+    is fixed because confluence is not assumed.  A removal that makes the
+    pair equal ends the loop at once: in equal forests every side of an edge
+    is a proper part of one component, so the next round could not hit.
 
-    Every forest must carry the same label ids (grouping applied to all of
-    them alike); ``LabelUniverseError`` is raised otherwise.
+    Both forests must carry the same label ids (grouping applied to both
+    alike); ``LabelUniverseError`` is raised otherwise.  Returns the reduced
+    pair and the removals in the order they were applied.
     """
-    forests = list(forests)
-    labels = forests[0].label_ids()
-    if any(f.label_ids() != labels for f in forests[1:]):
+    if f1.label_ids() != f2.label_ids():
         raise LabelUniverseError("forests to reduce carry different label ids")
+    pair = [f1, f2]
     removals = []
     while True:
-        for p, q in itertools.permutations(range(len(forests)), 2):
-            found = find_applicable(forests[p], forests[q])
+        for p, q in ((0, 1), (1, 0)):
+            found = find_applicable(pair[p], pair[q])
             if found is not None:
                 break
         else:
             break
         eid, wit = found
-        forests[q] = forests[q].remove_edges([eid])
+        pair[q] = pair[q].remove_edges([eid])
         removals.append(Removal(q_index=q, edge=eid, p_index=p, witness=wit))
-        if all(f.same_structure(forests[0]) for f in forests[1:]):
+        if pair[1].same_structure(pair[0]):
             break
-    return forests, tuple(removals)
-
-
-def reduce_pair(f1: Forest, f2: Forest):
-    """Apply the rule in both directions to fixpoint.
-
-    Scans direction (p=0, q=1) then (p=1, q=0).  Returns the reduced pair and
-    the removals in the order they were applied.
-    """
-    (f1, f2), removals = _fixpoint((f1, f2))
-    return f1, f2, removals
-
-
-def reduce_instance(instance: Instance):
-    """Fixpoint over all ordered forest pairs of the instance.
-
-    The set of maximum agreement forests is preserved; tests assert this by
-    comparing brute-force optima before and after.
-    """
-    forests, removals = _fixpoint(instance.forests)
-    reduced = Instance(
-        rooted=instance.rooted, forests=tuple(forests), name=instance.name
-    )
-    return reduced, removals
+    return pair[0], pair[1], tuple(removals)

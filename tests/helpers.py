@@ -94,29 +94,86 @@ def greedy_essential_by_order(forest, eids):
     return tuple(keep)
 
 
+def partition_by_walk(forest):
+    """Reference for ``Forest.label_partition``: the label set of every
+    component of ``components_by_walk``, listed in the partition's order.
+
+    Rooted, a component comes where its root comes among ``vertices()``;
+    unrooted, by the least original label it holds.
+    """
+    comps = components_by_walk(forest)
+    if forest.rooted:
+        place = {v: i for i, v in enumerate(forest.vertices())}
+        comps.sort(key=lambda comp: min(place[v] for v in comp
+                                        if forest.parent_vertex(v) is None))
+    else:
+        comps.sort(key=lambda comp: min(map(forest.labels.min_original,
+                                            labels_of(forest, comp))))
+    return [labels_of(forest, comp) for comp in comps]
+
+
+def sides_by_walk(forest, eid):
+    """Label sets of the two sides of edge ``eid``, each walked from its end
+    of the edge without crossing it."""
+    sides = []
+    for start in forest.edge_ends(eid):
+        side = {start}
+        stack = [start]
+        while stack:
+            for e, w in forest.neighbors(stack.pop()):
+                if e != eid and w not in side:
+                    side.add(w)
+                    stack.append(w)
+        sides.append(labels_of(forest, side))
+    return sides
+
+
 def find_applicable_by_bfs(fp, fq):
     """Reference for ``find_applicable``: split and check every edge of ``fq``.
 
-    One breadth-first split per edge, in id order, side1 before side2.
+    One walk per side of every edge, in id order, side1 before side2.  The
+    components of ``fp`` come from their own walk (:func:`partition_by_walk`),
+    and the witness lists them in the partition's order.
     """
-    comp_labels = fp.label_partition()
+    comp_labels = partition_by_walk(fp)
+    comp_of = {lid: c for c, labels in enumerate(comp_labels) for lid in labels}
 
     def covered(side):
         comps = set()
         for lid in side:
-            c = fp.component_index_of_label(lid)
+            c = comp_of[lid]
             if not comp_labels[c] <= side:
                 return None
             comps.add(c)
         return tuple(comp_labels[c] for c in sorted(comps))
 
     for eid in sorted(fq.edge_ids()):
-        split = fq.split_labels(eid)
-        for side in (split.side1, split.side2):
+        for side in sides_by_walk(fq, eid):
             wit = covered(side)
             if wit is not None:
                 return eid, wit
     return None
+
+
+def reduce_every_pair(instance):
+    """The reduction rule over every pair of an instance, by ``reduce_pair``.
+
+    Reduces each pair (Ti, Tj), i < j, in turn, and sweeps again until a
+    sweep removes nothing, so that no forest admits a removal witnessed by
+    another.  Returns the reduced instance and the number of removals.
+    """
+    forests = list(instance.forests)
+    total = 0
+    while True:
+        removed = 0
+        for i, j in itertools.combinations(range(len(forests)), 2):
+            forests[i], forests[j], removals = mk.reduce_pair(forests[i], forests[j])
+            removed += len(removals)
+        if not removed:
+            break
+        total += removed
+    reduced = mk.Instance(rooted=instance.rooted, forests=tuple(forests), name=instance.name)
+    return reduced, total
 
 
 def zero_sum_edges_by_walk(forest, weight):
@@ -141,7 +198,7 @@ class Candidate(NamedTuple):
     """A maximal sibling set candidate of ``mss_candidates_by_scan``."""
 
     labels: frozenset
-    hub: object  # the hub vertex, or None for an unrooted single-edge tree
+    hub: object  # the hub vertex; a single-edge tree's smaller leaf vertex
 
 
 def mss_candidates_by_scan(forest):
@@ -151,7 +208,7 @@ def mss_candidates_by_scan(forest):
     an unlabeled vertex whose children are two or more leaves.  Unrooted: an
     unlabeled vertex with two or more leaf neighbors and at most one other
     neighbor (a full star also offers each one-leaf-short subset), plus the
-    single-edge trees, whose hub is None.
+    single-edge trees, whose hub is their smaller leaf vertex.
     """
     cands = []
     for p in forest.vertices():
@@ -173,7 +230,7 @@ def mss_candidates_by_scan(forest):
     if not forest.rooted:
         for comp in components_by_walk(forest):
             if len(comp) == 2:
-                cands.append(Candidate(frozenset(forest.label_of(v) for v in comp), None))
+                cands.append(Candidate(frozenset(forest.label_of(v) for v in comp), min(comp)))
     return cands
 
 

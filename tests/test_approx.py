@@ -61,6 +61,12 @@ def test_every_record_passes_audit(rng):
             assert mk.check_metastep_ratio(rec)
 
 
+def test_audit_fails_a_record_of_unknown_kind(rooted_pair):
+    for rec in mk.approx_rmaf(rooted_pair).trace:
+        assert mk.check_metastep_ratio(rec)
+        assert not mk.check_metastep_ratio(dataclasses.replace(rec, kind="bogus"))
+
+
 def test_working_order_never_decreases(rng):
     for _ in range(15):
         inst = random_instance(rng, rooted=True, x=2)

@@ -25,6 +25,7 @@ from helpers import (
     labels_of,
     mss_candidates_by_scan,
     names,
+    partition_by_walk,
     random_forest,
     random_instance,
     random_tree,
@@ -374,6 +375,7 @@ def test_hanging_contract(rng):
         # the label partition lists the runs' label sets in the runs' order
         partition = f.label_partition()
         assert partition == tuple(lids for _, lids in sorted(runs))
+        assert list(partition) == partition_by_walk(f)
         for i, lids in enumerate(partition):
             assert all(f.component_index_of_label(l) == i for l in lids)
         for v, p in up.items():
@@ -445,7 +447,8 @@ def test_mss_unrooted_single_edge_tree():
     assert sorted(len(c) for c in components_by_walk(g)) == [1, 1, 2]
     mss = g.find_mss()
     assert names(g, mss) == ["a", "b"]
-    assert g.sibling_case(mss).hub is None
+    # grouping keeps the smaller of the two leaf vertices
+    assert g.sibling_case(mss).hub == min(g.vertex_of_label(l) for l in mss)
 
 
 def test_mss_rooted_none_iff_at_most_one_edge():
@@ -516,7 +519,8 @@ def test_find_mss_after_grouping_stars_and_single_edges():
     star.find_mss()
     # grouping a one-leaf-short subset of a star leaves a single-edge tree
     g = star.group_labels(ab)
-    assert g.sibling_case(g.find_mss()).hub is None
+    mss = g.find_mss()
+    assert g.sibling_case(mss).hub == min(g.vertex_of_label(l) for l in mss)
 
 
 def full_mss_table(f):
@@ -635,6 +639,20 @@ def test_group_requires_mss():
     f = parse1("((a,b),c);")
     with pytest.raises(mk.ForestError):
         f.group_labels([f.labels.id_of("a"), f.labels.id_of("c")])
+
+
+def test_sibling_case_and_grouping_refuse_a_label_not_in_the_forest():
+    for rooted in (True, False):
+        f = parse1("((a,b),(c,d));", rooted)
+        ab = frozenset(f.labels.id_of(x) for x in "ab")
+        g = f.group_labels(ab)
+        # a and b are in the table, but g holds their group instead
+        c = g.labels.id_of("c")
+        for lids in (ab, {g.labels.id_of("a"), c}):
+            with pytest.raises(mk.ForestError, match="not in the forest"):
+                g.sibling_case(lids)
+            with pytest.raises(mk.ForestError, match="not in the forest"):
+                g.group_labels(lids)
 
 
 def test_group_expand_round_trip(rng):

@@ -45,6 +45,17 @@ def test_rootedness_dispatch_errors(rooted_pair, quartets):
         mk.solve_rmaf(rooted_pair, 0)
 
 
+def test_rooted_solvers_refuse_a_table_without_rho():
+    # ((a,b),c) assembled over a table that has no root label
+    table = mk.LabelTable.from_names("abc")
+    tree = mk.Forest.build(True, table, {0: 0, 1: 1, 2: 2}, [(3, 0), (3, 1), (4, 3), (4, 2)])
+    inst = mk.Instance(rooted=True, forests=(tree, tree))
+    with pytest.raises(mk.ForestError, match="lacks the root label"):
+        mk.solve_rmaf(inst, 2)
+    with pytest.raises(mk.ForestError, match="lacks the root label"):
+        mk.find_min_k(inst)
+
+
 def test_exactness_against_oracle(rng):
     for _ in range(30):
         rooted = rng.random() < 0.5

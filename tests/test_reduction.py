@@ -16,6 +16,7 @@ from helpers import (
     brute_is_subforest,
     find_applicable_by_bfs,
     random_instance,
+    reduce_every_pair,
     zero_sum_edges_by_walk,
 )
 
@@ -65,10 +66,8 @@ def test_all_singletons_propagate():
     inst = mk.parse_instance("((a,b),c);\n((a,c),b);", rooted=True)
     f1 = inst.forests[0]
     sing = f1.remove_edges(sorted(f1.edge_ids()))
-    red, trace = mk.reduce_instance(
-        mk.Instance(rooted=True, forests=(sing, inst.forests[1]))
-    )
-    assert all(f.order() == 4 for f in red.forests)
+    g1, g2, trace = mk.reduce_pair(sing, inst.forests[1])
+    assert g1.order() == g2.order() == 4
     # contraction absorbs edges, so fewer explicit removals than edges suffice
     assert 1 <= len(trace) <= len(list(inst.forests[1].edge_ids()))
 
@@ -77,11 +76,11 @@ def test_reduce_instance_preserves_optimum(rng):
     for _ in range(30):
         inst = random_instance(rng, rooted=rng.random() < 0.5, n=rng.randint(4, 6))
         before = mk.brute_force_maf(inst).opt_order
-        red, trace = mk.reduce_instance(inst)
+        red, removed = reduce_every_pair(inst)
         after = mk.brute_force_maf(red).opt_order
         assert before == after
         total_edges = sum(len(list(f.edge_ids())) for f in inst.forests)
-        assert len(trace) <= total_edges
+        assert removed <= total_edges
 
 
 def test_fixpoint_stops_once_forests_are_equal(monkeypatch):
@@ -259,7 +258,7 @@ def solve_every_way(rng, instances):
                                m=rng.randint(2, 4), x=rng.randint(1, 2))
         mk.find_min_k(inst)
         (mk.approx_rmaf if rooted else mk.approx_umaf)(inst)
-        mk.reduce_instance(inst)
+        reduce_every_pair(inst)
 
 
 def test_carried_scan_matches_full_walk(rng, monkeypatch):
@@ -418,7 +417,8 @@ def hand_built_pair(text, names):
 def test_grouping_a_single_edge_tree_keeps_pair_reduced():
     f1, f2 = hand_built_pair("((a,b),((c,d),(e,f)));\n((a,b),((c,e),(d,f)));", "ab")
     mss = f2.find_mss()
-    assert f2.sibling_case(mss).hub is None and f1.sibling_case(mss).kind == "mss"
+    hub = min(f2.vertex_of_label(l) for l in mss)  # the smaller leaf vertex
+    assert f2.sibling_case(mss).hub == hub and f1.sibling_case(mss).kind == "mss"
     g1, g2, n = group_checked(f1, f2)
     assert n >= 1 and g1.order() == f1.order()
 
@@ -502,12 +502,3 @@ def test_reduce_pair_rejects_different_label_ids():
             mk.reduce_pair(f, grouped)
         with pytest.raises(mk.LabelUniverseError):
             mk.reduce_pair(grouped, f)
-
-
-def test_reduce_instance_rejects_different_label_ids():
-    for rooted in (True, False):
-        f = mk.parse_instance("((a,b),(c,d));", rooted=rooted).forests[0]
-        grouped = f.group_labels(f.find_mss())
-        inst = mk.Instance(rooted=rooted, forests=(f, f, grouped))
-        with pytest.raises(mk.LabelUniverseError):
-            mk.reduce_instance(inst)

@@ -41,6 +41,26 @@ def test_record_holds_every_count_of_both_solver_workloads(checker):
     assert io["forest.canonical_key.calls"] > 0
 
 
+def test_record_pins_the_solver_layer_calls(checker):
+    with open(RECORD, encoding="utf-8") as fh:
+        record = json.load(fh)
+    layers = [f"{op}.calls" for op in (
+        "forest.find_mss", "forest.sibling_case", "forest.expand_labels", "forest.certify",
+        "forest.verify", "approx.essential_subset", "approx.check_metastep_ratio")]
+    assert set(layers) <= set(checker.COUNTS)
+    for workload in ("amaf-large", "pmaf-exact"):
+        counts = record[workload]
+        steps = sum(counts[f"approx.steps.{kind}"]
+                    for kind in ("rule1", "group", "ms2", "ms31", "ms32"))
+        # each meta-step record takes one essential subset and one audit
+        assert (counts["approx.essential_subset.calls"]
+                == counts["approx.check_metastep_ratio.calls"] == steps)
+        assert counts["forest.find_mss.calls"] > 0 and counts["forest.certify.calls"] > 0
+        assert counts["forest.sibling_case.calls"] > 0
+    # newick-io runs no solver layer at all
+    assert all(record["newick-io"][name] == 0 for name in layers)
+
+
 def test_checker_names_every_count_that_moved(checker, monkeypatch, capsys):
     with open(RECORD, encoding="utf-8") as fh:
         recorded = json.load(fh)["pmaf-exact"]

@@ -11,9 +11,14 @@ scan and the derivations (``find_applicable``, ``reduce_pair``,
 ``split_labels``, which equals the scan's hits, ``remove_edges`` and
 ``group_labels``).  It also compares ``forest.canonical_key.calls``: only
 the Newick writer builds keys, one per forest it writes (a certificate, or
-a tree of ``newick-io``), since the equality test builds none.  These repeat exactly for one seed, and a change
+a tree of ``newick-io``), since the equality test builds none.  And it
+compares the call counts of every other solver-layer span the trace
+records: the sibling-set analysis (``find_mss``, ``sibling_case``), the
+expansion, the certificate and its check (``expand_labels``, ``certify``,
+``verify``) and the meta-step audit (``essential_subset``,
+``check_metastep_ratio``).  These repeat exactly for one seed, and a change
 that is meant to leave the search alone must not move them: an extra scan,
-derivation, false-positive split or key shows.  Exits 1 and names every
+derivation, false-positive split, case analysis, audit or key shows.  Exits 1 and names every
 count that differs.  With ``--write`` it records the run's counts for the
 workload instead, and names every count that it changes with its old and
 new value.
@@ -32,7 +37,10 @@ COUNTS = (
     + ["reduction.reduce_pair.removals"]
     + [f"{op}.calls" for op in ("reduction.find_applicable", "reduction.reduce_pair",
                                 "forest.split_labels", "forest.remove_edges",
-                                "forest.group_labels", "forest.canonical_key")]
+                                "forest.group_labels", "forest.canonical_key",
+                                "forest.find_mss", "forest.sibling_case",
+                                "forest.expand_labels", "forest.certify", "forest.verify",
+                                "approx.essential_subset", "approx.check_metastep_ratio")]
 )
 
 
