@@ -62,10 +62,12 @@ def _run(argv) -> str:
 
 
 def _sides(forest, eid):
-    """The labels on the two sides of an edge, sorted: a name that does not
-    depend on how edge ids are handed out."""
+    """The original labels on the two sides of an edge, sorted: a name that
+    depends neither on how edge ids are handed out nor on the ids grouped
+    labels get."""
     split = forest.split_labels(eid)
-    return sorted((sorted(split.side1), sorted(split.side2)))
+    return sorted(sorted(set().union(*map(forest.labels.originals, side)))
+                  for side in (split.side1, split.side2))
 
 
 def _chain_text(forest, rng) -> str:
