@@ -198,8 +198,8 @@ def _approximate(instance: Instance) -> ApproxResult:
     trace: list[MetaStepRecord] = []
     for idx in range(1, len(instance.forests)):
         fi = instance.forests[idx]
-        # the working forest and each fresh partner share the label universe;
-        # grouping below extends both tables in lockstep
+        # the working forest and each fresh partner share the label table;
+        # grouping below applies to both in lockstep
         budget = 8 * (len(f1.original_label_ids()) + 1) ** 2
         while True:
             budget -= 1

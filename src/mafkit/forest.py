@@ -21,11 +21,17 @@ wrote are checked against the degree rules.  A removal or a grouping also
 patches its parent's sibling-set table (see :meth:`Forest.find_mss`) where
 it can change, instead of leaving it to be built again.  Derivations record
 their parent and a log of what they changed, which ``reduction`` reads.
-Other derived data (label partition, original label ids) is built at most
-once per value, on first use.
+Other derived data (the label partition) is built at most once per value,
+on first use.
+
+Grouping (:meth:`Forest.group_labels`) shrinks a sibling set into one leaf
+that takes the least label id of the set, so every label id is the least
+original label behind it, and every order that goes by labels reads the ids
+themselves.  The label table is the instance's and never changes; each
+forest records its own groupings (see :meth:`Forest.originals`).
 
 One walk finds a forest's components: :meth:`Forest._hanging` hangs each
-from one top, the root or the leaf with the least original label.  The
+from one top, the root or the leaf with the least label id.  The
 label partition, structural equality, the reduction's side sums, the
 Steiner witness and the canonical key all read that hanging.  Structural
 equality (:meth:`Forest.same_structure`) maps the vertices of one forest
@@ -71,42 +77,26 @@ class LabelUniverseError(MafError):
 
 
 class Label(NamedTuple):
-    """One entry of an instance's label table.
-
-    ``grouped`` lists the constituent label ids when this label was produced
-    by a grouping step (the shrunken sibling set); it is empty for original
-    taxon labels.
-    """
+    """One entry of an instance's label table: an original taxon label."""
 
     id: int
     name: str
-    grouped: tuple[int, ...] = ()
 
 
 class LabelTable:
-    """Append-only label registry shared by the forests of one instance.
+    """The fixed label registry shared by the forests of one instance.
 
-    Original taxon labels form a prefix; grouped labels are appended behind
-    them as grouping steps happen.  Two forests can take part in a pairwise
-    operation only while their tables agree, which the solvers maintain by
-    applying grouping to both sides in lockstep.
+    Grouping adds no label: a grouped leaf keeps the id of its least part
+    (see :meth:`Forest.group_labels`).
     """
 
-    __slots__ = ("_labels", "_by_name", "_n_original", "_last_group", "_base", "_least")
+    __slots__ = ("_labels", "_by_name")
 
     def __init__(self, labels):
         self._labels = tuple(labels)
         self._by_name = {lab.name: lab.id for lab in self._labels}
         if len(self._by_name) != len(self._labels):
             raise ForestError("duplicate label name in table")
-        self._last_group = None
-        self._base = None              # see trimmed
-        self._n_original = next(
-            (i for i, lab in enumerate(self._labels) if lab.grouped), len(self._labels))
-        # least original id behind each label id; a group's parts come first
-        least = self._least = []
-        for lab in self._labels:
-            least.append(min(map(least.__getitem__, lab.grouped)) if lab.grouped else lab.id)
 
     @classmethod
     def from_names(cls, names) -> "LabelTable":
@@ -127,74 +117,8 @@ class LabelTable:
     def id_of(self, name: str) -> int:
         return self._by_name[name]
 
-    def originals(self, lid: int) -> frozenset[int]:
-        """Fully expanded set of original label ids behind ``lid``.
-
-        Groups nest, so the expansion works through an explicit stack.
-        """
-        out, stack = [], [lid]
-        while stack:
-            top = stack.pop()
-            parts = self._labels[top].grouped
-            if parts:
-                stack.extend(parts)
-            else:
-                out.append(top)
-        return frozenset(out)
-
-    def min_original(self, lid: int) -> int:
-        return self._least[lid]
-
-    def least_originals(self) -> list[int]:
-        """The least original label id behind every label id."""
-        return self._least
-
-    def n_original(self) -> int:
-        """Length of the original (ungrouped) prefix of the table."""
-        return self._n_original
-
-    def trimmed(self) -> "LabelTable":
-        """Table restricted to the original (ungrouped) prefix: for a table
-        from :meth:`with_group`, the one its groups were added to."""
-        n = self.n_original()
-        if n == len(self._labels):
-            return self
-        return self._base if self._base is not None else LabelTable(self._labels[:n])
-
-    def with_group(self, part_ids) -> tuple["LabelTable", int]:
-        """Extended table with a new grouped label over ``part_ids``.
-
-        The last extension made is kept, so that grouping the same parts in
-        both forests of a pair gives them one table, built once.
-        """
-        key = frozenset(part_ids)
-        if self._last_group is not None and self._last_group[0] == key:
-            return self._last_group[1]
-        parts = tuple(sorted(part_ids, key=lambda p: (self.min_original(p), p)))
-        if len(parts) < 2:
-            raise ForestError("grouped label needs at least two parts")
-        new_id = len(self._labels)
-        name = "+".join(self._labels[p].name for p in parts)
-        if name in self._by_name:
-            # regrouping the same parts later in another branch is fine; the
-            # id must stay distinct, so disambiguate the cosmetic name
-            name = f"{name}#{new_id}"
-        # derive from this table; the maps are copied, not shared, because
-        # sibling branches give the same new id to different groups
-        table = object.__new__(LabelTable)
-        table._labels = self._labels + (Label(new_id, name, parts),)
-        table._by_name = {**self._by_name, name: new_id}
-        table._n_original = self._n_original
-        table._last_group = None
-        table._base = self.trimmed()
-        table._least = self._least + [self._least[parts[0]]]
-        self._last_group = (key, (table, new_id))
-        return table, new_id
-
     def same_originals(self, other: "LabelTable") -> bool:
-        n = self._n_original
-        return self is other or (
-            n == other._n_original and self._labels[:n] == other._labels[:n])
+        return self is other or self._labels == other._labels
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +150,7 @@ class SiblingCase:
       ``path`` is the vertex path between them (Case 3.2).
 
     Every kind but ``"mss"`` names the two labels whose pendant edges are
-    cut in ``pair`` (for ``"siblings"`` the two smallest by original label).
+    cut in ``pair`` (for ``"siblings"`` the two least label ids).
     ``cuts`` lists the further edge sets of this forest that the exact
     search branches on, one branch each:
 
@@ -257,30 +181,36 @@ def find_root(parent, x):
     return x
 
 
-def _flat_codes(order, up, vlabel, least):
+def _latest_grouping(rec, g, end):
+    """Start in ``rec``, the groupings of label ``g`` (see
+    :meth:`Forest.originals`), of the latest of them that ends by ``end``:
+    each grouping's parts start with ``g``, its least."""
+    start = end - 1
+    while rec[start] != g:
+        start -= 1
+    return start
+
+
+def _flat_codes(order, up, vlabel):
     """Canonical code of every hung tree, each as one flat tuple of ints.
 
     A code lists ``label id or -1, child count`` for every vertex in a
-    preorder that takes children by the least original label below them:
-    the package's one order of children, which ``newick.serialize`` writes.
-    The trees must be irreducible, so every subtree holds a label, and
-    labels of one forest cover disjoint sets of originals, so no two
-    children tie.  Two trees over one label universe get equal codes
-    exactly when a map that keeps labels and the top vertex makes them
-    isomorphic.
+    preorder that takes children by the least label id below them: the
+    package's one order of children, which ``newick.serialize`` writes.
+    The trees must be irreducible, so every subtree holds a label, and no
+    two children tie.  Two trees get equal codes exactly when a map that
+    keeps labels and the top vertex makes them isomorphic.
 
-    ``order`` and ``up`` are a hanging (see :meth:`Forest._hanging`), and
-    ``least`` maps each label id to the least original behind it (see
-    :meth:`LabelTable.least_originals`).  Two linear passes: one walks
-    ``order`` backwards to gather every vertex's children and the least
-    original below it, one writes the codes, top by top, with an explicit
-    stack.
+    ``order`` and ``up`` are a hanging (see :meth:`Forest._hanging`).  Two
+    linear passes: one walks ``order`` backwards to gather every vertex's
+    children and the least label id below it, one writes the codes, top by
+    top, with an explicit stack.
     """
     children = {}
     low = {}
     for v in reversed(order):  # children before parents
         if v not in children:
-            low[v] = least[vlabel[v]]
+            low[v] = vlabel[v]
         p = up.get(v)
         if p is not None:
             children.setdefault(p, []).append(v)
@@ -334,7 +264,7 @@ class Forest:
         "_comp_of",
         "_weights",
         "_sums",
-        "_orig_ids",
+        "_groups",
         "_origin",
         "__weakref__",
     )
@@ -356,7 +286,7 @@ class Forest:
         self._comp_of = None           # label id -> index in the partition
         self._weights = None           # label weights as a reduction witness
         self._sums = None              # side sums of the latest reduction scan
-        self._orig_ids = None          # see original_label_ids
+        self._groups = {}              # see originals; never written once set
         self._origin = None            # (parent, change log, chain length)
 
     def __getstate__(self):
@@ -421,7 +351,7 @@ class Forest:
 
     def _copy(self) -> "Forest":
         """Writable child value sharing every adjacency row with this one."""
-        return Forest(
+        f = Forest(
             self.rooted,
             self.labels,
             dict(self._vlabel),
@@ -432,6 +362,8 @@ class Forest:
             self._next_e,
             dict(self._label_vertex),
         )
+        f._groups = self._groups
+        return f
 
     # -- internal mutation, used only on fresh copies ----------------------
 
@@ -590,21 +522,39 @@ class Forest:
         return frozenset(self._label_vertex)
 
     def original_label_ids(self) -> frozenset[int]:
-        """Original label ids behind this forest's labels, built once per value."""
-        if self._orig_ids is None:
-            lids = self._label_vertex
-            if max(lids, default=-1) < self.labels.n_original():
-                # grouped ids follow the original prefix: none here
-                self._orig_ids = frozenset(lids)
-            else:
-                out: set[int] = set()
-                for lid in lids:
-                    out |= self.labels.originals(lid)
-                self._orig_ids = frozenset(out)
-        return self._orig_ids
+        """Original label ids behind this forest's labels: its own and every
+        part of a grouping it records."""
+        return frozenset(self._label_vertex).union(*self._groups.values())
 
     def has_grouped_labels(self) -> bool:
-        return any(self.labels[lid].grouped for lid in self._label_vertex)
+        return bool(self._groups)
+
+    def originals(self, lid) -> tuple[int, ...]:
+        """The original label ids behind label ``lid``, in the order
+        ``newick.serialize`` names them.
+
+        ``_groups`` maps every id a grouping produced to one flat tuple: the
+        parts of each grouping that produced it, oldest first, each in id
+        order, so each starts with the id itself.  Its keys are in the order
+        of the latest grouping of each.  An absorbed id keeps its entry, for
+        the expansion of the group that absorbed it.  The parts of ``lid``'s
+        latest grouping are read in id order, each in turn the same way (an
+        earlier grouping of ``lid`` itself as the first), with an explicit
+        stack, as groups nest without bound.
+        """
+        groups = self._groups
+        out = []
+        stack = [(lid, len(groups.get(lid, ())))]
+        while stack:
+            g, end = stack.pop()
+            if not end:
+                out.append(g)
+                continue
+            rec = groups[g]
+            start = _latest_grouping(rec, g, end)
+            stack += ((p, start if p == g else len(groups.get(p, ())))
+                      for p in reversed(rec[start:end]))
+        return tuple(out)
 
     def parent_vertex(self, v):
         pe = self._parent_edge.get(v)
@@ -750,14 +700,16 @@ class Forest:
 
         Rooted forests have no MSS iff they have at most one edge (which is
         then the ρ pendant edge); unrooted forests have none iff they are
-        edgeless.  Among the candidates the one whose smallest contained
-        original label id is least wins, ties broken by size then id tuple.
+        edgeless.  Each hub (the vertex :meth:`sibling_case` names, an
+        unrooted single-edge tree's smaller vertex included) offers one
+        candidate, and the one that holds the least label id wins.  An
+        unrooted full star, a hub with three or more leaves and nothing
+        else, offers its leaves but one: the newest group among all but
+        its least label, or if none of them is grouped, the largest label.
 
-        The candidates are kept in a table with their selection keys, one
-        entry per hub (the vertex :meth:`sibling_case` names, an unrooted
-        single-edge tree's smaller vertex included): its best candidate.
-        The table is built on the first call and carried through
-        :meth:`group_labels` and :meth:`remove_edges`.
+        The candidates are kept in a table, one ``(least label id, labels)``
+        entry per hub.  The table is built on the first call and carried
+        through :meth:`group_labels` and :meth:`remove_edges`.
         """
         if self._mss is None:
             self._mss = {
@@ -765,10 +717,11 @@ class Forest:
             }
         if not self._mss:
             return None
-        return min(self._mss.values(), key=lambda entry: entry[0])[1]
+        # candidates of distinct hubs are disjoint, so their least ids differ
+        return min(self._mss.values())[1]
 
     def _mss_entry(self, v):
-        """Least ``(key, labels)`` among the candidates filed under ``v``."""
+        """``(least label id, labels)`` of the candidate filed under ``v``."""
         if v in self._vlabel:
             # unrooted single-edge tree, filed under its hub, the smaller vertex
             row = self._adj[v]
@@ -777,30 +730,27 @@ class Forest:
             w = next(iter(row.values()))
             if w < v or w not in self._vlabel:
                 return None
-            cands = [frozenset((self._vlabel[v], self._vlabel[w]))]
+            s = frozenset((self._vlabel[v], self._vlabel[w]))
         elif self.rooted:
             pe = self._parent_edge.get(v)
             kids = [w for e, w in self._adj[v].items() if e != pe]
             if len(kids) < 2 or any(w not in self._vlabel for w in kids):
                 return None
-            cands = [frozenset(self._vlabel[w] for w in kids)]
+            s = frozenset(self._vlabel[w] for w in kids)
         else:
             leaves = [w for w in self._adj[v].values() if w in self._vlabel]
             extra = len(self._adj[v]) - len(leaves)
             if len(leaves) < 2 or extra > 1:
                 return None
             s = frozenset(self._vlabel[w] for w in leaves)
-            cands = [s]
             if not extra and len(s) >= 3:
-                # a full star also admits every one-leaf-short subset
-                # (degree |S|+1), which the selection rule may prefer
-                cands.extend(s - {lid} for lid in s)
-        return min(((self._mss_key(lids), lids) for lids in cands),
-                   key=lambda entry: entry[0])
-
-    def _mss_key(self, lids):
-        ids = sorted(lids)
-        return (min(self.labels.min_original(l) for l in ids), len(ids), tuple(ids))
+                # a full star (degree |S|) also admits every one-leaf-short
+                # subset (degree |S|+1); the smaller candidate is preferred,
+                # and of those the one that drops, among all but the least
+                # label, the newest group, or if none is grouped the largest
+                rest = s - {min(s)}
+                s -= {next((g for g in reversed(self._groups) if g in rest), max(rest))}
+        return min(s), s
 
     def group_labels(self, lids) -> "Forest":
         """Shrink the maximal sibling set ``lids`` (label ids) into one
@@ -810,8 +760,9 @@ class Forest:
         Every shape takes one path: each leaf of ``lids`` but the hub is
         dropped with its edge, and the hub keeps its vertex id and becomes
         the new leaf.  For an unrooted single-edge tree the hub is its
-        smaller leaf vertex, so the two leaves merge into one.  The label
-        table is extended with the grouped label; the component count is
+        smaller leaf vertex, so the two leaves merge into one.  The new leaf
+        takes the least id of ``lids``, and the grouping is recorded (see
+        :meth:`originals`); the label table and the component count are
         unchanged.  The origin log (see :meth:`remove_edges`) holds
         ``("merge", v, e, hub)`` for each leaf ``v`` dropped with its edge
         ``e``, then ``("group", lids, new_id)``.
@@ -821,9 +772,11 @@ class Forest:
         if case.kind != "mss":
             raise ForestError("labels are not a maximal sibling set")
         hub = case.hub
-        table, new_id = self.labels.with_group(lids)
+        new_id = min(lids)
+        groups = dict(self._groups)
+        groups[new_id] = groups.pop(new_id, ()) + tuple(sorted(lids))
         f = self._copy()
-        f.labels = table
+        f._groups = groups
         log = []
         for l in lids:
             v = f._label_vertex.pop(l)
@@ -867,32 +820,31 @@ class Forest:
                 table[v] = entry
 
     def expand_labels(self) -> "Forest":
-        """Recursively undo all groupings; leaves end up on original labels.
+        """Undo every grouping; leaves end up on original labels.
 
-        The returned forest carries the original (trimmed) label table so that
-        it can be paired against untouched forests of the same instance.
+        Round by round, each grouped label, in the order of its vertex,
+        gives up its latest grouping (see :meth:`originals`): its vertex
+        takes a new leaf for each part, in id order, or for an unrooted
+        single-edge tree grouped whole, keeps the least part and takes a
+        leaf for the other.  A part grouped earlier waits for the next round.
         """
         f = self._copy()
-        while True:
-            grouped = sorted(
-                (v, lid) for v, lid in f._vlabel.items() if f.labels[lid].grouped
-            )
-            if not grouped:
-                break
+        groups = dict(f._groups)
+        while grouped := sorted((v, lid) for v, lid in f._vlabel.items() if lid in groups):
             for v, lid in grouped:
-                parts = f.labels[lid].grouped
+                rec = groups.pop(lid)
+                start = _latest_grouping(rec, lid, len(rec))
+                if start:
+                    groups[lid] = rec[:start]
+                parts = rec[start:]
+                if not f.rooted and not f._adj[v] and len(parts) == 2:
+                    f._add_edge(v, f._add_vertex(parts[1]))
+                    continue
                 del f._vlabel[v]
                 del f._label_vertex[lid]
-                if not f.rooted and not f._adj[v] and len(parts) == 2:
-                    f._vlabel[v] = parts[0]
-                    f._label_vertex[parts[0]] = v
-                    w = f._add_vertex(parts[1])
-                    f._add_edge(v, w)
-                    continue
                 for p in parts:
-                    w = f._add_vertex(p)
-                    f._add_edge(v, w)
-        f.labels = f.labels.trimmed()
+                    f._add_edge(v, f._add_vertex(p))
+        f._groups = {}
         f._check(vertices=f._own)
         return f
 
@@ -904,14 +856,11 @@ class Forest:
         ``(rooted, sorted component codes)``, each code a flat tuple of ints
         written from the component's top in :meth:`_hanging` (see
         :func:`_flat_codes`): comparing two keys never recurses, however
-        deep the trees.  Keys are exact for forests over one label universe,
-        where a label id stands for the same originals in every table: the
-        tops and the order of children go by those originals.  The codes are
-        the Newick writer's order of children; equality is decided by
+        deep the trees.  The codes are the Newick writer's order of children; equality is decided by
         :meth:`same_structure`, which builds no key.  Only the writer asks
         for a key, once per forest it writes, so none is kept.
         """
-        codes = _flat_codes(*self._hanging(), self._vlabel, self.labels.least_originals())
+        codes = _flat_codes(*self._hanging(), self._vlabel)
         return (self.rooted, tuple(sorted(codes)))
 
     def _hanging(self):
@@ -919,7 +868,7 @@ class Forest:
 
         The one walk that finds a forest's components.  A rooted component
         hangs from its root, an unrooted one from its leaf with the least
-        original label.  ``order`` lists every vertex, each component as one
+        label id.  ``order`` lists every vertex, each component as one
         run that starts at its top, parents before children; ``up`` maps
         every vertex but the tops to the vertex above it.  The walk grows a
         list while it reads it, without recursion.
@@ -929,8 +878,7 @@ class Forest:
             tops = [v for v in adj if v not in self._parent_edge]
         else:
             at = self._label_vertex
-            least = self.labels.least_originals()
-            tops = [at[lid] for lid in sorted(at, key=least.__getitem__)]
+            tops = [at[lid] for lid in sorted(at)]
         order = []
         up = {}
         for top in tops:
@@ -989,7 +937,7 @@ class Forest:
         one to one: a label-preserving isomorphism, which keeps parents.
         Conversely, let φ be a label-preserving isomorphism (keeping parents
         when rooted).  Unrooted, φ keeps each component's label set, so it
-        maps each hang point, the leaf of the least original label, to the
+        maps each hang point, the leaf of the least label id, to the
         other's; so φ keeps the vertex above, rooted or not.  The walk maps
         each leaf by φ, as labels pin the leaves, and each parent by φ, as
         parents pin the rest, so no check fails.
@@ -1038,8 +986,8 @@ class Forest:
         parent (ρ).
 
         ``pair`` is the first pair that are not siblings, in
-        ``itertools.combinations`` order over the labels sorted by least
-        original then id (``order``).  It is ``(order[0], order[j])`` for the
+        ``itertools.combinations`` order over the labels sorted by id
+        (``order``).  It is ``(order[0], order[j])`` for the
         least j whose label neither shares ``order[0]``'s hub nor is it; if
         there is no such j, every two labels are siblings:
 
@@ -1079,8 +1027,7 @@ class Forest:
             surplus = len(adj[p]) - len(hub) - (up is not None)
             if surplus <= (0 if rooted else 1):
                 return SiblingCase("mss", hub=p)
-        least = self.labels.least_originals()
-        order = sorted(hub, key=lambda l: (least[l], l))
+        order = sorted(hub)
         if len(hubs) == 1:
             ends = {at[l] for l in hub}
             extra = tuple(sorted(e for e, w in adj[p].items() if w not in ends and e != up))

@@ -264,7 +264,7 @@ def _component_text(code, names, rooted) -> str:
     if len(code) == 2 or top < 0:
         return _code_text(code, names)
     # a labeled top has one child: ρ when rooted, else the leaf with the
-    # least original label
+    # least label id
     if not code[3]:
         pair = [names[code[2]], names[top]]
         return "(" + ",".join(pair if rooted else sorted(pair)) + ")"
@@ -280,15 +280,18 @@ def serialize(f: Forest) -> str:
     """Canonical Newick text, one ';'-terminated line per component.
 
     Each line writes out a code of :meth:`Forest.canonical_key`, so children
-    go by the least original label below them.  Rooted components print
-    from their root, with ρ emitted as a leaf of the outermost node;
-    components go by their least original label.
+    go by the least label id below them.  Rooted components print from their
+    root, with ρ emitted as a leaf of the outermost node; components go by
+    their least label id.  A grouped leaf joins the names of its originals
+    (see :meth:`Forest.originals`) with '+'.
     ``parse_instance(serialize(tree))`` round-trips for single-tree forests.
     """
     names = [lab.name for lab in f.labels]
-    least = f.labels.least_originals()
+    if f.has_grouped_labels():
+        for lid in f.label_ids():
+            names[lid] = "+".join(map(f.labels.name, f.originals(lid)))
     codes = sorted(f.canonical_key()[1],
-                   key=lambda code: min(least[lid] for lid in code[::2] if lid >= 0))
+                   key=lambda code: min(lid for lid in code[::2] if lid >= 0))
     return "\n".join(_component_text(code, names, f.rooted) + ";" for code in codes)
 
 

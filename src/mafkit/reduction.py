@@ -33,8 +33,8 @@ witness forest sum to 0 mod 2^64.
   is brought back to a zero sum by changing the weight of one of its labels.
 * The scanned forest keeps, per vertex, the vertex above it and the weight
   of its subtree in a hanging of each component from one top (a fresh scan
-  takes ``Forest._hanging``: the root, or the leaf with the least original
-  label).  A derivation of it is replayed on those sums (a cut edge subtracts
+  takes ``Forest._hanging``: the root, or the leaf with the least label
+  id).  A derivation of it is replayed on those sums (a cut edge subtracts
   its subtree along the path to the top and makes a new top; contraction and
   grouping only hand a vertex's place to a neighbor), and a label whose
   weight changed adds the change along its leaf-to-top path.  A
@@ -168,8 +168,9 @@ class _Weights(dict):
     """Label weights that remember which labels differ from those they came from.
 
     ``base`` is a weak reference to the weights this map was derived from
-    (None for fresh weights) and ``changed`` the labels whose weight differs
-    from them or is new.  The reference is weak, so a map does not keep its
+    (None for fresh weights), and ``changed`` maps each label whose weight
+    differs from them, or that a grouping made since, to the labels of
+    ``base`` behind it.  The reference is weak, so a map does not keep its
     ancestors alive.
     """
 
@@ -178,7 +179,7 @@ class _Weights(dict):
     def __init__(self, weight, base=None):
         super().__init__(weight)
         self.base = None if base is None else weakref.ref(base)
-        self.changed = set()
+        self.changed = {}
 
 
 def _weights_of(fp: Forest) -> dict[int, int]:
@@ -206,10 +207,11 @@ def _carry_zero_sums(origin, weight, changed):
 
     ``origin`` is the child's ``(parent, log, _)``, and ``weight`` maps the
     parent's labels to weights that sum to 0 mod 2^64 over each of the
-    parent's components; it is changed in place, and the labels whose weight
-    changes or is new are added to the set ``changed`` (grouped parts leave
-    it).  A grouped label weighs the sum of its parts, which keeps every sum
-    over whole components.  Each edge a removal cuts splits one zero-sum
+    parent's components; it is changed in place, and each label whose weight
+    changes, or that a grouping makes, is entered in ``changed`` with the
+    labels behind it there (see ``_Weights``; grouped parts leave it).  A
+    grouped label weighs the sum of its parts, which keeps every sum over
+    whole components.  Each edge a removal cuts splits one zero-sum
     component in two: the side found complete first sums to some s, one of
     its labels gives up s and one label of the other side takes it.
     """
@@ -218,12 +220,12 @@ def _carry_zero_sums(origin, weight, changed):
     for step in log:
         if step[0] == "cut":
             removed.add(step[1])
-            changed.update(_rezero(parent, weight, removed, step[2], step[3]))
+            for lid in _rezero(parent, weight, removed, step[2], step[3]):
+                changed.setdefault(lid, (lid,))
         elif step[0] == "group":
             _, lids, new_id = step
             weight[new_id] = sum(weight.pop(lid) for lid in lids) & _MASK64
-            changed.difference_update(lids)
-            changed.add(new_id)
+            changed[new_id] = tuple(b for lid in lids for b in changed.pop(lid, (lid,)))
 
 
 def _rezero(forest, weight, removed, a, b):
@@ -396,26 +398,15 @@ def _reweigh(sums, fq, weight):
     """Bring ``sums`` from the weights it holds to ``weight``, in place.
 
     ``weight`` is those weights or was derived directly from them: each
-    label whose weight changed moves the sums on its path to the top.
+    label whose weight changed moves the sums on its path to the top by its
+    new weight less the old weights of the old labels behind it.
     """
     old = sums.weight
     if old is weight:
         return
     sums.weight = weight
-    labels = fq.labels
-    for lid in weight.changed:
-        was = old.get(lid)
-        if was is None:
-            # a label grouped since: its parts' weights stand in the sums
-            was = 0
-            parts = list(labels[lid].grouped)
-            while parts:
-                part = parts.pop()
-                if part in old:
-                    was += old[part]
-                else:
-                    parts.extend(labels[part].grouped)
-        delta = (weight[lid] - was) & _MASK64
+    for lid, behind in weight.changed.items():
+        delta = (weight[lid] - sum(map(old.__getitem__, behind))) & _MASK64
         if delta:
             _add_on_path(sums.up, sums.below, fq._label_vertex[lid], delta)
 

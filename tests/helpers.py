@@ -99,7 +99,7 @@ def partition_by_walk(forest):
     component of ``components_by_walk``, listed in the partition's order.
 
     Rooted, a component comes where its root comes among ``vertices()``;
-    unrooted, by the least original label it holds.
+    unrooted, by the least label id it holds.
     """
     comps = components_by_walk(forest)
     if forest.rooted:
@@ -107,8 +107,7 @@ def partition_by_walk(forest):
         comps.sort(key=lambda comp: min(place[v] for v in comp
                                         if forest.parent_vertex(v) is None))
     else:
-        comps.sort(key=lambda comp: min(map(forest.labels.min_original,
-                                            labels_of(forest, comp))))
+        comps.sort(key=lambda comp: min(labels_of(forest, comp)))
     return [labels_of(forest, comp) for comp in comps]
 
 
@@ -236,15 +235,20 @@ def mss_candidates_by_scan(forest):
 
 def find_mss_by_scan(forest):
     """Reference for ``Forest.find_mss``: the labels of the least candidate
-    of a full scan.  Also checks that ``Forest.sibling_case`` names the
-    candidate's hub."""
+    of a full scan, by least label id, then size, then the sorted ranks of
+    its labels.  A label ranks as ``(0, id)``, or if grouped as ``(1, i)``
+    for the i-th grouping in the forest's record of them, so of a full
+    star's subsets the one that drops the newest group wins, or the largest
+    label if none is grouped.  Also checks that ``Forest.sibling_case``
+    names the candidate's hub."""
     cands = mss_candidates_by_scan(forest)
     if not cands:
         return None
+    made = {g: i for i, g in enumerate(forest._groups)}
 
     def key(cand):
-        ids = sorted(cand.labels)
-        return (min(forest.labels.min_original(l) for l in ids), len(ids), tuple(ids))
+        ranks = sorted((1, made[l]) if l in made else (0, l) for l in cand.labels)
+        return (min(cand.labels), len(ranks), ranks)
 
     best = min(cands, key=key)
     case = forest.sibling_case(best.labels)
@@ -255,12 +259,12 @@ def find_mss_by_scan(forest):
 def sibling_case_by_pairs(forest, lids):
     """Reference for the ``(kind, pair)`` of ``Forest.sibling_case``.
 
-    The labels are sorted by least original and every pair of them is tried
+    The labels are sorted by id and every pair of them is tried
     in ``itertools.combinations`` order; the first pair that is not siblings
     (rooted: one parent; unrooted: one unlabeled neighbor, or a single-edge
     tree) is the case's pair, a split or a path by its components.
     """
-    order = sorted(lids, key=lambda l: (forest.labels.min_original(l), l))
+    order = sorted(lids)
     verts = [forest.vertex_of_label(l) for l in order]
 
     def one_neighbor(v):
@@ -855,11 +859,24 @@ def parse_by_match(text, rooted, name=""):
     return mk.Instance(rooted=rooted, forests=forests, name=name)
 
 
+def name_by_records(f, lid, end=None):
+    """Reference for the name ``serialize`` gives a label: a grouped label's
+    name read from the forest's record of groupings by recursion, its latest
+    grouping before ``end`` first."""
+    rec = f._groups.get(lid, ())
+    end = len(rec) if end is None else end
+    if not end:
+        return f.labels.name(lid)
+    start = max(i for i in range(end) if rec[i] == lid)
+    return "+".join(name_by_records(f, p, start if p == lid else None)
+                    for p in sorted(rec[start:end]))
+
+
 def _accessor_subtree_text(f, top, up=None):
-    label_of, neighbors, labels = f.label_of, f.neighbors, f.labels
+    label_of, neighbors = f.label_of, f.neighbors
     lid = label_of(top)
     if lid is not None:
-        return labels.name(lid)
+        return name_by_records(f, lid)
     order = [top]
     parent = {top: up}
     children = {}
@@ -869,7 +886,7 @@ def _accessor_subtree_text(f, top, up=None):
         for w in kids:
             lid = label_of(w)
             if lid is not None:
-                mins[w] = labels.min_original(lid)
+                mins[w] = lid
             else:
                 parent[w] = v
                 order.append(w)
@@ -883,7 +900,7 @@ def _accessor_subtree_text(f, top, up=None):
                 out.append(",")
             kids = children.get(v)
             if kids is None:
-                out.append(labels.name(label_of(v)))
+                out.append(name_by_records(f, label_of(v)))
                 continue
             kids.sort(key=mins.__getitem__)
             out.append("(")
@@ -899,7 +916,7 @@ def _accessor_subtree_text(f, top, up=None):
 def _accessor_component_text(f, comp):
     if len(comp) == 1:
         (v,) = comp
-        return f.labels.name(f.label_of(v))
+        return name_by_records(f, f.label_of(v))
     if f.rooted:
         root = next(v for v in comp if f.parent_vertex(v) is None)
         lid = f.label_of(root)
@@ -911,12 +928,9 @@ def _accessor_component_text(f, comp):
             return text[:-1] + "," + mk.RHO + ")"
         return _accessor_subtree_text(f, root)
     if len(comp) == 2:
-        names = sorted(f.labels.name(f.label_of(v)) for v in comp)
+        names = sorted(name_by_records(f, f.label_of(v)) for v in comp)
         return "(" + ",".join(names) + ")"
-    anchor = min(
-        (v for v in comp if f.label_of(v) is not None),
-        key=lambda v: f.labels.min_original(f.label_of(v)),
-    )
+    anchor = min((v for v in comp if f.label_of(v) is not None), key=f.label_of)
     return _accessor_subtree_text(f, next(w for _, w in f.neighbors(anchor)))
 
 
@@ -924,6 +938,6 @@ def serialize_by_accessors(f):
     """Reference for ``serialize``: every vertex read through the accessors."""
     comps = sorted(
         components_by_walk(f),
-        key=lambda comp: min(map(f.labels.min_original, labels_of(f, comp))),
+        key=lambda comp: min(labels_of(f, comp)),
     )
     return "\n".join(_accessor_component_text(f, comp) + ";" for comp in comps)

@@ -11,7 +11,7 @@ import pytest
 import mafkit as mk
 from mafkit import forest as forest_mod
 from mafkit import reduction
-from mafkit.forest import Forest, Label, LabelTable
+from mafkit.forest import Forest, LabelTable
 
 from helpers import (
     all_removal_keys,
@@ -347,8 +347,8 @@ def hanging_depths(f):
 
 def test_hanging_contract(rng):
     kinds = {(rooted, grouped): 0 for rooted in (True, False) for grouped in (True, False)}
-    # unrooted components whose least original label is not their least id
-    moved = 0
+    # unrooted components hung from a grouped leaf
+    grouped_tops = 0
     for _ in range(120):
         rooted = rng.random() < 0.5
         f = random_forest(rng, rng.randint(3, 12), rooted, max_cuts=rng.randint(0, 3))
@@ -370,8 +370,10 @@ def test_hanging_contract(rng):
             if rooted:
                 assert f.parent_vertex(top) is None
             else:
-                assert top == f.vertex_of_label(min(lids, key=f.labels.min_original))
-                moved += top != f.vertex_of_label(min(lids))
+                assert top == f.vertex_of_label(min(lids))
+                # and that id is the least original label of the component
+                assert min(lids) == min(o for l in lids for o in f.originals(l))
+                grouped_tops += len(f.originals(f.label_of(top))) > 1
         # the label partition lists the runs' label sets in the runs' order
         partition = f.label_partition()
         assert partition == tuple(lids for _, lids in sorted(runs))
@@ -384,7 +386,7 @@ def test_hanging_contract(rng):
         if rooted:
             assert up == {v: f.parent_vertex(v) for v in f.vertices()
                           if f.parent_vertex(v) is not None}
-    assert min(kinds.values()) > 5 and moved > 0
+    assert min(kinds.values()) > 5 and grouped_tops > 0
 
 
 def test_steiner_matches_pruning_reference(rng):
@@ -474,10 +476,11 @@ def test_mss_none_condition_random(rng):
 
 
 def test_mss_unrooted_star_prefers_spec_tiebreak():
-    f = parse1("(a,b,c);", rooted=False)
-    mss = f.find_mss()
-    # full star: the two-smallest subset wins on the size tiebreak
-    assert names(f, mss) == ["a", "b"]
+    # full star: the subset one leaf short wins, and with no label grouped
+    # it drops the largest label
+    for text, want in (("(a,b,c);", ["a", "b"]), ("(d,b,a,c);", ["a", "b", "c"])):
+        f = parse1(text, rooted=False)
+        assert names(f, f.find_mss()) == want
 
 
 def test_find_mss_matches_scan_along_chains(rng):
@@ -632,7 +635,7 @@ def test_group_unrooted_single_edge():
     )
     h = g.group_labels(g.find_mss())
     assert sorted(len(c) for c in components_by_walk(h)) == [1, 1, 1]
-    assert "a+b" in [h.labels.name(l) for l in h.label_ids()]
+    assert mk.serialize(h) == "a+b;\nc;\nd;"
 
 
 def test_group_requires_mss():
@@ -644,15 +647,61 @@ def test_group_requires_mss():
 def test_sibling_case_and_grouping_refuse_a_label_not_in_the_forest():
     for rooted in (True, False):
         f = parse1("((a,b),(c,d));", rooted)
-        ab = frozenset(f.labels.id_of(x) for x in "ab")
-        g = f.group_labels(ab)
-        # a and b are in the table, but g holds their group instead
-        c = g.labels.id_of("c")
-        for lids in (ab, {g.labels.id_of("a"), c}):
+        a, b, c = (f.labels.id_of(x) for x in "abc")
+        g = f.group_labels({a, b})
+        # the group keeps a's id, and b's leaf is gone, though b is in the table
+        for lids in ({a, b}, {b, c}):
             with pytest.raises(mk.ForestError, match="not in the forest"):
                 g.sibling_case(lids)
             with pytest.raises(mk.ForestError, match="not in the forest"):
                 g.group_labels(lids)
+
+
+def _group_named(f, names):
+    """``f`` with the labels ``names`` grouped, and the grouped label's id."""
+    lids = frozenset(f.labels.id_of(x) for x in names)
+    g = f.group_labels(lids)
+    (new,) = g.label_ids() - (f.label_ids() - lids)
+    return g, new
+
+
+def test_full_star_drops_its_newest_group():
+    # a full star with three or more leaves admits every one-leaf-short
+    # subset; find_mss keeps the least label and drops the group made last
+    f = parse1("(a,(c,f),(b,e),d);", rooted=False)
+    a, d = (f.labels.id_of(x) for x in "ad")
+    for first, second in (("cf", "be"), ("be", "cf")):
+        g, older = _group_named(f, first)
+        g, _ = _group_named(g, second)
+        assert g.find_mss() == {a, d, older}
+
+
+def test_nested_group_name_lists_each_group_in_turn():
+    # a grouped leaf is named by its parts in id order, each part by its own
+    # name, so a nested group's originals stay together
+    f = parse1("(((a,d),b),c);")
+    g, _ = _group_named(f, "ad")
+    h = g.group_labels(g.find_mss())
+    assert mk.serialize(g) == "((a+d,b),c,ρ);"
+    assert mk.serialize(h) == "(a+d+b,c,ρ);"
+
+
+def test_grouping_keeps_the_least_id_and_the_table():
+    for rooted in (True, False):
+        f = parse1("((a,b),(c,d));", rooted)
+        a, b, c = (f.labels.id_of(x) for x in "abc")
+        g = f.group_labels([b, a])
+        assert g.labels is f.labels
+        assert g.label_ids() == f.label_ids() - {b} and g.has_grouped_labels()
+        assert g.original_label_ids() == f.original_label_ids()
+        for absorbed in ({b, c}, {b, a}):
+            with pytest.raises(mk.ForestError, match="not in the forest"):
+                g.sibling_case(absorbed)
+            with pytest.raises(mk.ForestError, match="not in the forest"):
+                g.group_labels(absorbed)
+        back = g.expand_labels()
+        assert back.same_structure(f) and not back.has_grouped_labels()
+        assert back.labels is f.labels
 
 
 def test_group_expand_round_trip(rng):
@@ -745,61 +794,74 @@ def test_derivations_leave_every_ancestor_untouched(rng):
             assert _snapshot(f) == snap
 
 
-def test_with_group_tables_are_independent():
-    base = LabelTable.from_names(["a", "b", "c"])
-    assert base.originals(0) == {0}
-    t1, g1 = base.with_group([0, 1])
-    t2, g2 = base.with_group([1, 2])
-    assert g1 == g2 == 3
-    assert t1.originals(g1) == {0, 1} and t2.originals(g2) == {1, 2}
-    assert t1.id_of("a+b") == t2.id_of("b+c") == 3
-    with pytest.raises(KeyError):
-        t1.id_of("b+c")
-    with pytest.raises(KeyError):
-        base.id_of("a+b")
-    assert len(base) == 3 and len(t1) == len(t2) == 4
-    t3, g3 = t1.with_group([g1, 2])
-    assert t3.originals(g3) == {0, 1, 2} and t3.id_of("a+b") == 3
+def test_groupings_of_sibling_branches_are_independent():
+    f = parse1("((a,b),(c,d));")
+    a, b, c, d = (f.labels.id_of(x) for x in "abcd")
+    g1, g2 = f.group_labels({a, b}), f.group_labels({c, d})
+    assert not f.has_grouped_labels() and f.originals(a) == (a,)
+    assert g1.originals(a) == (a, b) and g1.originals(c) == (c,)
+    assert g2.originals(c) == (c, d) and g2.originals(a) == (a,)
+    assert mk.serialize(g1) == "(a+b,(c,d),ρ);" and mk.serialize(g2) == "((a,b),c+d,ρ);"
+    h = g1.group_labels({c, d}).group_labels({a, c})
+    assert h.originals(a) == (a, b, c, d) and mk.serialize(h) == "(a+b+c+d,ρ);"
+    assert f.labels is g1.labels is g2.labels is h.labels
 
 
-def test_lockstep_grouping_builds_one_table():
+def test_lockstep_grouping_builds_no_table():
     inst = mk.parse_instance("((a,b),(c,d));\n((a,b),c,d);", rooted=True)
     f1, f2 = inst.forests
     ab = f2.find_mss()
-    assert f1.labels is f2.labels
     g1, g2 = f1.group_labels(ab), f2.group_labels(ab)
-    assert g1.labels is g2.labels and g1.labels.id_of("a+b") == len(f1.labels)
-    # grouping another set in between replaces the kept extension
+    assert f1.labels is f2.labels is g1.labels is g2.labels
+    assert g1.label_ids() == g2.label_ids() and g1.originals(min(ab)) == tuple(sorted(ab))
+    # a grouping in between, in another branch, leaves the pair alike
     cd = frozenset(f1.labels.id_of(x) for x in "cd")
-    assert f1.group_labels(cd).labels.id_of("c+d") == len(f1.labels)
+    f1.group_labels(cd)
     again = f2.group_labels(ab)
-    assert again.labels is not g1.labels and again.labels.id_of("a+b") == len(f1.labels)
-    assert again.same_structure(g2)
+    assert again.label_ids() == g1.label_ids() and again.same_structure(g2)
+
+
+def _caterpillar(n):
+    """Unrooted caterpillar on labels 0..n-1, named so that names sort as
+    ids do, with the cherry (0, 1) at one end and (n-2, n-1) at the other."""
+    name = [f"{i:05d}" for i in range(n)]
+    text = f"({name[0]},{name[1]}," + "".join(f"({name[i]}," for i in range(2, n - 2))
+    return parse1(text + f"({name[n - 2]},{name[n - 1]})" + ")" * (n - 4) + ");",
+                  rooted=False)
 
 
 def test_nested_group_chain_expands_without_recursion():
-    n = 1500  # groups nested deeper than the default recursion limit
-    labels = [Label(i, str(i)) for i in range(n)]
-    labels.append(Label(n, "g0", (0, 1)))
-    for i in range(1, n - 1):
-        labels.append(Label(n + i, f"g{i}", (n + i - 1, i + 1)))
-    table = LabelTable(labels)
-    assert table.n_original() == n
-    assert table.originals(len(labels) - 1) == frozenset(range(n))
-    assert table.min_original(n + 500) == 0
+    n = 1502  # groups nested deeper than the default recursion limit
+    f = _caterpillar(n)
+    at_least_end = f
+    while (mss := at_least_end.find_mss()) is not None:
+        at_least_end = at_least_end.group_labels(mss)
+    # from the other end, each group takes a new id and holds the last one
+    at_other_end = f
+    for i in range(n - 2, 0, -1):
+        at_other_end = at_other_end.group_labels({i, i + 1} if i > 1 else {0, 1, 2})
+    everything = "+".join(f"{i:05d}" for i in range(n))
+    for g, depth in ((at_least_end, n - 1), (at_other_end, n - 2)):
+        assert len(g.label_ids()) == 1 and g.edge_ids() == set()
+        assert sum(len(rec) for rec in g._groups.values()) == depth + n - 1
+        for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert copied.same_structure(g) and copied.original_label_ids() == set(range(n))
+        assert g.expand_labels().same_structure(f)
+        assert g.original_label_ids() == set(range(n))
+        assert mk.serialize(g) == everything + ";"
 
 
-def test_original_label_ids_built_once_per_value(rng):
+def test_original_label_ids_are_every_label_s_originals(rng):
     for _ in range(30):
         f = random_forest(rng, rng.randint(3, 9), rooted=rng.random() < 0.5)
         for _ in range(6):
             f = derive(rng, f)
-            got = f.original_label_ids()
-            assert got is f.original_label_ids()
-            want = set()
-            for lid in f.label_ids():
-                want |= f.labels.originals(lid)
-            assert got == want
+            behind = [f.originals(lid) for lid in f.label_ids()]
+            # a label's id is the least original behind it, and no two
+            # labels share an original
+            assert all(o[0] == min(o) for o in behind)
+            assert f.original_label_ids() == {o for os in behind for o in os}
+            assert sum(map(len, behind)) == len(f.original_label_ids())
     inst = random_instance(rng, rooted=True)
     assert inst.n_labels == inst.taxa_count() + 1 == len(inst.forests[0].label_ids())
 
@@ -1019,7 +1081,7 @@ def test_derivation_rejects_a_broken_written_row(monkeypatch):
         monkeypatch.undo()
         # a written row that leaves a labeled vertex with two edges
         g = f.group_labels(f.find_mss())
-        hub = g.vertex_of_label(max(g.label_ids()))
+        hub = g.vertex_of_label(f.labels.id_of("a"))
         broken = g._copy()
         broken._add_edge(hub, broken._add_vertex(len(g.labels)))
         with pytest.raises(mk.ForestError, match=f"labeled vertex {hub} has degree 2"):

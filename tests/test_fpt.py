@@ -335,25 +335,26 @@ def test_no_branch_child_over_k_is_built(rng, monkeypatch):
     assert built > 100 and over_in_reference > 50
 
 
-def test_lockstep_grouping_builds_one_table(monkeypatch):
-    # after a collapse, the expanded forest gets back the instance's own
-    # table, so grouping both forests of a pair extends one table, once
+def test_lockstep_grouping_builds_no_table(monkeypatch):
+    # grouping keeps the instance's own table, across collapses too, and
+    # both forests of a pair group one set into one label id
     inst = mk.generate_instance(mk.GenSpec(n=20, m=3, x=1, seed=1_001_000, rooted=True))
+    table = inst.forests[0].labels
     calls = []
-    with_group = mk.LabelTable.with_group
+    group_labels = mk.Forest.group_labels
 
-    def counted(table, part_ids):
-        got = with_group(table, part_ids)
-        calls.append((table, got[0]))
+    def counted(forest, lids):
+        got = group_labels(forest, lids)
+        calls.append((frozenset(lids), got))
         return got
 
-    monkeypatch.setattr(mk.LabelTable, "with_group", counted)
+    monkeypatch.setattr(mk.Forest, "group_labels", counted)
     res = mk.find_min_k(inst, mk.approx_rmaf(inst).lower_bound())
     assert res.order == 3 and res.stats.collapses == 4
+    assert all(g.labels is table for _, g in calls)
     # groupings come in pairs, the first forest's then the second's
     pairs = list(zip(calls[::2], calls[1::2]))
     assert len(pairs) == 36
-    assert all(a[1] is b[1] for a, b in pairs)
-    assert all(a[0] is b[0] for a, b in pairs)
-    built = {id(t) for _, t in calls}
-    assert len(built) == 12
+    for (lids1, g1), (lids2, g2) in pairs:
+        assert lids1 == lids2 and g1.label_ids() == g2.label_ids()
+        assert g1.originals(min(lids1))[0] == min(lids1)

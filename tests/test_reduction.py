@@ -287,9 +287,10 @@ def test_grouping_keeps_weights_and_sums():
     ab = frozenset(f1.labels.id_of(x) for x in "ab")
     g1, g2 = cut.group_labels(ab), f2.group_labels(ab)
     w, gw = reduction._weights_of(cut), reduction._weights_of(g1)
-    (new,) = g1.label_ids() - cut.label_ids()
+    new = min(ab)  # the group keeps a's id, and the old a and b are behind it
+    assert g1.label_ids() == cut.label_ids() - {max(ab)}
     assert gw[new] == (w[min(ab)] + w[max(ab)]) % (1 << 64)
-    assert gw.changed == {new}
+    assert {lid: sorted(behind) for lid, behind in gw.changed.items()} == {new: sorted(ab)}
     before = reduction._sums_of(f2, w).below
     after = reduction._sums_of(g2, gw).below
     # every vertex the grouping kept keeps its sum
@@ -306,7 +307,8 @@ def test_removal_rezeroes_each_piece():
     for labels in g.label_partition():
         assert sum(gw[lid] for lid in labels) % (1 << 64) == 0
     # one label on each side of the cut took the difference
-    assert len(gw.changed) == 2 and {lid for lid in w if w[lid] != gw[lid]} == gw.changed
+    assert len(gw.changed) == 2 and {lid for lid in w if w[lid] != gw[lid]} == gw.changed.keys()
+    assert all(behind == (lid,) for lid, behind in gw.changed.items())
 
 
 def test_kept_sums_stay_as_they_were(rng, monkeypatch):
@@ -430,7 +432,7 @@ def test_grouping_a_full_star_keeps_pair_reduced():
     # the whole star, whose hub has no other neighbor, is maximal in both
     assert f1.sibling_case(star).kind == "mss" == f2.sibling_case(star).kind
     g1, g2 = f1.group_labels(star), f2.group_labels(star)
-    s = max(g1.label_ids())
+    s = min(star)  # the star's leaf keeps the least id
     assert g1.degree(g1.vertex_of_label(s)) == 0 == g2.degree(g2.vertex_of_label(s))
     assert find_applicable_by_bfs(g1, g2) is None
     assert find_applicable_by_bfs(g2, g1) is None

@@ -1,4 +1,5 @@
-"""The checker behind CI's pin on the benchmark's search-shape counts."""
+"""The checker behind CI's pin on the benchmark's search-shape counts, and
+the names the benchmark's recorder wraps."""
 
 import importlib.util
 import io
@@ -92,3 +93,46 @@ def test_write_names_every_count_it_changes(checker, monkeypatch, capsys, tmp_pa
     monkeypatch.setattr("sys.stdin", io.StringIO(run_output(moved)))
     assert checker.main(["pmaf-exact", str(path), "--write"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.fixture(scope="module")
+def spans():
+    path = os.path.join(ROOT, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves(checker, spans):
+    # the benchmark's recorder wraps its targets by name, a method through
+    # its class's own namespace: a target renamed or removed here must fail
+    # in these tests, not first in a benchmark run
+    for module_name, attr, _, _ in spans.TARGETS:
+        module = importlib.import_module(module_name)
+        owner, _, name = attr.rpartition(".")
+        found = vars(getattr(module, owner)).get(name) if owner else getattr(module, name, None)
+        assert callable(found), attr
+    # every call count the record pins is the count of a traced span
+    calls = {name[:-len(".calls")] for name in checker.COUNTS if name.endswith(".calls")}
+    assert calls <= set(spans.SPAN_NAMES)
+
+
+def test_traced_targets_keep_their_call_shapes(spans):
+    # each result hook reads its target's arguments or result by position:
+    # one small traced solve runs every hook of the solver layers
+    import mafkit as mk
+
+    inst = mk.parse_instance("((a,b),(c,d));\n((a,c),(b,d));", rooted=True)
+    rec = spans.Recorder()
+    uninstall = spans.install(rec)
+    try:
+        op = rec.start_op()
+        res = mk.find_min_k(inst, mk.approx_rmaf(inst).lower_bound())
+        mk.serialize(res.af.forest)
+    finally:
+        uninstall()
+    counts = op.counts()
+    assert counts["fpt.attempts"] > 0 and any(name.startswith("approx.steps.") for name in counts)
+    assert counts["reduction.reduce_pair.removals"] > 0
+    assert counts["reduction.reduce_pair.calls"] > 0 and counts["newick.serialize.calls"] == 1

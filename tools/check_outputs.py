@@ -66,7 +66,7 @@ def _sides(forest, eid):
     depends neither on how edge ids are handed out nor on the ids grouped
     labels get."""
     split = forest.split_labels(eid)
-    return sorted(sorted(set().union(*map(forest.labels.originals, side)))
+    return sorted(sorted(set().union(*map(forest.originals, side)))
                   for side in (split.side1, split.side2))
 
 
