@@ -6,6 +6,7 @@ from .approx import (
     approx_rmaf,
     approx_umaf,
     check_metastep_ratio,
+    coarsen,
     essential_subset,
 )
 from .datagen import (
@@ -74,6 +75,7 @@ __all__ = [
     "brute_force_maf",
     "certify",
     "check_metastep_ratio",
+    "coarsen",
     "contract_random_edges",
     "essential_subset",
     "find_min_k",

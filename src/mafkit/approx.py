@@ -35,13 +35,29 @@ optimum of that pair minus 1, and d never falls below 0.  So the optimum of
 optimum, whose agreement forests are agreement forests of (T1, T2), is at
 least that too.  Later partners start from a working forest that is not an
 agreement forest of optimal order, so their steps are not counted.
+
+The forest the approximation ends with is seldom maximal: often two of its
+parts can be joined and the result is still an agreement forest.  That
+holds when, in every input tree, no other part has a vertex on the path
+between the two parts' Steiner subtrees, so the joined subtree stays
+disjoint from the others, and the joined parts restrict every tree to the
+same tree.  ``coarsen`` joins parts while such a join exists (its docstring
+has the test and why each pair is tried once).  A join only lowers the
+order, so the ratio bound holds for the coarsened forest too.  The lower
+bound still reads the approximation's own order k', as ⌈k'/r⌉ is the
+stronger bound; the coarsened order bounds the optimum from above, and
+``maf pmaf`` hands the coarsened forest to the exact ascent as its
+incumbent (see ``fpt.find_min_k``).  ``maf amaf`` prints the
+approximation's own forest.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
-from .forest import Forest, Instance, MafError, find_root
+from .forest import Forest, ForestError, Instance, MafError, find_root
 from .reduction import reduce_pair
 
 RULE1 = "rule1"
@@ -258,3 +274,305 @@ def approx_umaf(instance: Instance) -> ApproxResult:
     if instance.rooted:
         raise MafError("approx_umaf needs an unrooted instance")
     return _approximate(instance)
+
+
+# ---------------------------------------------------------------------------
+# coarsening: joining parts of an agreement forest
+
+
+class _Hung:
+    """One input tree hung once for :func:`coarsen`.
+
+    ``up`` and ``depth`` come from :meth:`Forest._hanging`.  ``lo`` and
+    ``size`` number the vertices in a preorder of that hanging, so the
+    vertices below ``v`` are those numbered ``lo[v]`` up to but excluding
+    ``lo[v] + size[v]``, and ``at`` gives each label its leaf's number.
+    ``owner`` maps every vertex of a part's Steiner subtree to a part id,
+    which may have been joined since (see :class:`_MergePass`), and ``top``
+    maps each part id to the highest vertex of its subtree.
+    """
+
+    __slots__ = ("forest", "up", "depth", "lo", "size", "at", "owner", "top")
+
+    def __init__(self, forest: Forest, parts):
+        order, up = forest._hanging()
+        size = dict.fromkeys(order, 1)
+        for v in reversed(order):  # children before parents
+            p = up.get(v)
+            if p is not None:
+                size[p] += size[v]
+        depth, lo, free = {}, {}, {}
+        numbered = 0
+        for v in order:  # parents before children
+            p = up.get(v)
+            if p is None:
+                depth[v], lo[v] = 0, numbered
+                numbered += size[v]
+            else:
+                depth[v], lo[v] = depth[p] + 1, free[p]
+                free[p] += size[v]
+            free[v] = lo[v] + 1
+        self.forest, self.up, self.depth, self.lo, self.size = forest, up, depth, lo, size
+        self.at = {lid: lo[forest.vertex_of_label(lid)] for lid in forest.label_ids()}
+        self.owner, self.top = {}, {}
+        for pid, labs in enumerate(parts):
+            self._claim(pid, [forest.vertex_of_label(l) for l in labs])
+
+    def _claim(self, pid, leaves):
+        """Mark the Steiner subtree of ``leaves`` as part ``pid``'s.
+
+        Its top is the least common ancestor of the first and the last leaf
+        in preorder, and every other vertex lies on the way up from a leaf
+        to it, so each leaf climbs until it meets a vertex already marked.
+        """
+        up, depth, owner = self.up, self.depth, self.owner
+        x = min(leaves, key=self.lo.__getitem__)
+        y = max(leaves, key=self.lo.__getitem__)
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            x = up.get(x)
+            if x is None:
+                raise ForestError("a part spans two components of an input tree")
+        self.top[pid] = x
+        owner[x] = pid
+        for v in leaves:
+            while owner.get(v) != pid:
+                owner[v] = pid
+                v = up[v]
+
+    def below(self, v, labs):
+        """The labels of ``labs`` whose leaves lie below ``v``."""
+        lo, at = self.lo[v], self.at
+        hi = lo + self.size[v]
+        return frozenset(l for l in labs if lo <= at[l] < hi)
+
+
+class _MergePass:
+    """The state of one :func:`coarsen` call: the parts, one :class:`_Hung`
+    per input tree, and the parts next to each other in the first tree.
+
+    A join gives the joined part a new id; ``root`` is a union-find over
+    part ids (see :func:`find_root`), in which the live parts are roots.
+    ``meets`` lists the contacts of :meth:`_contacts_in_first` and
+    ``contacts[p]`` the ones of part ``p``, whose ids resolve to the parts
+    next to ``p`` in the first tree (see :meth:`neighbors`).
+    """
+
+    def __init__(self, instance: Instance, forest: Forest):
+        if forest.has_grouped_labels():
+            forest = forest.expand_labels()
+        self.forest = forest
+        self.rooted = instance.rooted
+        self.parts = [sorted(part) for part in forest.label_partition()]
+        self.root = list(range(len(self.parts)))
+        self.trees = [_Hung(f, self.parts) for f in instance.forests]
+        self.meets = self._contacts_in_first()
+        self.contacts = [set() for _ in self.parts]
+        for c, pids in enumerate(self.meets):
+            for pid in pids:
+                self.contacts[pid].add(c)
+
+    def part_at(self, tree: _Hung, v):
+        """The live part whose subtree holds ``v`` in ``tree``, or None."""
+        pid = tree.owner.get(v)
+        return None if pid is None else find_root(self.root, pid)
+
+    def _contacts_in_first(self):
+        """Where parts meet in the first tree: the parts next to each region
+        of vertices that no part holds, and the two parts of each edge
+        between two parts' subtrees, each as a sorted list of part ids.
+
+        Two parts are next to each other iff they share a contact, and they
+        share at most one: the first tree with each part's subtree and each
+        region contracted to one vertex is still a tree.
+        """
+        tree = self.trees[0]
+        owner = tree.owner
+        region = {v: v for v in tree.depth if v not in owner}
+        edges, touching = [], []
+        for v, p in tree.up.items():
+            ov, op = owner.get(v), owner.get(p)
+            if ov is None and op is None:
+                region[find_root(region, v)] = find_root(region, p)
+            elif ov is None or op is None:
+                touching.append((v, op) if ov is None else (p, ov))
+            elif ov != op:
+                edges.append(sorted((ov, op)))
+        touch: dict[int, set[int]] = {}
+        for v, pid in touching:
+            touch.setdefault(find_root(region, v), set()).add(pid)
+        return [sorted(pids) for pids in touch.values()] + edges
+
+    def neighbors(self, pid):
+        """The live parts that share a contact with live part ``pid``: every
+        part next to it in the first tree, and maybe some that no longer are."""
+        root = self.root
+        return {find_root(root, q) for c in self.contacts[pid] for q in self.meets[c]} - {pid}
+
+    def _path(self, tree: _Hung, a, b):
+        """How the subtrees of live parts ``a`` and ``b`` meet in ``tree``:
+        ``(inner vertices of the path between them, its end in a's subtree,
+        its end in b's, top of the joined subtree)``, or None if another
+        part's subtree lies on that path, or no path joins them.
+
+        The end of the deeper climb goes up one vertex at a time from the two
+        tops.  A climb that reaches the other part's subtree has found the
+        path, with that part on top; two climbs that meet at a vertex no part
+        holds have found it with the meeting vertex on top.
+        """
+        up, depth, top = tree.up, tree.depth, tree.top
+        x, y = top[a], top[b]
+        inner = []
+        while True:
+            from_a = depth[x] >= depth[y]
+            v = up.get(x if from_a else y)
+            if v is None:
+                return None
+            if v in tree.owner:
+                if self.part_at(tree, v) != (b if from_a else a):
+                    return None
+                return (inner, top[a], v, top[b]) if from_a else (inner, v, top[b], top[a])
+            if v == (y if from_a else x):
+                return inner, top[a], top[b], v
+            inner.append(v)
+            if from_a:
+                x = v
+            else:
+                y = v
+
+    def _point(self, tree: _Hung, pid, v):
+        """A name for the place of ``v`` in T|part ``pid``, the same in every
+        tree: rooted, the part's labels below ``v`` and whether ``v`` lies
+        inside an edge of T|part; unrooted, the part's labels in each branch
+        of its subtree at ``v``."""
+        labs, up = self.parts[pid], tree.up
+        mine = [w for _, w in tree.forest.neighbors(v) if self.part_at(tree, w) == pid]
+        if self.rooted:
+            kids = sum(1 for w in mine if up.get(w) == v)
+            return tree.below(v, labs), kids == 1 and tree.forest.label_of(v) is None
+        outside = tree.below(v, labs)
+        return frozenset(tree.below(w, labs) if up.get(w) == v else frozenset(labs) - outside
+                         for w in mine)
+
+    def _name(self, tree: _Hung, a, b, met):
+        """How T|(a ∪ b) joins T|a and T|b in ``tree``, named the same way
+        in every tree (see :func:`coarsen`)."""
+        _, end_a, end_b, top = met
+        if not self.rooted:
+            return self._point(tree, a, end_a), self._point(tree, b, end_b)
+        if top == tree.top[a]:
+            return a, self._point(tree, a, end_a)
+        if top == tree.top[b]:
+            return b, self._point(tree, b, end_b)
+        return None  # the two subtrees hang side by side
+
+    def joinable(self, a, b):
+        """The path of :meth:`_path` in every tree if live parts ``a`` and
+        ``b`` can be joined, else None."""
+        paths = []
+        for tree in self.trees:
+            met = self._path(tree, a, b)
+            if met is None:
+                return None
+            paths.append(met)
+        names = (self._name(tree, a, b, met) for tree, met in zip(self.trees, paths))
+        first = next(names)
+        return paths if all(name == first for name in names) else None
+
+    def join(self, a, b, paths) -> int:
+        """Join live parts ``a`` and ``b`` along ``paths``; the new part's id."""
+        new = len(self.parts)
+        self.parts.append(self.parts[a] + self.parts[b])
+        self.root.append(new)
+        self.root[a] = self.root[b] = new
+        for tree, (inner, _, _, top) in zip(self.trees, paths):
+            tree.owner.update(dict.fromkeys(inner, new))
+            tree.top[new] = top
+        self.contacts.append(self.contacts[a] | self.contacts[b])
+        return new
+
+    def run(self) -> Forest:
+        """Try every pair of parts that share a contact, those of each
+        contact at the start and then those of each joined part, in turn,
+        and join those that can be; the first tree cut to the result.
+
+        The pairs at the start are made as they are tried, as a region next
+        to p parts has p(p − 1)/2 of them.
+        """
+        started, later = len(self.parts), deque()
+
+        def queued():
+            while later:
+                yield later.popleft()
+
+        start = ((a, b) for pids in self.meets for i, a in enumerate(pids) for b in pids[i + 1:])
+        for a, b in chain(start, queued()):
+            if self.root[a] != a or self.root[b] != b:
+                continue
+            paths = self.joinable(a, b)
+            if paths is not None:
+                new = self.join(a, b, paths)
+                later.extend((new, c) for c in sorted(self.neighbors(new)))
+        if len(self.parts) == started:
+            return self.forest
+        live = [find_root(self.root, pid) for pid in range(len(self.parts))]
+        tree = self.trees[0]
+        part = {v: live[pid] for v, pid in tree.owner.items()}
+        # an edge stays if one part holds both its ends (the defaults differ)
+        apart = [v for v, p in tree.up.items() if part.get(v, -1) != part.get(p, -2)]
+        return tree.forest.remove_edges(tree.forest._edges_up(apart, tree.up))
+
+
+def coarsen(instance: Instance, forest: Forest) -> Forest:
+    """A coarser agreement forest: the parts of ``forest``, an agreement
+    forest of ``instance``, joined two at a time while the join is one too.
+
+    The result is the first tree cut to the joined parts, or ``forest``
+    itself if no join holds, and no two of its parts can be joined.
+
+    Write S_i(Y) for the Steiner subtree of a label set Y in input tree T_i,
+    the least subtree that holds its leaves, and T_i|Y for its contraction.
+    A partition is an agreement forest iff in every T_i the S_i of its
+    parts are disjoint and T_i|Y is one tree for every i.  So the join of
+    parts A and B of one is one too iff in every T_i:
+
+    * no other part's subtree holds a vertex of the path between S_i(A) and
+      S_i(B), as S_i(A ∪ B) is S_i(A), S_i(B) and that path (A and B are
+      *next to each other* in T_i); and
+    * T_i|(A ∪ B) is T_1|(A ∪ B).
+
+    *The test.*  T_i|(A ∪ B) is T_i|A and T_i|B, which are the same in
+    every tree, with the path contracted to one edge between them.  Its
+    ends are places of T|A and T|B: a vertex, or a point inside an edge.
+    So T_i|(A ∪ B) is fixed by the places, and gives them back when
+    restricted to A and to B; the trees agree iff their places do.  A place
+    of T|A is named by labels of A, the same way in every tree.  Unrooted,
+    by the label sets of its branches in S_i(A): three or more at a vertex,
+    the two sides of the edge it splits, none at a lone leaf.  Rooted, the
+    path leaves the upper subtree at a place and enters the lower one at its
+    top, or leaves both at their tops for a new root above them, the path's
+    highest vertex.  So the name is the upper part and its place, or none;
+    the place is named by the labels below it, which differ between
+    vertices and name an edge by its lower end, and whether it lies inside
+    that edge.  The path takes one climb from the two tops, and a name
+    O(|A|) steps with the preorder numbers of :class:`_Hung`.
+
+    *Each pair is tried once.*  While A and B live their subtrees stay as
+    they are, and T|(A ∪ B) depends on A and B alone.  A join only adds the
+    path's vertices to the new part, so a vertex held by another part stays
+    held by another part.  So a test of A and B that failed would fail
+    again, and is not repeated.  The pairs next to each other in T_1 are
+    all tried: those at the start, and for a new part A ∪ B, the neighbors
+    of A and of B.  These are all of its neighbors.  A path from another
+    part's subtree to S_1(A ∪ B) ends in S_1(A), in S_1(B) or inside the
+    path between them, and then goes on along it to S_1(A), crossing no
+    other part.  Two parts can stop being next to each other but never
+    start, since held vertices stay held.  So when the worklist is empty no
+    two parts can be joined.
+
+    The order only falls, so the approximation's ratio bound holds for the
+    result too.  ``forest`` must be an agreement forest of ``instance``;
+    :func:`~mafkit.fpt.find_min_k` certifies the result before it uses it.
+    """
+    return _MergePass(instance, forest).run()

@@ -25,7 +25,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from .approx import approx_rmaf, approx_umaf
+from .approx import approx_rmaf, approx_umaf, coarsen
 from .datagen import GenerationError, GenSpec, generate_instance
 from .forest import Instance, MafError, certify
 from .fpt import NoSolutionError, find_min_k
@@ -102,9 +102,10 @@ def cmd_pmaf(args) -> int:
     t0 = time.perf_counter()
     ares = _approximate(instance)
     k_lo = ares.lower_bound()
+    merged = coarsen(instance, ares.forest)
     try:
         # a cap below the bound leaves no k to try, so this fails at once
-        res = find_min_k(instance, k_lo, args.k)
+        res = find_min_k(instance, k_lo, args.k, incumbent=merged)
     except NoSolutionError:
         if args.k is None:
             raise
@@ -114,7 +115,7 @@ def cmd_pmaf(args) -> int:
     cert = serialize(res.af.forest)
     print(f"order {res.order}")
     print(cert)
-    print(f"# bootstrap k'={ares.order} start k={k_lo}")
+    print(f"# bootstrap k'={ares.order} start k={k_lo} merged={merged.order()}")
     print(f"# {res.stats.summary()} wall_ms={wall_ms:.1f}")
     if args.verify:
         _verify_or_die(res.af, instance)
@@ -183,7 +184,8 @@ def _bench_file(job):
                 row(method="approx", order=ares.order, wall_ms=f"{ms:.2f}", **common)
         if mode in ("all", "fpt"):
             t0 = time.perf_counter()
-            res = find_min_k(instance, ares.lower_bound())
+            res = find_min_k(instance, ares.lower_bound(),
+                             incumbent=coarsen(instance, ares.forest))
             ms = (time.perf_counter() - t0) * 1000.0
             exact_order = res.order
             row(

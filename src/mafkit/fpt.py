@@ -174,21 +174,39 @@ class MinKResult:
     attempts: tuple[SearchStats, ...] = ()
 
 
-def find_min_k(instance: Instance, k_lo: int = 1, k_hi: int | None = None) -> MinKResult:
+def find_min_k(instance: Instance, k_lo: int = 1, k_hi: int | None = None,
+               incumbent: Forest | None = None) -> MinKResult:
     """Smallest parameter admitting a solution, found by linear ascent.
 
-    Feasibility is monotone in k and the search cost grows exponentially with
-    it, so walking k upward from the lower bound keeps the cheap attempts
-    cheap.  ``k_hi`` defaults to the label count, which always admits the
-    all-singletons forest; ``NoSolutionError`` reports that no order up to
-    ``k_hi`` is feasible.  ``k_lo`` must be a lower bound on the optimum: if
-    it exceeds ``k_hi``, that error comes at once, with no search.
+    Feasibility is monotone in k: cutting a pendant edge of an agreement
+    forest gives one of order one higher, up to the label count.  The search
+    cost grows exponentially with k, so walking k upward from the lower
+    bound keeps the cheap attempts cheap.  ``k_hi`` defaults to the label
+    count, which always admits the all-singletons forest; ``NoSolutionError``
+    reports that no order up to ``k_hi`` is feasible.  ``k_lo`` must be a
+    lower bound on the optimum: if it exceeds ``k_hi``, that error comes at
+    once, with no search.
+
+    ``incumbent`` is an agreement forest known in advance (say, the
+    approximation's, coarsened by :func:`~mafkit.approx.coarsen`) of order
+    u.  The ascent then searches only below u, and if every k from ``k_lo``
+    to u − 1 fails, it returns the incumbent: those k are infeasible, and
+    by monotonicity so is every smaller one, so the optimum is at least u,
+    which the incumbent reaches.  It is certified then, once, and one that
+    is not an agreement forest raises ``ForestError``.  So it is never
+    returned unchecked, and it cannot end the ascent wrongly either: if u
+    is at most the optimum every search fails and the certificate is asked
+    for; if u is above it, the search finds the optimum first.  When the
+    incumbent answers, ``stats`` is an empty record at its order, as no
+    search ran there; ``attempts`` lists the searches that ran, which may
+    be none.
     """
     solve = solve_rmaf if instance.rooted else solve_umaf
     if k_hi is None:
         k_hi = instance.n_labels
+    last = k_hi if incumbent is None else min(k_hi, incumbent.order() - 1)
     attempts = []
-    for k in range(max(1, k_lo), k_hi + 1):
+    for k in range(max(1, k_lo), last + 1):
         forest, stats = solve(instance, k)
         attempts.append(stats)
         if forest is not None:
@@ -198,4 +216,7 @@ def find_min_k(instance: Instance, k_lo: int = 1, k_hi: int | None = None) -> Mi
                 stats=stats,
                 attempts=tuple(attempts),
             )
+    if incumbent is not None and incumbent.order() <= k_hi:
+        return MinKResult(order=incumbent.order(), af=certify(incumbent, instance),
+                          stats=SearchStats(k=incumbent.order()), attempts=tuple(attempts))
     raise NoSolutionError(f"no agreement forest of order <= {k_hi}")

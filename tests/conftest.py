@@ -3,6 +3,7 @@ import random
 import pytest
 
 import mafkit as mk
+from mafkit import fpt
 
 
 @pytest.fixture
@@ -25,3 +26,17 @@ def quartets():
 @pytest.fixture
 def identical_rooted():
     return mk.parse_instance("((a,b),(c,(d,e)));\n((a,b),(c,(d,e)));", rooted=True)
+
+
+@pytest.fixture
+def solved_ks(monkeypatch):
+    """The k of every bounded search ``fpt._solve`` runs, in order."""
+    ks = []
+    solve = fpt._solve
+
+    def counting(instance, k):
+        ks.append(k)
+        return solve(instance, k)
+
+    monkeypatch.setattr(fpt, "_solve", counting)
+    return ks

@@ -63,6 +63,29 @@ def brute_is_subforest(sub, sup):
     return sub.canonical_key() in all_removal_keys(sup)
 
 
+def joinable_by_removal(instance, parts, a, b):
+    """Reference for the merge pass's pair test: whether joining parts
+    ``a`` and ``b`` of the partition ``parts`` (label sets of an agreement
+    forest of ``instance``) gives an agreement forest.
+
+    The joined forest is the first tree with every edge removed that has no
+    part's labels on both of its sides (by ``sides_by_walk``).  It must keep
+    the joined partition, which fails when the joined part's subtree meets
+    another part's, and be a subforest of every input tree.
+    """
+    joined = [p for p in parts if p not in (a, b)] + [a | b]
+    f1 = instance.forests[0]
+    cut = []
+    for e in f1.edge_ids():
+        one, two = sides_by_walk(f1, e)
+        if not any(p & one and p & two for p in joined):
+            cut.append(e)
+    forest = f1.remove_edges(cut)
+    if sorted(map(sorted, partition_by_walk(forest))) != sorted(map(sorted, joined)):
+        return False
+    return all(mk.is_subforest(forest, f) for f in instance.forests)
+
+
 def greedy_essential_by_key(forest, eids):
     """Essential subset by the canonical-key greedy: build every trial forest.
 

@@ -131,6 +131,21 @@ def test_trace_lower_bound_never_exceeds_the_optimum(corpus):
           f"instances, above ⌈k'/ratio⌉ on {above_ratio}")
 
 
+def test_incumbent_keeps_every_exact_order(corpus):
+    # the merged forest lies between the bounds, and an ascent that stops
+    # below it finds the oracle's order
+    answered = 0
+    for r in corpus:
+        merged = mk.coarsen(r.inst, r.approx.forest)
+        assert r.approx.lower_bound() <= r.opt <= merged.order() <= r.approx.order
+        res = mk.find_min_k(r.inst, r.approx.lower_bound(), incumbent=merged)
+        assert res.order == r.opt, (r.spec, res.order, r.opt)
+        assert all(st.k < merged.order() for st in res.attempts)
+        answered += res.af.forest is merged
+    print(f"incumbent PASS: find_min_k == oracle on {len(corpus)} instances, "
+          f"{answered} answered by the merged forest")
+
+
 def test_criterion_6_throughput():
     inst = mk.generate_instance(mk.GenSpec(n=50, m=5, x=2, seed=606))
     t0 = time.perf_counter()

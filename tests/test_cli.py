@@ -160,8 +160,8 @@ def test_pmaf_verify_builds_keys_only_for_the_certificate(tmp_path, capsys, monk
         keyed.append(self)
         return canonical_key(self)
 
-    def kept(*args):
-        results.append(find_min_k(*args))
+    def kept(*args, **kwargs):
+        results.append(find_min_k(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(mk.Forest, "canonical_key", counting)
@@ -169,7 +169,10 @@ def test_pmaf_verify_builds_keys_only_for_the_certificate(tmp_path, capsys, monk
     code, out, _ = run(capsys, "pmaf", str(p), "--verify")
     assert code == 0 and out.splitlines()[-1] == "verified against 3 input trees"
     (res,) = results
-    assert res.stats.collapses > 0 and res.stats.nodes > 1
+    # the search at k = 3 fails, collapsing on the way, and the merged
+    # incumbent of order 4 answers
+    (attempt,) = res.attempts
+    assert attempt.collapses > 0 and attempt.nodes > 1
     assert keyed == [res.af.forest]
 
 
@@ -325,13 +328,14 @@ def test_pmaf_stdout_certificate_revalidates(tmp_path, capsys):
 
 
 def test_pmaf_starts_at_the_ceiling_of_the_bound(tmp_path, capsys):
-    # k' = 7 rooted: ⌊7/3⌋ = 2 would spend one attempt that cannot succeed
+    # k' = 7 rooted: ⌊7/3⌋ = 2 would spend one attempt that cannot succeed;
+    # the merged order equals the start, so the incumbent answers at k = 3
     path = tmp_path / "i.nwk"
     main(["gen", "-n", "10", "-m", "2", "-x", "3", "--seed", "1", "--out", str(path)])
     code, out, _ = run(capsys, "pmaf", str(path), "--verify")
     assert code == 0
     lines = out.splitlines()
-    assert "# bootstrap k'=7 start k=3" in lines
+    assert "# bootstrap k'=7 start k=3 merged=3" in lines
     assert lines[0] == "order 3"
     summary = next(line for line in lines if line.startswith("# k="))
     assert summary.startswith("# k=3 ")
@@ -345,9 +349,11 @@ def test_pmaf_starts_at_the_trace_bound(tmp_path, capsys):
     code, out, _ = run(capsys, "pmaf", str(path), "--verify")
     assert code == 0
     lines = out.splitlines()
-    assert "# bootstrap k'=6 start k=3" in lines
-    res = mk.find_min_k(cli._read_instance(str(path), True))
-    assert lines[0] == f"order {res.order}"
+    assert "# bootstrap k'=6 start k=3 merged=3" in lines
+    inst = cli._read_instance(str(path), True)
+    ares = mk.approx_rmaf(inst)
+    res = mk.find_min_k(inst, ares.lower_bound(), incumbent=mk.coarsen(inst, ares.forest))
+    assert lines[0] == f"order {res.order}" == f"order {mk.find_min_k(inst).order}"
     assert lines[1:1 + res.order] == mk.serialize(res.af.forest).splitlines()
 
 
@@ -363,3 +369,44 @@ def test_pmaf_cap_below_the_bound_does_not_search(tmp_path, capsys, monkeypatch)
     code, out, err = run(capsys, "pmaf", str(p), "--k", "1")
     assert (code, out) == (1, "")
     assert err == "no agreement forest of order <= 1\n"
+
+
+def test_pmaf_cap_against_the_merged_order(tmp_path, capsys, solved_ks):
+    # start k = 2, optimum 3, merged order 4: a cap from the optimum up is
+    # answered by a search that stops below the merged order, one below the
+    # optimum is "no solution" after searching from the start, and one below
+    # the start is that at once
+    path = tmp_path / "i.nwk"
+    main(["gen", "-n", "6", "-m", "2", "-x", "2", "--seed", "12", "--out", str(path)])
+    for cap in (5, 4, 3):
+        solved_ks.clear()
+        code, out, _ = run(capsys, "pmaf", str(path), "--k", str(cap), "--verify")
+        assert code == 0 and out.splitlines()[0] == "order 3"
+        assert "# bootstrap k'=4 start k=2 merged=4" in out.splitlines()
+        assert solved_ks == [2, 3]
+    solved_ks.clear()
+    assert run(capsys, "pmaf", str(path), "--k", "2") == (
+        1, "", "no agreement forest of order <= 2\n")
+    assert solved_ks == [2]
+    solved_ks.clear()
+    assert run(capsys, "pmaf", str(path), "--k", "1")[0] == 1
+    assert solved_ks == []
+
+
+def test_pmaf_cap_at_the_merged_order_is_answered_by_it(tmp_path, capsys, solved_ks):
+    # start k = 3, and the merged order 4 is the optimum: k = 3 fails, so
+    # the merged forest answers a cap of 4 or more with no search at k = 4
+    path = tmp_path / "i.nwk"
+    main(["gen", "-n", "12", "-m", "3", "-x", "2", "--seed", "5", "--out", str(path)])
+    for cap in ("4", "9"):
+        solved_ks.clear()
+        code, out, _ = run(capsys, "pmaf", str(path), "--k", cap, "--verify")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "order 4" and solved_ks == [3]
+        assert "# bootstrap k'=7 start k=3 merged=4" in lines
+        assert next(l for l in lines if l.startswith("# k=")).startswith("# k=4 nodes=0 ")
+        assert lines[-1] == "verified against 3 input trees"
+    solved_ks.clear()
+    code, out, err = run(capsys, "pmaf", str(path), "--k", "3")
+    assert (code, out, err) == (1, "", "no agreement forest of order <= 3\n")
+    assert solved_ks == [3]

@@ -8,7 +8,7 @@ import pytest
 import mafkit as mk
 from mafkit import fpt
 
-from helpers import brute_is_subforest, random_instance, solve_eagerly
+from helpers import approximate, brute_is_subforest, random_instance, solve_eagerly
 
 
 def test_identical_trees_any_k(identical_rooted):
@@ -109,6 +109,68 @@ def test_find_min_k_with_higher_floor(rooted_pair):
     res = mk.find_min_k(rooted_pair, k_lo=3)
     assert res.af.verify(rooted_pair)
     assert res.order <= 3
+
+
+def test_incumbent_stops_the_ascent_below_its_order(rng, solved_ks):
+    answered = found = 0
+    for i in range(60):
+        inst = random_instance(rng, rooted=i % 2 == 0, n=rng.randint(5, 9),
+                               m=rng.randint(2, 4), x=rng.randint(1, 3))
+        ares = approximate(inst)
+        merged = mk.coarsen(inst, ares.forest)
+        solved_ks.clear()
+        res = mk.find_min_k(inst, ares.lower_bound(), incumbent=merged)
+        assert all(k < merged.order() for k in solved_ks), inst.name
+        assert [st.k for st in res.attempts] == solved_ks
+        solved_ks.clear()
+        assert res.order == mk.find_min_k(inst).order
+        assert res.af.verify(inst)
+        if res.af.forest is merged:
+            # every k below the incumbent failed, or none was left to try
+            assert res.stats == mk.SearchStats(k=merged.order())
+            answered += 1
+        else:
+            assert res.stats is res.attempts[-1] and res.order < merged.order()
+            found += 1
+    assert answered > 20 and found > 0
+
+
+def test_incumbent_at_the_start_runs_no_search(solved_ks):
+    inst = mk.generate_instance(mk.GenSpec(n=10, m=2, x=3, seed=1, rooted=True))
+    ares = mk.approx_rmaf(inst)
+    merged = mk.coarsen(inst, ares.forest)
+    assert merged.order() == ares.lower_bound() == 3
+    res = mk.find_min_k(inst, ares.lower_bound(), incumbent=merged)
+    assert (res.order, res.attempts, solved_ks) == (3, (), [])
+    assert res.af.forest is merged
+
+
+def test_incumbent_that_is_no_agreement_forest_is_refused(rooted_pair, solved_ks):
+    # the first tree has order 1 but is no subforest of the second: nothing
+    # is left to search below it, and it is refused, not returned
+    with pytest.raises(mk.ForestError, match="not a subforest"):
+        mk.find_min_k(rooted_pair, incumbent=rooted_pair.forests[0])
+    assert solved_ks == []
+    # ((a,c),b) cut above (a,c) has the optimum's order 2, but a and c span
+    # b's path to ρ in ((a,b),c): k = 1 fails, and the incumbent is refused
+    f2 = rooted_pair.forests[1]
+    hub = f2.parent_vertex(f2.vertex_of_label(f2.labels.id_of("a")))
+    bad = f2.remove_edges([f2.parent_edge(hub)])
+    assert bad.order() == 2
+    with pytest.raises(mk.ForestError, match="not a subforest"):
+        mk.find_min_k(rooted_pair, incumbent=bad)
+    assert solved_ks == [1]
+    # the same cut with d alone has order 3, above the optimum 2: the search
+    # answers first, and the incumbent is never looked at
+    inst = mk.parse_instance("((a,b),c,d);\n((a,c),b,d);", rooted=True)
+    f2 = inst.forests[1]
+    hub = f2.parent_vertex(f2.vertex_of_label(f2.labels.id_of("a")))
+    worse = f2.remove_edges([f2.parent_edge(hub), f2.pendant_edge(f2.labels.id_of("d"))])
+    assert worse.order() == 3 and not mk.is_subforest(worse, inst.forests[0])
+    solved_ks.clear()
+    res = mk.find_min_k(inst, incumbent=worse)
+    assert res.order == 2 and res.af.forest is not worse and res.af.verify(inst)
+    assert solved_ks == [1, 2]
 
 
 def test_stats_summary_mentions_counts(rooted_pair):
