@@ -564,12 +564,13 @@ def coarsen(instance: Instance, forest: Forest) -> Forest:
     held by another part.  So a test of A and B that failed would fail
     again, and is not repeated.  The pairs next to each other in T_1 are
     all tried: those at the start, and for a new part A ∪ B, the neighbors
-    of A and of B.  These are all of its neighbors.  A path from another
-    part's subtree to S_1(A ∪ B) ends in S_1(A), in S_1(B) or inside the
-    path between them, and then goes on along it to S_1(A), crossing no
-    other part.  Two parts can stop being next to each other but never
-    start, since held vertices stay held.  So when the worklist is empty no
-    two parts can be joined.
+    of A and of B.  These are all of its neighbors.  Take a path from
+    another part's subtree to S_1(A ∪ B) that crosses no other part.  It
+    ends in S_1(A) or in S_1(B), so that part is next to A or B, or inside
+    the path between them, and going on along that path reaches S_1(A)
+    without crossing another part.  Two parts can stop being next to each
+    other but never start, since held vertices stay held.  So when the
+    worklist is empty no two parts can be joined.
 
     The order only falls, so the approximation's ratio bound holds for the
     result too.  ``forest`` must be an agreement forest of ``instance``;
