@@ -14,8 +14,13 @@ a meta-step cuts the pendant edges of the case's pair plus the first edge of
 each of its ``cuts``, except that an unrooted path step takes the two
 smallest edges off the whole path interior.  Each round reduces the pair,
 stops if it is equal, groups while the case is a common sibling set, and
-cuts.  By the pair lemmas in ``reduction`` a grouping leaves the pair reduced
-and unequal, and a reduced unequal pair has a sibling set in the partner.
+cuts.  Reducing the pair removes, in one scan and one derivation, every
+partner edge that the rule allows, one ``rule1`` record per essential edge:
+a cut step cuts the pair's labels off in the partner too, so the partner's
+components stay unions of the working forest's, and the working forest never
+loses an edge to the rule (Lemmas A and B in ``reduction``).  By the pair
+lemmas in ``reduction`` a grouping leaves the pair reduced and unequal, and
+a reduced unequal pair has a sibling set in the partner.
 
 Every step is recorded with the removed edges, the working-forest subset, and
 an essential subset (a removal set of the same effect in which every edge
@@ -26,10 +31,10 @@ The trace also bounds the optimum from below (``ApproxResult.lower_bound``).
 For a pair (F1, F2) let d(F1, F2) be the number of further cuts of F1 that
 a maximum agreement forest of the pair needs: its order minus F1's.  The
 audited ratio rests on a per-step lemma: a ratio-r step that removes s
-essential edges lowers d by at least s/r; a reduction removal lowers it by
-exactly one per edge, and a grouping or a partner-side removal does not raise
-it.  d is an integer, so every step with a non-empty essential set lowers it
-by at least one.  The steps of partner 1 start from (T1, T2), where d is the
+essential edges lowers d by at least s/r, and a grouping or a reduction
+removal, which only ever leaves the partner, does not raise it.  d is an
+integer, so every step with a non-empty essential set lowers it by at least
+one.  The steps of partner 1 start from (T1, T2), where d is the
 optimum of that pair minus 1, and d never falls below 0.  So the optimum of
 (T1, T2) is at least 1 plus the number of those steps, and the instance's
 optimum, whose agreement forests are agreement forests of (T1, T2), is at
@@ -119,38 +124,9 @@ class ApproxResult:
         return counts
 
 
-def essential_subset(forest: Forest, eids) -> tuple[int, ...]:
-    """Greedy essential subset: drop edges that do not change the removal.
-
-    Scanning in id order, an edge is dropped whenever removing the remaining
-    set still produces the same forest.  At the end every survivor genuinely
-    splits a component, so the result is an essential edge set realizing the
-    original removal.
-
-    Putting one removed edge back either joins two labeled components, which
-    lowers the order by one, or re-attaches an unlabeled piece that
-    contraction deletes again, which leaves the forest unchanged.  So one
-    union-find pass decides every trial: join every edge that is not
-    removed, then walk the removed ids in order, keeping an edge whose two
-    ends lie in labeled components and joining the ends of any other, as
-    putting it back does.
-    """
-    removed = sorted(set(eids))
-    if not removed:
-        return ()
-    parent = forest.joined_without(removed)
-    labeled = {find_root(parent, forest.vertex_of_label(lid)) for lid in forest.label_ids()}
-    keep = []
-    for eid in removed:
-        u, v = forest.edge_ends(eid)
-        ru, rv = find_root(parent, u), find_root(parent, v)
-        if ru in labeled and rv in labeled:
-            keep.append(eid)
-        else:
-            parent[rv] = ru
-            if rv in labeled:
-                labeled.add(ru)
-    return tuple(keep)
+# the essential subset of a record's removal, ``essential_subset(forest,
+# eids)``: the greedy the reduction also uses for its own removals
+essential_subset = Forest.essential_edges
 
 
 def check_metastep_ratio(rec: MetaStepRecord) -> bool:
@@ -221,16 +197,10 @@ def _approximate(instance: Instance) -> ApproxResult:
             budget -= 1
             if budget < 0:
                 raise MafError("approximation made no progress")
+            # the reduction removes partner edges only (see ``reduction``)
             _, fi, removals = reduce_pair(f1, fi)
-            # replay the working-forest removals: each record keeps its own
-            # before and after forests
             for rem in removals:
-                if rem.q_index == 0:
-                    nf1 = f1.remove_edges([rem.edge])
-                    trace.append(_record(RULE1, idx, f1, nf1, (rem.edge,), ()))
-                    f1 = nf1
-                else:
-                    trace.append(_record(RULE1, idx, f1, f1, (), (rem.edge,)))
+                trace.append(_record(RULE1, idx, f1, f1, (), (rem.edge,)))
             if f1.same_structure(fi):
                 break
             # a grouping leaves the pair reduced and unequal (see

@@ -597,6 +597,41 @@ class Forest:
                 parent[find_root(parent, v)] = find_root(parent, u)
         return parent
 
+    def essential_edges(self, eids) -> tuple[int, ...]:
+        """Greedy essential subset of a removal: drop edges that do not
+        change it.
+
+        Scanning in id order, an edge is dropped whenever removing the
+        remaining set still produces the same forest.  At the end every
+        survivor genuinely splits a component, so the result is an essential
+        edge set realizing the original removal, of ``remove_edges(eids)``'s
+        order minus this one's edges.
+
+        Putting one removed edge back either joins two labeled components,
+        which lowers the order by one, or re-attaches an unlabeled piece
+        that contraction deletes again, which leaves the forest unchanged.
+        So one union-find pass decides every trial: join every edge that is
+        not removed, then walk the removed ids in order, keeping an edge
+        whose two ends lie in labeled components and joining the ends of any
+        other, as putting it back does.
+        """
+        removed = sorted(set(eids))
+        if not removed:
+            return ()
+        parent = self.joined_without(removed)
+        labeled = {find_root(parent, v) for v in self._label_vertex.values()}
+        keep = []
+        for eid in removed:
+            u, v = self._edges[eid]
+            ru, rv = find_root(parent, u), find_root(parent, v)
+            if ru in labeled and rv in labeled:
+                keep.append(eid)
+            else:
+                parent[rv] = ru
+                if rv in labeled:
+                    labeled.add(ru)
+        return tuple(keep)
+
     def label_partition(self) -> tuple[frozenset[int], ...]:
         """The label set of every component, in the order of the runs of
         :meth:`_hanging`; built once per value, with the index of each

@@ -3,8 +3,13 @@
 The search works on the first two forests of the instance at a time: reduce
 the pair, shrink matching maximal sibling sets into grouped leaves, and when
 the structures disagree branch on the ways a maximal agreement forest of the
-pair can treat the sibling set.  A grouping leaves a reduced pair reduced
-(the lemma in ``reduction``), so the pair is not reduced again after one.
+pair can treat the sibling set.  Reducing the pair removes, in one scan and
+one derivation, every edge of the second forest that the rule allows; the
+second forest's components stay unions of the first's, since every branch
+cuts a label off in both forests or cuts the first only, so the first never
+loses an edge to the rule (Lemmas A and B in ``reduction``).  A grouping
+leaves a reduced pair reduced (the lemma in ``reduction``), so the pair is
+not reduced again after one.
 Rooted branching is at most three-way, so a completed search visits at most
 3^k leaves; unrooted branching is four-way with a 4^k bound.
 

@@ -3,20 +3,78 @@
 An edge of one forest can be deleted outright when one side of its split is
 exactly a union of whole components of another forest: no agreement forest
 can keep such an edge, so removals preserve the full set of maximum agreement
-forests.  Both solvers apply the rule to one pair (F1, F2) at a time, and
-:func:`reduce_pair` is the one loop that drives a pair to the fixpoint
-("strongly reducible"), in both directions, before any case analysis or
-branching: the exact search reduces its first two forests, the
-approximation its working forest against the current partner.
+forests.  Both solvers apply the rule to one pair (F1, F2) at a time, F1 the
+working forest and F2 its partner, and :func:`reduce_pair` drives a pair to
+the fixpoint ("strongly reducible") before any case analysis or branching:
+the exact search reduces its first two forests, the approximation its
+working forest against the current partner.  It makes one scan and one
+derivation, because of two lemmas.
 
-A scan finds such edges in time linear in the forest, not with one search
-per edge.  Every label gets a random 64-bit weight, drawn so that the weights
-within each component of the witness forest sum to 0 mod 2^64.  A side that
-is a union of whole components then sums to exactly 0, so one post-order
-pass that flags every edge with a zero-sum side (:func:`_side_sums`) never
-misses a removable edge.  A side can also sum to 0 by chance; the exact
-containment check run on each flagged edge rejects it.  So the answer is the
-one a scan of every edge would give, whatever the weights.
+Call F2 *closed* over F1 when every component of F2 is a union of
+components of F1.
+
+Lemma A.  In both solvers F2 is closed over F1 at every call, so no edge of
+F1 is ever removable with F2 as witness.  Closure holds by induction over
+what the solvers do to a pair.
+
+* Input trees start whole: (T1, T2), and later (F, Ti) for the expanded
+  working forest F and a whole tree Ti.  A whole tree is closed over any
+  forest on its labels.
+* A search branch or a cut step that cuts a label's pendant edge cuts it in
+  both forests: the label becomes a component of each, and what is left of
+  its two components is still the one inside the other.  Every other edge
+  a branch or step cuts is one of F1's, which only makes F1 finer.
+* A grouping turns one sibling set S into one leaf in both forests, and S
+  lies in one component of each.
+* A rule removal splits a component C of F2 along an edge one of whose
+  sides is a union of F1 components; C is one, so the other side is too.
+
+Now take an edge of F1.  Its component D lies inside a component C of F2,
+and each of its sides is a part of D that holds a leaf, so a label (F1 is
+irreducible), and is not the whole of D.  Such a side meets C without
+holding it, so it is not a union of whole F2 components.  So the rule only
+ever removes edges of F2, and :func:`reduce_pair` scans only that way.
+
+Lemma B.  Let F2 be closed over a fixed witness F1.  Within a component C of
+F2, one side of an edge is a union of whole F1 components iff the other side
+is, because C is; so an edge is removable iff no F1 component has labels on
+both of its sides.  Let R be the set of removable edges.  Each F1 component
+inside C lies in one piece of C − R: the path in C between two of its labels
+crosses no edge of R, or the component would have labels on both sides of
+that edge.  So every piece is a union of F1 components, and an edge outside
+R, which some F1 component straddles in C, is straddled by it within its
+piece as well.  Contraction of C − R keeps every edge outside R: a side of
+such an edge with no label in its piece would hold, in C, only labels beyond
+edges of R, whose far sides are unions of F1 components, and the edge would
+have been in R.  Where contraction joins two such edges through a vertex of
+degree 2, the new edge splits the labels of the piece as each of them did.
+So F2 − R, contracted, admits no removal, and one scan of F2 finds every
+edge the rule will ever remove from it.  The same facts, for one removal at
+a time, show that a removal neither creates nor destroys a removable edge,
+and that an edge made by joining two edges is removable iff either of them
+was: the one-at-a-time loop removes edges of R, or edges made of them, and
+reaches the same forest.  Each of its removals adds one component (both
+sides of an edge of an irreducible forest hold a label), so it makes as
+many removals as F2 − R has components more than F2: the number of
+essential edges of R (:meth:`Forest.essential_edges`), and
+:func:`reduce_pair` records one :class:`Removal` for each.
+
+A scan finds R in time linear in the forest, not with one search per edge.
+Every label gets a random 64-bit weight, drawn so that the weights within
+each component of the witness forest sum to 0 mod 2^64.  A side that is a
+union of whole components then sums to exactly 0.  A closed component of F2
+sums to 0 too, so the side below each edge, in a hanging of each component
+from one top (:func:`_side_sums`), sums to 0 whenever either side is a
+union; one pass that flags every edge whose side below sums to 0 never
+misses an edge of R.  A side can also sum to 0 by chance; the exact check
+rejects it, so the answer is the one a scan of every edge would give,
+whatever the weights.  The exact check walks the edge's two sides in turn
+(:func:`_smaller_side`) until the smaller one is complete, and asks whether
+that side is a union of whole F1 components: by closure, the larger side is
+one iff the smaller is.  A component of F2 that is not closed sums to some
+other value, except by a 2^-64 chance; the scan reads every component's
+total and raises ``ForestError`` for a pair outside the contract, where a
+test of one side would miss edges.
 
 This module owns the weights and the sums, and inherits them instead of
 rebuilding them, because a search node's children differ from it by a few
@@ -39,23 +97,24 @@ witness forest sum to 0 mod 2^64.
   grouping only hand a vertex's place to a neighbor), and a label whose
   weight changed adds the change along its leaf-to-top path.  A
   scan then costs the changes times the depth, plus one pass over the sums
-  to collect the edges one of whose sides sums to 0.
+  to collect the edges whose side below sums to 0.
 * A value with no kept ancestor gets fresh weights from ``_label_weights``
   and one full walk: an input tree, the expanded forest a search moves on to
   the next input with, or the end of a long chain of values never scanned.
 
 Inherited weights are still zero-sum per component, so every qualifying side
 is still flagged, and the exact check still rejects the rest: the answer is
-the same first flagged edge, in id order, that passes the check, and so is
-every trace built on it.  Only the weights differ from fresh ones, and they
-are no less random.  Each carried weight is an integer combination of the
-random draws, and the only label sets whose sum vanishes for every draw are
-unions of whole components (a split adds exactly the two pieces' sums to
-those, a grouping merges labels of one component), so any other side sums to
-0 only by the same 2^-64 chance as under fresh weights.
+the same set of edges, and so is every trace built on it.  Only the weights
+differ from fresh ones, and they are no less random.  Each carried weight is
+an integer combination of the random draws, and the only label sets whose
+sum vanishes for every draw are unions of whole components (a split adds
+exactly the two pieces' sums to those, a grouping merges labels of one
+component), so any other side sums to 0 only by the same 2^-64 chance as
+under fresh weights.
 
 Three lemmas on a reduced pair (F1, F2) over one label set, one that admits
-no removal in either direction, carry both solvers.
+no removal in either direction, carry both solvers.  By Lemma A a pair the
+solvers hold admits none from F1, so it is reduced once F2 admits none.
 
 Grouping keeps a pair reduced.  Let (F, G) admit no removal in either
 direction, and let S be a sibling set maximal in both; F' and G' group S
@@ -99,22 +158,23 @@ from __future__ import annotations
 
 import random
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 
-from .forest import Forest, LabelUniverseError
+from .forest import Forest, ForestError, LabelUniverseError
 
 
 @dataclass(frozen=True)
 class Removal:
-    """One recorded application: edge ``edge`` left forest ``q_index``.
+    """One recorded application: edge ``edge`` left the partner.
 
-    ``witness`` holds the label sets of the ``p_index`` components that
-    covered the detached side at the moment of removal.
+    ``edge`` is an id of the partner :func:`reduce_pair` was given, and
+    ``witness`` holds the label sets of the working-forest components that
+    make up the edge's smaller side there, the side its check walked (see
+    :func:`find_applicable`).
     """
 
-    q_index: int
     edge: int
-    p_index: int
     witness: tuple[frozenset[int], ...]
 
 
@@ -231,43 +291,60 @@ def _carry_zero_sums(origin, weight, changed):
 def _rezero(forest, weight, removed, a, b):
     """Zero both sides of a cut edge ``(a, b)`` of ``forest`` minus ``removed``.
 
-    The two sides are walked in turn, one vertex at a time, so the walk ends
-    after about twice the smaller side: that side is then complete, and the
-    other side is walked on only until it shows a label.  Returns the labels
-    whose weight changed.
+    The smaller side is walked whole (:func:`_smaller_side`), and the other
+    only until it shows a label.  Returns the labels whose weight changed.
     """
-    adj, vlabel = forest._adj, forest._vlabel
-    stacks = ([a], [b])
-    found = ([], [])
-    seen = {a, b}
-    side = 0
-    while stacks[side]:
-        v = stacks[side].pop()
-        if v in vlabel:
-            found[side].append(vlabel[v])
-        for e, w in adj[v].items():
-            if w not in seen and e not in removed:
-                seen.add(w)
-                stacks[side].append(w)
-        side ^= 1
-    small = found[side]
+    small, other, walk = _smaller_side(forest, a, b, removed)
     s = sum(weight[lid] for lid in small) & _MASK64
     if not s:
         return ()
-    other, stack = found[1 - side], stacks[1 - side]
-    while not other and stack:
+    # the two sides of a zero-sum component sum to s and -s, so a side with
+    # no label forces s = 0
+    far = other[0] if other else next(lid for lid in walk if lid is not None)
+    weight[small[0]] = (weight[small[0]] - s) & _MASK64
+    weight[far] = (weight[far] + s) & _MASK64
+    return small[0], far
+
+
+# what ``next`` gives for a walk that has run out
+_END = object()
+
+
+def _walk(forest, start, seen, removed):
+    """Yield the label id, or None, of each vertex of ``forest`` reached from
+    ``start`` without entering ``seen`` or crossing an edge in ``removed``,
+    one vertex at a time; each vertex reached joins ``seen``."""
+    adj, vlabel = forest._adj, forest._vlabel
+    stack = [start]
+    while stack:
         v = stack.pop()
-        if v in vlabel:
-            other.append(vlabel[v])
+        yield vlabel.get(v)
         for e, w in adj[v].items():
             if w not in seen and e not in removed:
                 seen.add(w)
                 stack.append(w)
-    # the two sides of a zero-sum component sum to s and -s, so a side with
-    # no label forces s = 0
-    weight[small[0]] = (weight[small[0]] - s) & _MASK64
-    weight[other[0]] = (weight[other[0]] + s) & _MASK64
-    return small[0], other[0]
+
+
+def _smaller_side(forest, a, b, removed=()):
+    """Walk the two sides of the edge between ``a`` and ``b`` in turn, one
+    vertex each, until one side is complete.
+
+    ``forest`` minus the edges in ``removed`` must not join ``a`` and ``b``
+    other than by that edge, which the walk never crosses: both ends count
+    as seen from the start.  So the walk ends after about twice the smaller
+    side.  Returns the labels of the side completed first, which has no
+    more vertices than the other (on a tie, ``a``'s), the labels the other
+    side has shown so far, and that side's walk, which can go on.
+    """
+    seen = {a, b}
+    walks = (_walk(forest, a, seen, removed), _walk(forest, b, seen, removed))
+    found = ([], [])
+    side = 0
+    while (lid := next(walks[side], _END)) is not _END:
+        if lid is not None:
+            found[side].append(lid)
+        side ^= 1
+    return found[side], found[1 - side], walks[1 - side]
 
 
 # -- side sums of a scanned forest, inherited along derivations ---------------
@@ -412,94 +489,80 @@ def _reweigh(sums, fq, weight):
 
 
 def _candidates(fq: Forest, weight) -> list[int]:
-    """Sorted ids of the edges of ``fq`` one of whose sides sums to 0 under
+    """Sorted ids of the edges of ``fq`` whose side below sums to 0 under
     ``weight``, from the inherited side sums.
 
-    The edge from ``v`` up to ``up[v]`` is flagged when the side below it
-    sums to 0 or to its component's total.  Totals are few, so the test
-    against the own total (a climb to the top) runs only for a sum equal to
-    some total.  Only the flagged vertices have their edge id looked up.
+    The side below the edge from ``v`` up to ``up[v]`` sums to ``below[v]``.
+    Every component must sum to 0, as one closed over the witness does (see
+    the module docstring); ``ForestError`` is raised otherwise.  Only the
+    flagged vertices have their edge id looked up.
     """
     sums = _sums_of(fq, weight)
     up, below = sums.up, sums.below
-    totals = {below[v] for v in below.keys() - up.keys()}
-    totals.discard(0)
-
-    def top_total(v):
-        while (p := up.get(v)) is not None:
-            v = p
-        return below[v]
-
-    flagged = [
-        v for v in up
-        if not (s := below[v]) or (s in totals and s == top_total(v))
-    ]
+    zero = [v for v, s in below.items() if not s]
+    flagged = [v for v in zero if v in up]
+    # every vertex but the tops is in ``up``: each top must be among the zeros
+    if len(zero) - len(flagged) != len(below) - len(up):
+        raise ForestError("a partner component is not a union of witness components")
     return sorted(fq._edges_up(flagged, up))
 
 
 def find_applicable(fp: Forest, fq: Forest):
-    """First edge of ``fq`` (by id) removable with ``fp`` as witness, or None.
+    """Every edge of ``fq`` removable with ``fp`` as witness, or None.
 
-    Returns ``(edge_id, witness_component_label_sets)``.  A side qualifies
-    when every one of its labels lies in an ``fp`` component whose label set
-    is fully contained in that side.
+    ``fq`` must be closed over ``fp``: each of its components a union of
+    ``fp``'s, as Lemma A in the module docstring shows for the solvers'
+    pairs.  ``ForestError`` is raised otherwise.  Returns ``((edge_id,
+    witness), ...)`` in id order, where ``witness`` lists, in the order of
+    ``fp.label_partition()``, the label sets of the ``fp`` components that
+    make up the edge's smaller side.
 
-    Only the edges flagged under the zero-sum weights of ``fp``'s components
-    (:func:`_candidates`, from inherited side sums) are split and
-    checked, in id order, side1 before side2.  Every qualifying side sums to
-    exactly 0, so no qualifying edge goes unflagged; a side that sums to 0 by
-    chance fails the exact ``covered`` check, so it cannot change the answer.
+    Only the edges whose side below sums to 0 under the zero-sum weights of
+    ``fp``'s components (:func:`_candidates`, from inherited side sums) are
+    checked, each by walking its smaller side (:func:`_smaller_side`): that
+    side is a union of whole ``fp`` components iff the other is.  Every
+    removable edge is flagged, and a side that sums to 0 by chance fails
+    the check, so it cannot change the answer.
     """
     flagged = _candidates(fq, _weights_of(fp))
     if not flagged:
         return None
-    comp_labels = fp.label_partition()
-
-    def covered(side):
-        comps = set()
-        for lid in side:
-            c = fp.component_index_of_label(lid)
-            if not comp_labels[c] <= side:
-                return None
-            comps.add(c)
-        return tuple(comp_labels[c] for c in sorted(comps))
-
+    parts = fp.label_partition()
+    part_of = fp._comp_of.__getitem__
+    ends = fq._edges
+    found = []
     for eid in flagged:
-        split = fq.split_labels(eid)
-        for side in (split.side1, split.side2):
-            wit = covered(side)
-            if wit is not None:
-                return eid, wit
-    return None
+        count = Counter(map(part_of, _smaller_side(fq, *ends[eid])[0]))
+        if all(n == len(parts[c]) for c, n in count.items()):
+            found.append((eid, tuple(parts[c] for c in sorted(count))))
+    return tuple(found) or None
 
 
 def reduce_pair(f1: Forest, f2: Forest):
-    """Apply the rule in both directions to fixpoint.
+    """Remove from ``f2`` every edge removable with ``f1`` as witness.
 
-    Each round scans direction (p=0, q=1), then (p=1, q=0), edges in id
-    order; the first hit is applied and the round starts again.  The order
-    is fixed because confluence is not assumed.  A removal that makes the
-    pair equal ends the loop at once: in equal forests every side of an edge
-    is a proper part of one component, so the next round could not hit.
+    ``f2`` must be closed over ``f1``, as it is in both solvers (Lemma A in
+    the module docstring): then no edge of ``f1`` is removable, and one
+    scan (:func:`find_applicable`) and one ``remove_edges`` reach the
+    fixpoint (Lemma B).  Both forests must carry the same label ids
+    (grouping applied to both alike); ``LabelUniverseError`` is raised
+    otherwise.
 
-    Both forests must carry the same label ids (grouping applied to both
-    alike); ``LabelUniverseError`` is raised otherwise.  Returns the reduced
-    pair and the removals in the order they were applied.
+    Returns ``f1``, the reduced ``f2`` and one :class:`Removal` for each
+    essential edge of the removal (:meth:`Forest.essential_edges`), in id
+    order: as many as removing one edge at a time would make.
     """
     if f1.label_ids() != f2.label_ids():
         raise LabelUniverseError("forests to reduce carry different label ids")
-    pair = [f1, f2]
-    removals = []
-    while True:
-        for p, q in ((0, 1), (1, 0)):
-            found = find_applicable(pair[p], pair[q])
-            if found is not None:
-                break
-        else:
-            break
-        eid, wit = found
-        pair[q] = pair[q].remove_edges([eid])
-        removals.append(Removal(q_index=q, edge=eid, p_index=p, witness=wit))
-        if pair[1].same_structure(pair[0]):
-            break
-    return pair[0], pair[1], tuple(removals)
+    found = find_applicable(f1, f2)
+    if found is None:
+        return f1, f2, ()
+    witness = dict(found)
+    reduced = f2.remove_edges(witness)
+    # the greedy keeps as many edges as the removal adds components, so all
+    # of them when each edge adds one, as nearly always
+    if reduced.order() - f2.order() == len(witness):
+        kept = witness
+    else:
+        kept = f2.essential_edges(witness)
+    return f1, reduced, tuple(Removal(e, witness[e]) for e in kept)

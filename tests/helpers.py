@@ -5,12 +5,15 @@ truth that the fast implementations are checked against, so they must stay
 independent of the code paths they validate.
 """
 
+import contextlib
 import itertools
 import random
 import re
 import warnings
 from collections import Counter, deque
 from typing import NamedTuple
+
+import pytest
 
 import mafkit as mk
 from mafkit import reduction
@@ -135,27 +138,21 @@ def partition_by_walk(forest):
 
 
 def sides_by_walk(forest, eid):
-    """Label sets of the two sides of edge ``eid``, each walked from its end
-    of the edge without crossing it."""
-    sides = []
-    for start in forest.edge_ends(eid):
-        side = {start}
-        stack = [start]
-        while stack:
-            for e, w in forest.neighbors(stack.pop()):
-                if e != eid and w not in side:
-                    side.add(w)
-                    stack.append(w)
-        sides.append(labels_of(forest, side))
-    return sides
+    """Label sets of the two sides of edge ``eid`` (see
+    :func:`vertex_sides_by_walk`)."""
+    return [labels_of(forest, side) for side in vertex_sides_by_walk(forest, eid)]
 
 
 def find_applicable_by_bfs(fp, fq):
     """Reference for ``find_applicable``: split and check every edge of ``fq``.
 
-    One walk per side of every edge, in id order, side1 before side2.  The
-    components of ``fp`` come from their own walk (:func:`partition_by_walk`),
-    and the witness lists them in the partition's order.
+    One walk per side of every edge, in id order.  An edge is removable when
+    one of its sides is a union of whole ``fp`` components, and its witness
+    lists the components that make up its smaller side (the one with fewer
+    vertices; on a tie, the side of its first end), or the other side if
+    only that one is covered.  The components of ``fp`` come from their own
+    walk (:func:`partition_by_walk`), and the witness lists them in the
+    partition's order.  Returns every ``(edge, witness)`` or None.
     """
     comp_labels = partition_by_walk(fp)
     comp_of = {lid: c for c, labels in enumerate(comp_labels) for lid in labels}
@@ -169,50 +166,101 @@ def find_applicable_by_bfs(fp, fq):
             comps.add(c)
         return tuple(comp_labels[c] for c in sorted(comps))
 
+    found = []
     for eid in sorted(fq.edge_ids()):
-        for side in sides_by_walk(fq, eid):
-            wit = covered(side)
-            if wit is not None:
-                return eid, wit
-    return None
+        sides = sorted(vertex_sides_by_walk(fq, eid), key=len)
+        wits = [covered(labels_of(fq, side)) for side in sides]
+        wit = next((w for w in wits if w is not None), None)
+        if wit is not None:
+            found.append((eid, wit))
+    return tuple(found) or None
 
 
-def reduce_every_pair(instance):
-    """The reduction rule over every pair of an instance, by ``reduce_pair``.
+def vertex_sides_by_walk(forest, eid):
+    """Vertex sets of the two sides of edge ``eid``, the side of its first
+    end first, each walked from its end of the edge without crossing it."""
+    sides = []
+    for start in forest.edge_ends(eid):
+        side = {start}
+        stack = [start]
+        while stack:
+            for e, w in forest.neighbors(stack.pop()):
+                if e != eid and w not in side:
+                    side.add(w)
+                    stack.append(w)
+        sides.append(side)
+    return sides
 
-    Reduces each pair (Ti, Tj), i < j, in turn, and sweeps again until a
-    sweep removes nothing, so that no forest admits a removal witnessed by
-    another.  Returns the reduced instance and the number of removals.
+
+def reduce_by_steps(f1, f2):
+    """Reference for ``reduce_pair``: the rule one edge at a time.
+
+    Each round takes the first edge that :func:`find_applicable_by_bfs`
+    finds removable from ``f2`` with ``f1`` as witness, else from ``f1``
+    with ``f2`` as witness, removes it alone and starts again, until neither
+    direction finds one.  Returns the pair and the number of removals.
     """
-    forests = list(instance.forests)
-    total = 0
+    pair = [f1, f2]
+    removed = 0
     while True:
-        removed = 0
-        for i, j in itertools.combinations(range(len(forests)), 2):
-            forests[i], forests[j], removals = mk.reduce_pair(forests[i], forests[j])
-            removed += len(removals)
-        if not removed:
-            break
-        total += removed
-    reduced = mk.Instance(rooted=instance.rooted, forests=tuple(forests), name=instance.name)
-    return reduced, total
+        for p, q in ((0, 1), (1, 0)):
+            found = find_applicable_by_bfs(pair[p], pair[q])
+            if found is not None:
+                pair[q] = pair[q].remove_edges([found[0][0]])
+                removed += 1
+                break
+        else:
+            return pair[0], pair[1], removed
+
+
+def is_closed(f1, f2):
+    """Whether every component of ``f2`` is a union of components of
+    ``f1``, by each forest's :func:`partition_by_walk`."""
+    part_of = {lid: i for i, part in enumerate(partition_by_walk(f2)) for lid in part}
+    return all(len({part_of[lid] for lid in part}) == 1 for part in partition_by_walk(f1))
+
+
+@contextlib.contextmanager
+def reductions_seen():
+    """Record every ``reduce_pair`` call the two solvers make while open.
+
+    Yields a list that gains ``(f1, f2, result)`` for each call.
+    """
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (mk.fpt, mk.approx):
+            def recorded(f1, f2, reduce_pair=mod.reduce_pair):
+                got = reduce_pair(f1, f2)
+                calls.append((f1, f2, got))
+                return got
+
+            mp.setattr(mod, "reduce_pair", recorded)
+        yield calls
+
+
+def reduction_preserves_optimum(f1, f2, reduced):
+    """Whether the pair ``(f1, f2)`` and ``(f1, reduced)`` have one optimum,
+    by ``brute_force_maf`` on each."""
+    def opt(*forests):
+        return mk.brute_force_maf(mk.Instance(rooted=f1.rooted, forests=forests)).opt_order
+
+    return opt(f1, f2) == opt(f1, reduced)
 
 
 def zero_sum_edges_by_walk(forest, weight):
-    """Reference for ``reduction._candidates``: sorted ids of the edges one of
-    whose sides has weight 0 mod 2^64.
+    """Reference for ``reduction._candidates``: sorted ids of the edges whose
+    side below, in the hanging of one full ``reduction._side_sums`` walk,
+    has weight 0 mod 2^64.
 
-    ``weight`` maps every label id of ``forest`` to an integer.  The sums
-    come from one full ``reduction._side_sums`` walk; the side above the
-    edge from ``v`` to ``up[v]`` is its component's total, read at the one
-    vertex of the component left out of ``up``, minus the side below.
+    ``weight`` maps every label id of ``forest`` to an integer.  Each
+    component's total, read at the one vertex of it left out of ``up``,
+    must be 0 too, as the scan requires.
     """
     up, below = reduction._side_sums(forest, weight)
-    total = {}
     for comp in components_by_walk(forest):
         (top,) = comp - up.keys()
-        total.update(dict.fromkeys(comp, below[top]))
-    flagged = [v for v in up if not below[v] or below[v] == total[v]]
+        assert below[top] == 0, "a component of the scanned forest does not sum to 0"
+    flagged = [v for v in up if not below[v]]
     return sorted(next(e for e, w in forest.neighbors(v) if w == up[v]) for v in flagged)
 
 

@@ -15,7 +15,13 @@ import pytest
 
 import mafkit as mk
 
-from helpers import approximate, random_forest, rebuilt, reduce_every_pair
+from helpers import (
+    approximate,
+    random_forest,
+    rebuilt,
+    reduction_preserves_optimum,
+    reductions_seen,
+)
 
 
 @dataclass
@@ -25,6 +31,7 @@ class Record:
     opt: int
     minres: "mk.MinKResult"
     approx: "mk.ApproxResult"
+    reductions: list  # (f1, f2, (f1, reduced f2, removals)) per reduce_pair call
 
 
 def _build_corpus():
@@ -41,10 +48,10 @@ def _build_corpus():
                         )
                         inst = mk.generate_instance(spec)
                         opt = mk.brute_force_maf(inst).opt_order
-                        minres = mk.find_min_k(inst)
-                        records.append(
-                            Record(spec, inst, opt, minres, approximate(inst))
-                        )
+                        with reductions_seen() as calls:
+                            minres = mk.find_min_k(inst)
+                            res = approximate(inst)
+                        records.append(Record(spec, inst, opt, minres, res, calls))
     return records
 
 
@@ -102,12 +109,25 @@ def test_criterion_4_generation_bound(corpus):
 
 
 def test_criterion_5_reduction_preservation(corpus):
-    sample = corpus[::2]  # every other record: 120 instances
-    assert len(sample) >= 100
-    for r in sample:
-        reduced, _ = reduce_every_pair(r.inst)
-        assert mk.brute_force_maf(reduced).opt_order == r.opt, r.spec
-    print(f"criterion 5 PASS: optimum preserved by reduction on {len(sample)} instances")
+    # every pair the contract admits (see ``reduction``): each input pair
+    # (Ti, Tj), which admits no removal, and every pair the solvers reduced
+    pairs = removed = 0
+    for r in corpus:
+        forests = r.inst.forests
+        inputs = [(ti, tj) for ti in forests for tj in forests if ti is not tj]
+        for ti, tj in inputs:
+            assert mk.reduce_pair(ti, tj)[1] is tj, r.spec
+        seen = set()
+        for f1, f2, (_, reduced, removals) in r.reductions:
+            key = (f1.canonical_key(), f2.canonical_key())
+            if removals and key not in seen:
+                seen.add(key)
+                assert reduction_preserves_optimum(f1, f2, reduced), r.spec
+                removed += 1
+        pairs += len(inputs) + len(r.reductions)
+    assert len(corpus) >= 200 and removed > 100
+    print(f"criterion 5 PASS: optimum preserved on {pairs} pairs of {len(corpus)} instances, "
+          f"{removed} distinct pairs with removals checked by the oracle")
 
 
 def test_exact_search_start_is_a_lower_bound(corpus):

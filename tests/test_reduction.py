@@ -9,14 +9,19 @@ import pytest
 import mafkit as mk
 from mafkit import forest as forest_mod
 from mafkit import reduction
-from mafkit.forest import Forest
 from mafkit.reduction import find_applicable
 
 from helpers import (
+    approximate,
     brute_is_subforest,
     find_applicable_by_bfs,
+    is_closed,
+    labels_of,
     random_instance,
-    reduce_every_pair,
+    reduce_by_steps,
+    reduction_preserves_optimum,
+    reductions_seen,
+    vertex_sides_by_walk,
     zero_sum_edges_by_walk,
 )
 
@@ -29,8 +34,8 @@ def test_singleton_triggers_leaf_removal():
     f1, f2, trace = mk.reduce_pair(fp, full)
     assert len(trace) >= 1
     first = trace[0]
-    assert first.q_index == 1
     assert first.edge == full.pendant_edge(b)
+    assert first.witness == (frozenset({b}),)
     assert f1.same_structure(f2)
 
 
@@ -54,7 +59,7 @@ def test_component_union_side_removed():
     fp = full.remove_edges([mid])
     f1, f2, trace = mk.reduce_pair(fp, full)
     assert len(trace) == 1
-    assert trace[0].q_index == 1
+    assert trace[0].edge == mid
     assert f1.label_partition() == f2.label_partition()
     # optimum unchanged: both pairs have agreement order 2
     before = mk.brute_force_maf(mk.Instance(rooted=False, forests=(fp, full)))
@@ -73,14 +78,23 @@ def test_all_singletons_propagate():
 
 
 def test_reduce_instance_preserves_optimum(rng):
+    # every pair the contract admits: each input pair (Ti, Tj), and every
+    # pair the solvers reduce on the way to their answers
+    checked = 0
     for _ in range(30):
         inst = random_instance(rng, rooted=rng.random() < 0.5, n=rng.randint(4, 6))
-        before = mk.brute_force_maf(inst).opt_order
-        red, removed = reduce_every_pair(inst)
-        after = mk.brute_force_maf(red).opt_order
-        assert before == after
-        total_edges = sum(len(list(f.edge_ids())) for f in inst.forests)
-        assert removed <= total_edges
+        pairs = [(ti, tj) for ti in inst.forests for tj in inst.forests if ti is not tj]
+        with reductions_seen() as calls:
+            mk.find_min_k(inst)
+            approximate(inst)
+        pairs += [(f1, f2) for f1, f2, _ in calls]
+        for f1, f2 in pairs:
+            _, reduced, removals = mk.reduce_pair(f1, f2)
+            assert len(removals) <= len(f2.edge_ids())
+            if removals:
+                assert reduction_preserves_optimum(f1, f2, reduced)
+                checked += 1
+    assert checked > 30
 
 
 def test_fixpoint_stops_once_forests_are_equal(monkeypatch):
@@ -96,7 +110,7 @@ def test_fixpoint_stops_once_forests_are_equal(monkeypatch):
 
     monkeypatch.setattr(reduction, "find_applicable", counting_scan)
     f1, f2, trace = mk.reduce_pair(fp, full)
-    # the one hit makes the pair equal: no closing round of idle scans
+    # one scan finds the one hit, which makes the pair equal
     assert len(trace) == 1 and f1.same_structure(f2)
     assert len(scans) == 1 and scans[0] is not None
 
@@ -106,16 +120,21 @@ def test_trace_witnesses_recorded():
     full = inst.forests[0]
     fp = full.remove_edges([full.pendant_edge(full.labels.id_of("b"))])
     _, _, trace = mk.reduce_pair(fp, full)
+    assert trace
     for rem in trace:
-        assert rem.witness  # the covering component label sets at removal time
-        assert rem.p_index != rem.q_index
+        # the working-forest components that make up the smaller side
+        small = min(vertex_sides_by_walk(full, rem.edge), key=len)
+        assert frozenset().union(*rem.witness) == labels_of(full, small)
 
 
 # -- the zero-sum scan against the per-edge reference ------------------------
 
 
 def random_pair(rng, rooted):
-    """Two forests over one label table: grouped, cut, with singletons."""
+    """Two forests over one label table, the second closed over the first
+    (each of its components a union of the first's), as in the solvers:
+    grouped in lockstep, the first cut, a label cut off in both, and the
+    second partly reduced."""
     inst = random_instance(rng, rooted, n=rng.randint(4, 12), m=2, x=rng.randint(0, 3))
     fp, fq = inst.forests
     # group sibling sets the trees share, in lockstep as the solvers do
@@ -124,38 +143,27 @@ def random_pair(rng, rooted):
         if mss is None or fp.sibling_case(mss).kind != "mss":
             break
         fp, fq = fp.group_labels(mss), fq.group_labels(mss)
-
-    def cut(f):
-        eids = sorted(f.edge_ids())
-        f = f.remove_edges(rng.sample(eids, rng.randint(0, min(3, len(eids)))))
-        leaves = sorted(l for l in f.label_ids() if f.degree(f.vertex_of_label(l)) == 1)
-        if leaves and rng.random() < 0.5:
-            f = f.remove_edges([f.pendant_edge(rng.choice(leaves))])
-        return f
-
-    return cut(fp), cut(fq)
+    eids = sorted(fp.edge_ids())
+    fp = fp.remove_edges(rng.sample(eids, rng.randint(0, min(3, len(eids)))))
+    leaves = sorted(l for l in fp.label_ids()
+                    if fp.degree(fp.vertex_of_label(l)) == 1 == fq.degree(fq.vertex_of_label(l)))
+    if leaves and rng.random() < 0.5:
+        lid = rng.choice(leaves)
+        fp, fq = fp.remove_edges([fp.pendant_edge(lid)]), fq.remove_edges([fq.pendant_edge(lid)])
+    removable = [e for e, _ in find_applicable_by_bfs(fp, fq) or ()]
+    if removable and rng.random() < 0.5:
+        fq = fq.remove_edges(rng.sample(removable, rng.randint(1, len(removable))))
+    return fp, fq
 
 
 def scans_match_reference(fp, fq):
-    """Compare both directions at every step of the fixpoint; count hits.
-
-    The walk runs until a round finds nothing, so it also checks that
-    ``reduce_pair``, which stops once the pair is equal, removes the same.
-    """
-    forests = [fp, fq]
-    removals = []
-    while True:
-        for p, q in ((0, 1), (1, 0)):
-            got = find_applicable(forests[p], forests[q])
-            assert got == find_applicable_by_bfs(forests[p], forests[q])
-            if got is not None:
-                break
-        else:
-            break
-        removals.append(mk.Removal(q_index=q, edge=got[0], p_index=p, witness=got[1]))
-        forests[q] = forests[q].remove_edges([got[0]])
-    assert mk.reduce_pair(fp, fq)[2] == tuple(removals)
-    return len(removals)
+    """Compare the scan with the per-edge reference on a pair and on the
+    reduced pair, which must admit no removal; count the removable edges."""
+    got = find_applicable(fp, fq)
+    assert got == find_applicable_by_bfs(fp, fq)
+    _, reduced, _ = mk.reduce_pair(fp, fq)
+    assert find_applicable(fp, reduced) is None is find_applicable_by_bfs(fp, reduced)
+    return len(got or ())
 
 
 def test_scan_matches_per_edge_reference(rng):
@@ -164,6 +172,69 @@ def test_scan_matches_per_edge_reference(rng):
         fp, fq = random_pair(rng, rooted=rng.random() < 0.5)
         hits += scans_match_reference(fp, fq)
     assert hits > 100
+
+
+def test_bulk_removal_matches_one_at_a_time(rng):
+    # one removal of every removable edge reaches the forest the rule
+    # reaches one edge at a time, in either direction, with one record per
+    # removal that loop makes
+    removals = 0
+    for _ in range(150):
+        fp, fq = random_pair(rng, rooted=rng.random() < 0.5)
+        f1, f2, trace = mk.reduce_pair(fp, fq)
+        r1, r2, steps = reduce_by_steps(fp, fq)
+        assert f1 is fp and r1 is fp  # the working forest loses no edge
+        assert f2.same_structure(r2)
+        assert len(trace) == steps
+        for rem in trace:
+            assert rem.edge in fq.edge_ids()
+            small = min(vertex_sides_by_walk(fq, rem.edge), key=len)
+            assert frozenset().union(*rem.witness) == labels_of(fq, small)
+        removals += steps
+    assert removals > 100
+
+
+def test_pair_outside_the_contract_is_refused():
+    # the second forest cut where the first is whole: its components are
+    # not unions of the first's, so one side of an edge is no longer enough
+    for rooted in (True, False):
+        t1, t2 = mk.parse_instance("((a,b),(c,d));\n((a,c),(b,d));", rooted).forests
+        cut = t2.remove_edges([t2.pendant_edge(t2.labels.id_of("a"))])
+        with pytest.raises(mk.ForestError, match="not a union of witness components"):
+            mk.reduce_pair(t1, cut)
+        with pytest.raises(mk.ForestError):
+            find_applicable(t1, cut)
+        assert mk.reduce_pair(cut, t1)[2]  # the other way round is closed
+
+
+def test_solver_pairs_are_closed(rng, monkeypatch):
+    # Lemma A on every call the solvers make: the partner's components are
+    # unions of the working forest's before and after, no working-forest
+    # edge is removable, and each call makes one scan
+    scans = []
+    scan = reduction.find_applicable
+
+    def counting_scan(fp, fq):
+        scans.append(1)
+        return scan(fp, fq)
+
+    monkeypatch.setattr(reduction, "find_applicable", counting_scan)
+    calls = 0
+    for i in range(100):
+        rooted = i % 2 == 0
+        inst = random_instance(rng, rooted, n=rng.randint(4, 9), m=2 + i % 3,
+                               x=rng.randint(1, 2))
+        scans.clear()
+        with reductions_seen() as seen:
+            mk.find_min_k(inst)
+            approximate(inst)
+        assert len(scans) == len(seen)
+        for f1, f2, (g1, g2, _) in seen:
+            assert g1 is f1
+            assert is_closed(f1, f2) and is_closed(f1, g2)
+            assert find_applicable_by_bfs(f2, f1) is None
+        calls += len(seen)
+    assert calls > 1000
 
 
 def test_scan_with_colliding_weights_matches_reference(rng, monkeypatch):
@@ -182,21 +253,33 @@ def test_scan_with_colliding_weights_matches_reference(rng, monkeypatch):
 
 
 def test_scan_splits_only_the_edges_it_removes(monkeypatch):
-    # guards the linear scan: one split per hit, none per scanned edge
+    # guards the linear scan: one smaller-side check per removable edge it
+    # finds, so none for an edge flagged by chance, and none per scanned edge
     inst = mk.generate_instance(mk.GenSpec(n=100, m=5, x=2, seed=43, rooted=True))
-    calls = {"split": 0, "hits": 0}
-    split, scan = Forest.split_labels, reduction.find_applicable
+    calls = {"checks": 0, "hits": 0}
+    side, weights_of, scan = (
+        reduction._smaller_side, reduction._weights_of, reduction.find_applicable)
+    carrying = []
 
-    def counting_split(self, eid):
-        calls["split"] += 1
-        return split(self, eid)
+    def counting_side(*args):
+        # the weights' own walks (``_rezero``) are not checks
+        calls["checks"] += not carrying
+        return side(*args)
+
+    def carried_weights(fp):
+        carrying.append(1)
+        try:
+            return weights_of(fp)
+        finally:
+            carrying.pop()
 
     def counting_scan(fp, fq):
         found = scan(fp, fq)
-        calls["hits"] += found is not None
+        calls["hits"] += len(found or ())
         return found
 
-    monkeypatch.setattr(Forest, "split_labels", counting_split)
+    monkeypatch.setattr(reduction, "_smaller_side", counting_side)
+    monkeypatch.setattr(reduction, "_weights_of", carried_weights)
     monkeypatch.setattr(reduction, "find_applicable", counting_scan)
     f1, f2 = inst.forests[:2]
     leaves = sorted(f1.label_ids())[1:6]
@@ -204,7 +287,7 @@ def test_scan_splits_only_the_edges_it_removes(monkeypatch):
     mk.reduce_pair(cut, f2)
     mk.approx_rmaf(inst)
     assert calls["hits"] > 0
-    assert calls["split"] == calls["hits"]
+    assert calls["checks"] == calls["hits"]
 
 
 # -- side sums and weights carried from a forest to the values derived from it
@@ -258,13 +341,12 @@ def solve_every_way(rng, instances):
                                m=rng.randint(2, 4), x=rng.randint(1, 2))
         mk.find_min_k(inst)
         (mk.approx_rmaf if rooted else mk.approx_umaf)(inst)
-        reduce_every_pair(inst)
 
 
 def test_carried_scan_matches_full_walk(rng, monkeypatch):
     counts = check_every_scan(monkeypatch)
     solve_every_way(rng, 100)
-    assert counts["scans"] > 3000
+    assert counts["scans"] > 2000  # one per reduce_pair call
     # most scans inherit their sums (a scan under weights not derived from
     # the ones its inherited sums hold walks afresh)
     assert counts["walks"] < counts["scans"] / 2
@@ -348,7 +430,9 @@ def test_scanned_child_lets_its_parent_go():
         del f1
         find_applicable(g, f2)  # g inherits weights
         assert g._weights is not None and g._origin is not None
-        find_applicable(f2, g)  # and side sums: the origin is not needed now
+        # and side sums, under weights derived from f2's: the origin is not
+        # needed now
+        find_applicable(f2.remove_edges([f2.pendant_edge(f2.labels.id_of("c"))]), g)
         assert g._sums is not None and g._origin is None
         gc.collect()
         assert parent() is None
@@ -445,11 +529,12 @@ def test_grouping_a_full_star_keeps_pair_reduced():
 
 
 def pairs_to_reduce(rng, inst):
-    """Pairs over one label table: the first tree against each later one both
-    ways, after lockstep groupings, and with random cuts of the first tree
-    down to all singletons.  Rooted, also a second forest that keeps only
-    ρ's pendant edge, against the first tree with and without that edge's
-    other label cut off."""
+    """Pairs over one label table, each second forest closed over its first:
+    the first tree against each later one both ways, after lockstep
+    groupings, and with random cuts of the first tree down to all
+    singletons.  Rooted, also the first tree cut down to ρ's pendant edge,
+    with and without that edge's other label cut off, against the first
+    tree and the single-edge forest."""
     t1 = inst.forests[0]
     eids = sorted(t1.edge_ids())
     cuts = [t1.remove_edges(rng.sample(eids, rng.randint(1, len(eids)))) for _ in range(2)]
@@ -467,7 +552,8 @@ def pairs_to_reduce(rng, inst):
         rho_edge = t1.remove_edges(
             [t1.pendant_edge(lid) for lid in t1.label_ids() if lid not in (rho, c)])
         assert len(rho_edge.edge_ids()) == 1
-        pairs += [(t1, rho_edge), (t1.remove_edges([t1.pendant_edge(c)]), rho_edge)]
+        singles = rho_edge.remove_edges([rho_edge.pendant_edge(c)])
+        pairs += [(rho_edge, t1), (singles, t1), (rho_edge, rho_edge), (singles, rho_edge)]
     return pairs
 
 
