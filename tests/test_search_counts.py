@@ -42,6 +42,18 @@ def test_record_holds_every_count_of_both_solver_workloads(checker):
     assert io["forest.canonical_key.calls"] > 0
 
 
+def test_record_makes_one_scan_per_reduction():
+    # ``reduce_pair`` scans once and removes every edge it finds at once;
+    # the scan checks the smaller side of an edge by its own walk
+    with open(RECORD, encoding="utf-8") as fh:
+        record = json.load(fh)
+    for workload in ("amaf-large", "pmaf-exact"):
+        counts = record[workload]
+        assert counts["reduction.reduce_pair.calls"] > 0
+        assert counts["reduction.find_applicable.calls"] == counts["reduction.reduce_pair.calls"]
+        assert counts["forest.split_labels.calls"] == 0
+
+
 def test_record_pins_the_solver_layer_calls(checker):
     with open(RECORD, encoding="utf-8") as fh:
         record = json.load(fh)

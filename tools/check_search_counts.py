@@ -7,8 +7,8 @@ Reads the run's output on stdin, takes its last line (one JSON object) and
 compares every recorded count of the workload with it: the exact search's
 ``fpt.*`` counters, the approximation's ``approx.steps.*``, the
 reduction's ``reduction.reduce_pair.removals``, and the call counts of the
-scan and the derivations (``find_applicable``, ``reduce_pair``,
-``split_labels``, which equals the scan's hits, ``remove_edges`` and
+scan and the derivations (``find_applicable``, one per ``reduce_pair``;
+``split_labels``, which the solvers do not call; ``remove_edges`` and
 ``group_labels``).  It also compares ``forest.canonical_key.calls``: only
 the Newick writer builds keys, one per forest it writes (a certificate, or
 a tree of ``newick-io``), since the equality test builds none.  And it
