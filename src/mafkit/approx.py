@@ -18,7 +18,9 @@ cuts.  Reducing the pair removes, in one scan and one derivation, every
 partner edge that the rule allows, one ``rule1`` record per essential edge:
 a cut step cuts the pair's labels off in the partner too, so the partner's
 components stay unions of the working forest's, and the working forest never
-loses an edge to the rule (Lemmas A and B in ``reduction``).  By the pair
+loses an edge to the rule (Lemmas A and B in ``reduction``).  That needs
+every input forest after the first to be one tree, and an instance whose
+later forests are not raises ``ForestError``.  By the pair
 lemmas in ``reduction`` a grouping leaves the pair reduced and unequal, and
 a reduced unequal pair has a sibling set in the partner.
 
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .forest import Forest, ForestError, Instance, MafError, find_root
-from .reduction import reduce_pair
+from .reduction import reduce_pair, require_whole_partners
 
 RULE1 = "rule1"
 GROUP = "group"
@@ -186,6 +188,7 @@ def _record(kind, idx, f1_before, f1_after, removed_f1, removed_partner) -> Meta
 
 
 def _approximate(instance: Instance) -> ApproxResult:
+    require_whole_partners(instance.forests)
     f1 = instance.forests[0]
     trace: list[MetaStepRecord] = []
     for idx in range(1, len(instance.forests)):

@@ -7,7 +7,9 @@ pair can treat the sibling set.  Reducing the pair removes, in one scan and
 one derivation, every edge of the second forest that the rule allows; the
 second forest's components stay unions of the first's, since every branch
 cuts a label off in both forests or cuts the first only, so the first never
-loses an edge to the rule (Lemmas A and B in ``reduction``).  A grouping
+loses an edge to the rule (Lemmas A and B in ``reduction``).  That needs
+every input forest after the first to be one tree, and an instance whose
+later forests are not raises ``ForestError``.  A grouping
 leaves a reduced pair reduced (the lemma in ``reduction``), so the pair is
 not reduced again after one.
 Rooted branching is at most three-way, so a completed search visits at most
@@ -51,7 +53,7 @@ from .forest import (
     RHO,
     certify,
 )
-from .reduction import reduce_pair
+from .reduction import reduce_pair, require_whole_partners
 
 
 class NoSolutionError(ForestError):
@@ -147,6 +149,7 @@ def _search(forests, k, stats, depth):
 def _solve(instance: Instance, k: int) -> tuple[Forest | None, SearchStats]:
     if k < 1:
         raise ForestError("parameter k must be at least 1")
+    require_whole_partners(instance.forests)
     stats = SearchStats(k=k)
     return _search(list(instance.forests), k, stats, 0), stats
 

@@ -19,7 +19,9 @@ what the solvers do to a pair.
 
 * Input trees start whole: (T1, T2), and later (F, Ti) for the expanded
   working forest F and a whole tree Ti.  A whole tree is closed over any
-  forest on its labels.
+  forest on its labels.  The first input may be a forest, but every later
+  one must be one tree; both solvers refuse other instances
+  (:func:`require_whole_partners`).
 * A search branch or a cut step that cuts a label's pendant edge cuts it in
   both forests: the label becomes a component of each, and what is left of
   its two components is still the one inside the other.  Every other edge
@@ -538,6 +540,13 @@ def find_applicable(fp: Forest, fq: Forest):
     return tuple(found) or None
 
 
+def require_whole_partners(forests):
+    """Raise ``ForestError`` unless every forest after the first is one tree,
+    as Lemma A asks of the solvers' inputs."""
+    if any(f.order() != 1 for f in forests[1:]):
+        raise ForestError("every input forest after the first must be one tree")
+
+
 def reduce_pair(f1: Forest, f2: Forest):
     """Remove from ``f2`` every edge removable with ``f1`` as witness.
 
@@ -558,11 +567,5 @@ def reduce_pair(f1: Forest, f2: Forest):
     if found is None:
         return f1, f2, ()
     witness = dict(found)
-    reduced = f2.remove_edges(witness)
-    # the greedy keeps as many edges as the removal adds components, so all
-    # of them when each edge adds one, as nearly always
-    if reduced.order() - f2.order() == len(witness):
-        kept = witness
-    else:
-        kept = f2.essential_edges(witness)
-    return f1, reduced, tuple(Removal(e, witness[e]) for e in kept)
+    kept = f2.essential_edges(witness)
+    return f1, f2.remove_edges(witness), tuple(Removal(e, witness[e]) for e in kept)

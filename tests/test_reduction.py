@@ -207,6 +207,22 @@ def test_pair_outside_the_contract_is_refused():
         assert mk.reduce_pair(cut, t1)[2]  # the other way round is closed
 
 
+def test_solvers_refuse_a_later_input_that_is_not_a_tree():
+    # the first input may be a forest; a later one must be one tree, or the
+    # solvers' pairs would leave the contract
+    for rooted in (True, False):
+        t1, t2 = mk.parse_instance("((a,b),(c,d));\n((a,c),(b,d));", rooted).forests
+        cut = t2.remove_edges([t2.pendant_edge(t2.labels.id_of("a"))])
+        inst = mk.Instance(rooted=rooted, forests=(t1, cut))
+        for solve in (mk.find_min_k, approximate):
+            with pytest.raises(mk.ForestError, match="must be one tree"):
+                solve(inst)
+        cut_first = mk.Instance(rooted=rooted, forests=(cut, t1))
+        opt = mk.brute_force_maf(cut_first).opt_order
+        assert mk.find_min_k(cut_first).order == opt
+        assert opt <= approximate(cut_first).order
+
+
 def test_solver_pairs_are_closed(rng, monkeypatch):
     # Lemma A on every call the solvers make: the partner's components are
     # unions of the working forest's before and after, no working-forest
