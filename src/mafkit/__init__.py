@@ -42,7 +42,7 @@ from .fpt import (
 )
 from .newick import NewickError, NewickWarning, format_instance, parse_instance, serialize
 from .oracle import OracleResult, OracleSizeError, brute_force_maf
-from .reduction import Removal, reduce_pair
+from .reduction import reduce_pair
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "OracleResult",
     "OracleSizeError",
     "RHO",
-    "Removal",
     "SearchStats",
     "apply_random_spr",
     "approx_rmaf",

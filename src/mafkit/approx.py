@@ -9,20 +9,19 @@ unrooted.  The maximum ratio over the run bounds the output order against the
 optimum, so the whole algorithm is a 3-approximation on rooted instances and
 a 4-approximation on unrooted ones.
 
-The case analysis is ``Forest.sibling_case``, shared with the exact search:
-a meta-step cuts the pendant edges of the case's pair plus the first edge of
+Each round is the one the exact search runs at a node: ``reduce_pair``,
+then ``reduction.next_case``, which groups every maximal sibling set the
+pair shares and names the case to act on.  The approximation stops when the
+reduced pair is equal, before it groups, and otherwise cuts on the case: a
+meta-step cuts the pendant edges of the case's pair plus the first edge of
 each of its ``cuts``, except that an unrooted path step takes the two
-smallest edges off the whole path interior.  Each round reduces the pair,
-stops if it is equal, groups while the case is a common sibling set, and
-cuts.  Reducing the pair removes, in one scan and one derivation, every
-partner edge that the rule allows, one ``rule1`` record per essential edge:
-a cut step cuts the pair's labels off in the partner too, so the partner's
-components stay unions of the working forest's, and the working forest never
-loses an edge to the rule (Lemmas A and B in ``reduction``).  That needs
-every input forest after the first to be one tree, and an instance whose
-later forests are not raises ``ForestError``.  By the pair
-lemmas in ``reduction`` a grouping leaves the pair reduced and unequal, and
-a reduced unequal pair has a sibling set in the partner.
+smallest edges off the whole path interior.  It records one ``rule1`` step
+per essential edge the reduction removes and one ``group`` step per
+grouping.  A cut step cuts the pair's labels off in the partner too, so the
+partner's components stay unions of the working forest's, and the working
+forest never loses an edge to the rule (Lemmas A and B in ``reduction``).
+That needs every input forest after the first to be one tree, and an
+instance whose later forests are not raises ``ForestError``.
 
 Every step is recorded with the removed edges, the working-forest subset, and
 an essential subset (a removal set of the same effect in which every edge
@@ -65,7 +64,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .forest import Forest, ForestError, Instance, MafError, find_root
-from .reduction import reduce_pair, require_whole_partners
+from .reduction import next_case, reduce_pair, require_whole_partners
 
 RULE1 = "rule1"
 GROUP = "group"
@@ -201,21 +200,16 @@ def _approximate(instance: Instance) -> ApproxResult:
             if budget < 0:
                 raise MafError("approximation made no progress")
             # the reduction removes partner edges only (see ``reduction``)
-            _, fi, removals = reduce_pair(f1, fi)
-            for rem in removals:
-                trace.append(_record(RULE1, idx, f1, f1, (), (rem.edge,)))
+            _, fi, removed = reduce_pair(f1, fi)
+            for eid in removed:
+                trace.append(_record(RULE1, idx, f1, f1, (), (eid,)))
             if f1.same_structure(fi):
                 break
-            # a grouping leaves the pair reduced and unequal (see
-            # ``reduction``), so it goes straight back to the case analysis
-            while (mss := fi.find_mss()) is not None:
-                case = f1.sibling_case(mss)
-                if case.kind != "mss":
-                    break
-                nf1, nfi = f1.group_labels(mss), fi.group_labels(mss)
-                trace.append(_record(GROUP, idx, f1, nf1, (), ()))
-                f1, fi = nf1, nfi
-            if mss is None:  # impossible by the lemmas in ``reduction``
+            start = f1
+            f1, fi, case, grouped = next_case(f1, fi)
+            for prev, nxt in zip((start, *grouped), grouped):
+                trace.append(_record(GROUP, idx, prev, nxt, (), ()))
+            if case is None:  # impossible by the lemmas in ``reduction``
                 raise MafError("unequal reduced pair with no sibling set")
 
             a, b = case.pair

@@ -1156,11 +1156,16 @@ class AgreementForest:
         return self.forest.order()
 
     def verify(self, instance: Instance) -> bool:
-        """True iff each input forest has a witness that removes it to this one."""
+        """True iff each input forest has a witness that removes it to this
+        one; False also for a witness that names an edge its forest lacks."""
         if len(self.witnesses) != instance.m:
             return False
         for f, removed in zip(instance.forests, self.witnesses):
-            if not f.remove_edges(removed).same_structure(self.forest):
+            try:
+                cut = f.remove_edges(removed)
+            except ForestError:
+                return False
+            if not cut.same_structure(self.forest):
                 return False
         return True
 

@@ -1,25 +1,20 @@
 """Depth-bounded branch-and-search solvers for agreement forests of order ≤ k.
 
-The search works on the first two forests of the instance at a time: reduce
-the pair, shrink matching maximal sibling sets into grouped leaves, and when
-the structures disagree branch on the ways a maximal agreement forest of the
-pair can treat the sibling set.  Reducing the pair removes, in one scan and
-one derivation, every edge of the second forest that the rule allows; the
-second forest's components stay unions of the first's, since every branch
-cuts a label off in both forests or cuts the first only, so the first never
-loses an edge to the rule (Lemmas A and B in ``reduction``).  That needs
-every input forest after the first to be one tree, and an instance whose
-later forests are not raises ``ForestError``.  A grouping
-leaves a reduced pair reduced (the lemma in ``reduction``), so the pair is
-not reduced again after one.
+The search works on the first two forests of the instance at a time, and
+each node runs the round the approximation runs too: ``reduce_pair`` makes
+the pair strongly reducible, and ``reduction.next_case`` groups every
+maximal sibling set the two forests share (Case 1) and names the case to
+act on.  The search branches on cutting either label of the case's pair and
+on each of its ``cuts``.  Every branch cuts a label off in both forests or
+cuts the first only, so the second forest's components stay unions of the
+first's, as the one-scan reduction needs (Lemmas A and B in
+``reduction``).  That needs every input forest after the first to be one
+tree, and an instance whose later forests are not raises ``ForestError``.
 Rooted branching is at most three-way, so a completed search visits at most
-3^k leaves; unrooted branching is four-way with a 4^k bound.
-
-The case analysis itself lives in ``Forest.sibling_case``, which the
-approximation shares: the search branches on cutting either label of the
-case's pair and on each of its ``cuts``.  Every branch cuts at least one edge
-of the working forest, so its component count grows strictly along any
-root-to-leaf path; searches prune as soon as it exceeds k.
+3^k leaves; unrooted branching is four-way with a 4^k bound.  Every branch
+cuts at least one edge of the working forest, so its component count grows
+strictly along any root-to-leaf path; searches prune as soon as it exceeds
+k.
 
 A child's order is known before it is built: every edge a branch cuts adds
 exactly one component.  A pendant edge splits a labeled leaf off a component
@@ -35,10 +30,10 @@ lemmas in ``reduction`` it finds the pair equal two ways.  At order k, where
 no cut is left, a reduced pair agrees only if it is equal, so one equality
 test (``Forest.same_structure``, which builds no canonical key) decides the
 node; an unequal pair is a leaf where the case analysis would have branched
-only into children over k.  Below k, the pair is equal once the groupings
-leave the second forest with no sibling set.  So only nodes below order k
-branch, and as a node at depth d has order at least d + 1, the branching
-depth ``max_depth`` is at most k − 1.
+only into children over k.  Below k, the pair is equal once ``next_case``
+names no case.  So only nodes below order k branch, and as a node at depth
+d has order at least d + 1, the branching depth ``max_depth`` is at most
+k − 1.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ from .forest import (
     RHO,
     certify,
 )
-from .reduction import reduce_pair, require_whole_partners
+from .reduction import next_case, reduce_pair, require_whole_partners
 
 
 class NoSolutionError(ForestError):
@@ -94,20 +89,15 @@ def _search(forests, k, stats, depth):
             stats.leaves += 1
             return None
         stats.nodes += 1
-        f1, f2, trace = reduce_pair(f1, forests[1])
-        stats.rule1_edges += len(trace)
+        f1, f2, removed = reduce_pair(f1, forests[1])
+        stats.rule1_edges += len(removed)
         if f1.order() < k:
-            # a grouping keeps the pair reduced (see ``reduction``), so it goes
-            # straight back to the case analysis; it still counts as a node
-            while (mss := f2.find_mss()) is not None:
-                case = f1.sibling_case(mss)
-                if case.kind != "mss":
-                    break
-                stats.case1 += 1
-                stats.nodes += 1
-                f1, f2 = f1.group_labels(mss), f2.group_labels(mss)
+            # each grouping still counts as a node
+            f1, f2, case, grouped = next_case(f1, f2)
+            stats.case1 += len(grouped)
+            stats.nodes += len(grouped)
         elif f1.same_structure(f2):
-            mss = None
+            case = None
         else:
             # at order k no cut is left, and a reduced pair agrees only if it
             # is equal (see ``reduction``): this one has no solution
@@ -115,7 +105,7 @@ def _search(forests, k, stats, depth):
             return None
         # the one collapse site: the pair is equal, by the test at order k,
         # and below it by the no-sibling-set lemma in ``reduction``
-        if mss is None:
+        if case is None:
             stats.collapses += 1
             forests = [f1.expand_labels()] + forests[2:]
             continue

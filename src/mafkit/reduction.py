@@ -59,7 +59,7 @@ reaches the same forest.  Each of its removals adds one component (both
 sides of an edge of an irreducible forest hold a label), so it makes as
 many removals as F2 − R has components more than F2: the number of
 essential edges of R (:meth:`Forest.essential_edges`), and
-:func:`reduce_pair` records one :class:`Removal` for each.
+:func:`reduce_pair` returns the id of each.
 
 A scan finds R in time linear in the forest, not with one search per edge.
 Every label gets a random 64-bit weight, drawn so that the weights within
@@ -128,9 +128,9 @@ that is a union of whole F' components would expand to a side of a G edge
 that is a union of whole F components, and the same holds the other way
 round: (F', G') admits no removal either.  If moreover F ≇ G, then F' ≇ G',
 because undoing the grouping of s (as ``expand_labels`` does) turns
-isomorphic F', G' back into isomorphic F, G.  Both solvers rely on this: a
-Case-1 grouping goes straight back to the case analysis, with no
-``reduce_pair`` and no equality test in between.
+isomorphic F', G' back into isomorphic F, G.  Both solvers rely on this
+through :func:`next_case`: a Case-1 grouping goes straight back to the case
+analysis, with no ``reduce_pair`` and no equality test in between.
 
 A reduced pair agrees iff it is equal: F1 is an agreement forest of the pair
 (F1 ≤ F2) iff F1 ≅ F2.  The "if" direction is plain.  For "only if", let F1
@@ -153,7 +153,9 @@ so there are none: an unrooted forest has no such vertex, and a rooted one
 only a component root, whose two neighbors are its children, while ρ, an
 end of the path, has no parent.  So F1 has at most the one edge a–b.  If it
 has it, F1 ≅ F2; if not, the side {a} of F2's edge a–b is a whole F1
-component, and the pair was not reduced.
+component, and the pair was not reduced.  Both solvers rely on this
+through :func:`next_case` too: once its groupings leave F2 with no sibling
+set, it names no case, and the pair is equal.
 """
 
 from __future__ import annotations
@@ -161,23 +163,8 @@ from __future__ import annotations
 import random
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 
 from .forest import Forest, ForestError, LabelUniverseError
-
-
-@dataclass(frozen=True)
-class Removal:
-    """One recorded application: edge ``edge`` left the partner.
-
-    ``edge`` is an id of the partner :func:`reduce_pair` was given, and
-    ``witness`` holds the label sets of the working-forest components that
-    make up the edge's smaller side there, the side its check walked (see
-    :func:`find_applicable`).
-    """
-
-    edge: int
-    witness: tuple[frozenset[int], ...]
 
 
 # the answer does not depend on the weights, only the number of false
@@ -510,14 +497,12 @@ def _candidates(fq: Forest, weight) -> list[int]:
 
 
 def find_applicable(fp: Forest, fq: Forest):
-    """Every edge of ``fq`` removable with ``fp`` as witness, or None.
+    """Sorted ids of every edge of ``fq`` removable with ``fp`` as witness,
+    or None if there is none.
 
     ``fq`` must be closed over ``fp``: each of its components a union of
     ``fp``'s, as Lemma A in the module docstring shows for the solvers'
-    pairs.  ``ForestError`` is raised otherwise.  Returns ``((edge_id,
-    witness), ...)`` in id order, where ``witness`` lists, in the order of
-    ``fp.label_partition()``, the label sets of the ``fp`` components that
-    make up the edge's smaller side.
+    pairs.  ``ForestError`` is raised otherwise.
 
     Only the edges whose side below sums to 0 under the zero-sum weights of
     ``fp``'s components (:func:`_candidates`, from inherited side sums) are
@@ -536,7 +521,7 @@ def find_applicable(fp: Forest, fq: Forest):
     for eid in flagged:
         count = Counter(map(part_of, _smaller_side(fq, *ends[eid])[0]))
         if all(n == len(parts[c]) for c, n in count.items()):
-            found.append((eid, tuple(parts[c] for c in sorted(count))))
+            found.append(eid)
     return tuple(found) or None
 
 
@@ -557,15 +542,41 @@ def reduce_pair(f1: Forest, f2: Forest):
     (grouping applied to both alike); ``LabelUniverseError`` is raised
     otherwise.
 
-    Returns ``f1``, the reduced ``f2`` and one :class:`Removal` for each
-    essential edge of the removal (:meth:`Forest.essential_edges`), in id
-    order: as many as removing one edge at a time would make.
+    Returns ``f1``, the reduced ``f2`` and the ids of the essential edges of
+    the removal (:meth:`Forest.essential_edges`), edges of the ``f2`` given,
+    in id order: one for each removal that removing one edge at a time
+    would make.
     """
     if f1.label_ids() != f2.label_ids():
         raise LabelUniverseError("forests to reduce carry different label ids")
     found = find_applicable(f1, f2)
     if found is None:
         return f1, f2, ()
-    witness = dict(found)
-    kept = f2.essential_edges(witness)
-    return f1, f2.remove_edges(witness), tuple(Removal(e, witness[e]) for e in kept)
+    return f1, f2.remove_edges(found), f2.essential_edges(found)
+
+
+def next_case(f1: Forest, f2: Forest):
+    """Group every sibling set the pair shares, then name the case to act on.
+
+    ``(f1, f2)`` must be a reduced pair, as :func:`reduce_pair` leaves it.
+    Each sibling set that ``f2.find_mss`` picks and that ``f1`` calls
+    ``"mss"`` (Case 1: maximal in both) is grouped in both forests in
+    lockstep, until one is not.  Returns ``(f1, f2, case, grouped)``: the
+    grouped pair, ``f1.sibling_case`` of the first set that is not Case 1,
+    or None if ``f2`` has no sibling set left, and the working forests the
+    groupings made, in order.
+
+    Two of the pair lemmas in the module docstring make this the one Case-1
+    loop both solvers share.  A grouping keeps a reduced pair reduced, and
+    an unequal one unequal, so no reduction or equality test is needed
+    between groupings.  A reduced pair with no sibling set is equal, so
+    ``case`` is None exactly when the grouped pair is equal.
+    """
+    grouped = []
+    while (mss := f2.find_mss()) is not None:
+        case = f1.sibling_case(mss)
+        if case.kind != "mss":
+            return f1, f2, case, grouped
+        f1, f2 = f1.group_labels(mss), f2.group_labels(mss)
+        grouped.append(f1)
+    return f1, f2, None, grouped

@@ -147,32 +147,18 @@ def find_applicable_by_bfs(fp, fq):
     """Reference for ``find_applicable``: split and check every edge of ``fq``.
 
     One walk per side of every edge, in id order.  An edge is removable when
-    one of its sides is a union of whole ``fp`` components, and its witness
-    lists the components that make up its smaller side (the one with fewer
-    vertices; on a tie, the side of its first end), or the other side if
-    only that one is covered.  The components of ``fp`` come from their own
-    walk (:func:`partition_by_walk`), and the witness lists them in the
-    partition's order.  Returns every ``(edge, witness)`` or None.
+    one of its sides is a union of whole ``fp`` components, which come from
+    their own walk (:func:`partition_by_walk`).  Returns the ids of every
+    removable edge, in id order, or None.
     """
     comp_labels = partition_by_walk(fp)
     comp_of = {lid: c for c, labels in enumerate(comp_labels) for lid in labels}
 
     def covered(side):
-        comps = set()
-        for lid in side:
-            c = comp_of[lid]
-            if not comp_labels[c] <= side:
-                return None
-            comps.add(c)
-        return tuple(comp_labels[c] for c in sorted(comps))
+        return all(comp_labels[comp_of[lid]] <= side for lid in side)
 
-    found = []
-    for eid in sorted(fq.edge_ids()):
-        sides = sorted(vertex_sides_by_walk(fq, eid), key=len)
-        wits = [covered(labels_of(fq, side)) for side in sides]
-        wit = next((w for w in wits if w is not None), None)
-        if wit is not None:
-            found.append((eid, wit))
+    found = [eid for eid in sorted(fq.edge_ids())
+             if any(covered(labels_of(fq, side)) for side in vertex_sides_by_walk(fq, eid))]
     return tuple(found) or None
 
 
@@ -206,7 +192,7 @@ def reduce_by_steps(f1, f2):
         for p, q in ((0, 1), (1, 0)):
             found = find_applicable_by_bfs(pair[p], pair[q])
             if found is not None:
-                pair[q] = pair[q].remove_edges([found[0][0]])
+                pair[q] = pair[q].remove_edges([found[0]])
                 removed += 1
                 break
         else:

@@ -328,6 +328,10 @@ def test_verify_needs_one_witness_per_input():
         assert not mk.is_subforest(three.forests[0], three.forests[2])
         assert not af.verify(three)
         assert not mk.AgreementForest(af.forest, af.witnesses[:1]).verify(two)
+        # a witness that names an edge its input forest lacks is no witness
+        missing = max(three.forests[1].edge_ids()) + 1
+        bad = (af.witnesses[0], af.witnesses[1] | {missing})
+        assert not mk.AgreementForest(af.forest, bad).verify(two)
 
 
 def test_subforest_witness_realizes_embedding(rng):

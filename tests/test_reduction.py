@@ -16,12 +16,10 @@ from helpers import (
     brute_is_subforest,
     find_applicable_by_bfs,
     is_closed,
-    labels_of,
     random_instance,
     reduce_by_steps,
     reduction_preserves_optimum,
     reductions_seen,
-    vertex_sides_by_walk,
     zero_sum_edges_by_walk,
 )
 
@@ -33,9 +31,7 @@ def test_singleton_triggers_leaf_removal():
     fp = full.remove_edges([full.pendant_edge(b)])  # b is a singleton here
     f1, f2, trace = mk.reduce_pair(fp, full)
     assert len(trace) >= 1
-    first = trace[0]
-    assert first.edge == full.pendant_edge(b)
-    assert first.witness == (frozenset({b}),)
+    assert trace[0] == full.pendant_edge(b) == find_applicable_by_bfs(fp, full)[0]
     assert f1.same_structure(f2)
 
 
@@ -58,8 +54,7 @@ def test_component_union_side_removed():
     )
     fp = full.remove_edges([mid])
     f1, f2, trace = mk.reduce_pair(fp, full)
-    assert len(trace) == 1
-    assert trace[0].edge == mid
+    assert trace == (mid,) == find_applicable_by_bfs(fp, full)
     assert f1.label_partition() == f2.label_partition()
     # optimum unchanged: both pairs have agreement order 2
     before = mk.brute_force_maf(mk.Instance(rooted=False, forests=(fp, full)))
@@ -115,18 +110,6 @@ def test_fixpoint_stops_once_forests_are_equal(monkeypatch):
     assert len(scans) == 1 and scans[0] is not None
 
 
-def test_trace_witnesses_recorded():
-    inst = mk.parse_instance("((a,b),c);\n((a,b),c);", rooted=True)
-    full = inst.forests[0]
-    fp = full.remove_edges([full.pendant_edge(full.labels.id_of("b"))])
-    _, _, trace = mk.reduce_pair(fp, full)
-    assert trace
-    for rem in trace:
-        # the working-forest components that make up the smaller side
-        small = min(vertex_sides_by_walk(full, rem.edge), key=len)
-        assert frozenset().union(*rem.witness) == labels_of(full, small)
-
-
 # -- the zero-sum scan against the per-edge reference ------------------------
 
 
@@ -150,7 +133,7 @@ def random_pair(rng, rooted):
     if leaves and rng.random() < 0.5:
         lid = rng.choice(leaves)
         fp, fq = fp.remove_edges([fp.pendant_edge(lid)]), fq.remove_edges([fq.pendant_edge(lid)])
-    removable = [e for e, _ in find_applicable_by_bfs(fp, fq) or ()]
+    removable = list(find_applicable_by_bfs(fp, fq) or ())
     if removable and rng.random() < 0.5:
         fq = fq.remove_edges(rng.sample(removable, rng.randint(1, len(removable))))
     return fp, fq
@@ -186,10 +169,9 @@ def test_bulk_removal_matches_one_at_a_time(rng):
         assert f1 is fp and r1 is fp  # the working forest loses no edge
         assert f2.same_structure(r2)
         assert len(trace) == steps
-        for rem in trace:
-            assert rem.edge in fq.edge_ids()
-            small = min(vertex_sides_by_walk(fq, rem.edge), key=len)
-            assert frozenset().union(*rem.witness) == labels_of(fq, small)
+        # each recorded edge is a removable edge of the partner given
+        assert set(trace) <= set(find_applicable_by_bfs(fp, fq) or ()) <= fq.edge_ids()
+        assert list(trace) == sorted(trace)
         removals += steps
     assert removals > 100
 
@@ -497,6 +479,48 @@ def test_grouping_keeps_pair_reduced_and_unequal(rng):
                 fi = fi.remove_edges([fi.pendant_edge(a)])
             f1 = f1.expand_labels()
     assert groupings[False] > 200 and groupings[True] > 500
+
+
+def one_grouping(prev, nxt):
+    """Whether ``nxt`` is ``prev`` with one sibling set, maximal in
+    ``prev``, grouped into its least label."""
+    if not nxt.label_ids() < prev.label_ids():
+        return False
+    gone = prev.label_ids() - nxt.label_ids()
+    changed = [lid for lid in nxt.label_ids() if nxt.originals(lid) != prev.originals(lid)]
+    if len(changed) != 1 or changed[0] > min(gone):
+        return False
+    group = gone | {changed[0]}
+    behind = sorted(b for lid in group for b in prev.originals(lid))
+    return (sorted(nxt.originals(changed[0])) == behind
+            and prev.sibling_case(group).kind == "mss"
+            and prev.group_labels(group).same_structure(nxt))
+
+
+def test_next_case_matches_lockstep_grouping(rng):
+    # every reduced pair the solvers reach, against the lockstep loop
+    # ``group_checked``, which checks each grouping on its own
+    seen = {"groupings": 0, "equal": 0, "unequal": 0}
+    for i in range(40):
+        rooted = i % 2 == 0
+        inst = random_instance(rng, rooted, n=rng.randint(4, 9), m=2 + i % 3,
+                               x=rng.randint(1, 2))
+        with reductions_seen() as calls:
+            mk.find_min_k(inst)
+            approximate(inst)
+        for _, _, (f1, f2, _) in calls:
+            g1, g2, case, grouped = reduction.next_case(f1, f2)
+            r1, r2, n = group_checked(f1, f2)
+            assert g1.same_structure(r1) and g2.same_structure(r2)
+            assert len(grouped) == n
+            assert (case is None) == f1.same_structure(f2)
+            if case is not None:
+                assert case.kind != "mss" and case == r1.sibling_case(r2.find_mss())
+            assert all(map(one_grouping, (f1, *grouped), grouped))
+            assert not grouped or grouped[-1] is g1
+            seen["groupings"] += n
+            seen["equal" if case is None else "unequal"] += 1
+    assert seen["groupings"] > 800 and seen["equal"] > 200 and seen["unequal"] > 400
 
 
 def cut_off(forest, names):
