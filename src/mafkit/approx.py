@@ -63,7 +63,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
-from .forest import Forest, ForestError, Instance, MafError, find_root
+from .forest import Forest, Instance, MafError, _Hung, find_root
 from .reduction import next_case, reduce_pair, require_whole_partners
 
 RULE1 = "rule1"
@@ -247,74 +247,6 @@ def approx_umaf(instance: Instance) -> ApproxResult:
 # coarsening: joining parts of an agreement forest
 
 
-class _Hung:
-    """One input tree hung once for :func:`coarsen`.
-
-    ``up`` and ``depth`` come from :meth:`Forest._hanging`.  ``lo`` and
-    ``size`` number the vertices in a preorder of that hanging, so the
-    vertices below ``v`` are those numbered ``lo[v]`` up to but excluding
-    ``lo[v] + size[v]``, and ``at`` gives each label its leaf's number.
-    ``owner`` maps every vertex of a part's Steiner subtree to a part id,
-    which may have been joined since (see :class:`_MergePass`), and ``top``
-    maps each part id to the highest vertex of its subtree.
-    """
-
-    __slots__ = ("forest", "up", "depth", "lo", "size", "at", "owner", "top")
-
-    def __init__(self, forest: Forest, parts):
-        order, up = forest._hanging()
-        size = dict.fromkeys(order, 1)
-        for v in reversed(order):  # children before parents
-            p = up.get(v)
-            if p is not None:
-                size[p] += size[v]
-        depth, lo, free = {}, {}, {}
-        numbered = 0
-        for v in order:  # parents before children
-            p = up.get(v)
-            if p is None:
-                depth[v], lo[v] = 0, numbered
-                numbered += size[v]
-            else:
-                depth[v], lo[v] = depth[p] + 1, free[p]
-                free[p] += size[v]
-            free[v] = lo[v] + 1
-        self.forest, self.up, self.depth, self.lo, self.size = forest, up, depth, lo, size
-        self.at = {lid: lo[forest.vertex_of_label(lid)] for lid in forest.label_ids()}
-        self.owner, self.top = {}, {}
-        for pid, labs in enumerate(parts):
-            self._claim(pid, [forest.vertex_of_label(l) for l in labs])
-
-    def _claim(self, pid, leaves):
-        """Mark the Steiner subtree of ``leaves`` as part ``pid``'s.
-
-        Its top is the least common ancestor of the first and the last leaf
-        in preorder, and every other vertex lies on the way up from a leaf
-        to it, so each leaf climbs until it meets a vertex already marked.
-        """
-        up, depth, owner = self.up, self.depth, self.owner
-        x = min(leaves, key=self.lo.__getitem__)
-        y = max(leaves, key=self.lo.__getitem__)
-        while x != y:
-            if depth[x] < depth[y]:
-                x, y = y, x
-            x = up.get(x)
-            if x is None:
-                raise ForestError("a part spans two components of an input tree")
-        self.top[pid] = x
-        owner[x] = pid
-        for v in leaves:
-            while owner.get(v) != pid:
-                owner[v] = pid
-                v = up[v]
-
-    def below(self, v, labs):
-        """The labels of ``labs`` whose leaves lie below ``v``."""
-        lo, at = self.lo[v], self.at
-        hi = lo + self.size[v]
-        return frozenset(l for l in labs if lo <= at[l] < hi)
-
-
 class _MergePass:
     """The state of one :func:`coarsen` call: the parts, one :class:`_Hung`
     per input tree, and the parts next to each other in the first tree.
@@ -485,10 +417,7 @@ class _MergePass:
             return self.forest
         live = [find_root(self.root, pid) for pid in range(len(self.parts))]
         tree = self.trees[0]
-        part = {v: live[pid] for v, pid in tree.owner.items()}
-        # an edge stays if one part holds both its ends (the defaults differ)
-        apart = [v for v, p in tree.up.items() if part.get(v, -1) != part.get(p, -2)]
-        return tree.forest.remove_edges(tree.forest._edges_up(apart, tree.up))
+        return tree.forest.remove_edges(tree.apart(live))
 
 
 def coarsen(instance: Instance, forest: Forest) -> Forest:

@@ -47,7 +47,6 @@ keys does not recurse either, as comparing nested tuples would.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -261,7 +260,6 @@ class Forest:
         "_own",
         "_mss",
         "_partition",
-        "_comp_of",
         "_weights",
         "_sums",
         "_groups",
@@ -283,7 +281,6 @@ class Forest:
         self._own = set()              # vertices whose adjacency row is private
         self._mss = None               # sibling-set table, see find_mss
         self._partition = None
-        self._comp_of = None           # label id -> index in the partition
         self._weights = None           # label weights as a reduction witness
         self._sums = None              # side sums of the latest reduction scan
         self._groups = {}              # see originals; never written once set
@@ -564,7 +561,9 @@ class Forest:
         return self._parent_edge.get(v)
 
     def pendant_edge(self, lid) -> int:
-        v = self._label_vertex[lid]
+        v = self._label_vertex.get(lid)
+        if v is None:
+            raise ForestError(f"label id {lid} is not in the forest")
         d = self._adj[v]
         if len(d) != 1:
             raise ForestError(f"label {self.labels.name(lid)} is not a pendant leaf")
@@ -634,13 +633,13 @@ class Forest:
 
     def label_partition(self) -> tuple[frozenset[int], ...]:
         """The label set of every component, in the order of the runs of
-        :meth:`_hanging`; built once per value, with the index of each
-        label's part (see :meth:`component_index_of_label`)."""
+        :meth:`_hanging`; built once per value.  The reduction's fresh
+        weights read it, and so do the Steiner claims of :class:`_Hung`,
+        the certificate's and the merge pass's."""
         if self._partition is None:
             order, up = self._hanging()
             vlabel = self._vlabel
             parts = []
-            comp_of = self._comp_of = {}
             for v in order:
                 if v not in up:  # a top starts the next run
                     part = []
@@ -648,15 +647,8 @@ class Forest:
                 lid = vlabel.get(v)
                 if lid is not None:
                     part.append(lid)
-                    comp_of[lid] = len(parts) - 1
             self._partition = tuple(map(frozenset, parts))
         return self._partition
-
-    def component_index_of_label(self, lid) -> int:
-        """Index in :meth:`label_partition` of the part that holds ``lid``."""
-        if self._comp_of is None:
-            self.label_partition()
-        return self._comp_of[lid]
 
     def tree_path(self, v1, v2):
         """Vertex path between v1 and v2, or None if in different components."""
@@ -1185,42 +1177,107 @@ def certify(forest: Forest, instance: Instance) -> AgreementForest:
 # subforest testing
 
 
-def _steiner(sup: Forest, up, depth, leaf_vertices):
-    """Vertex and edge sets of the minimal subtree of ``sup`` spanning
-    ``leaf_vertices``.
+class _Hung:
+    """One forest hung once, with the Steiner subtree of each part of a
+    label partition claimed in it.
 
-    ``up`` and ``depth`` come from a hanging of ``sup`` (see
-    :meth:`Forest._hanging`).  The deepest vertex reached so far climbs one
-    edge at a time until all paths meet, so only the subtree itself is
-    visited.
+    :func:`subforest_witness` hangs the larger forest over the smaller's
+    partition, and :func:`~mafkit.approx.coarsen` each input tree over an
+    agreement forest's.  ``up`` comes from :meth:`Forest._hanging`, and
+    ``depth`` counts the vertices above each vertex.  ``lo`` and ``size``
+    number the vertices in a preorder of that hanging, so the vertices below
+    ``v`` are those numbered ``lo[v]`` up to but excluding ``lo[v] +
+    size[v]``, and ``at`` gives each label its leaf's number.  ``owner``
+    maps every vertex of a part's Steiner subtree to a part id, which
+    ``coarsen`` may have joined since, and ``top`` maps each part id to the
+    highest vertex of its subtree.  Where two parts' subtrees share a
+    vertex, the part claimed later owns it.
     """
-    vset = set(leaf_vertices)
-    heap = [(-depth[v], v) for v in vset]
-    heapq.heapify(heap)
-    climbed = []
-    while len(heap) > 1:
-        _, v = heapq.heappop(heap)
-        climbed.append(v)
-        p = up[v]
-        if p not in vset:
-            vset.add(p)
-            heapq.heappush(heap, (-depth[p], p))
-    return vset, set(sup._edges_up(climbed, up))
+
+    __slots__ = ("forest", "up", "depth", "lo", "size", "at", "owner", "top")
+
+    def __init__(self, forest: Forest, parts):
+        order, up = forest._hanging()
+        size = dict.fromkeys(order, 1)
+        for v in reversed(order):  # children before parents
+            p = up.get(v)
+            if p is not None:
+                size[p] += size[v]
+        depth, lo, free = {}, {}, {}
+        numbered = 0
+        for v in order:  # parents before children
+            p = up.get(v)
+            if p is None:
+                depth[v], lo[v] = 0, numbered
+                numbered += size[v]
+            else:
+                depth[v], lo[v] = depth[p] + 1, free[p]
+                free[p] += size[v]
+            free[v] = lo[v] + 1
+        self.forest, self.up, self.depth, self.lo, self.size = forest, up, depth, lo, size
+        leaf = forest._label_vertex
+        self.at = {lid: lo[v] for lid, v in leaf.items()}
+        self.owner, self.top = {}, {}
+        for pid, labs in enumerate(parts):
+            self._claim(pid, [leaf[l] for l in labs])
+
+    def _claim(self, pid, leaves):
+        """Mark the Steiner subtree of ``leaves`` as part ``pid``'s.
+
+        Its top is the least common ancestor of the first and the last leaf
+        in preorder, and every other vertex lies on the way up from a leaf
+        to it, so each leaf climbs until it meets a vertex already marked.
+        ``ForestError`` is raised if the leaves lie in two components.
+        """
+        up, depth, owner = self.up, self.depth, self.owner
+        x = min(leaves, key=self.lo.__getitem__)
+        y = max(leaves, key=self.lo.__getitem__)
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            x = up.get(x)
+            if x is None:
+                raise ForestError("a part spans two components of an input tree")
+        self.top[pid] = x
+        owner[x] = pid
+        for v in leaves:
+            while owner.get(v) != pid:
+                owner[v] = pid
+                v = up[v]
+
+    def below(self, v, labs):
+        """The labels of ``labs`` whose leaves lie below ``v``."""
+        lo, at = self.lo[v], self.at
+        hi = lo + self.size[v]
+        return frozenset(l for l in labs if lo <= at[l] < hi)
+
+    def apart(self, live) -> list[int]:
+        """Ids of the edges that no one part holds at both ends, each part
+        id ``pid`` of ``owner`` read as ``live[pid]``: the edges the forest
+        loses when cut to the parts' Steiner subtrees."""
+        up = self.up
+        part = {v: live[pid] for v, pid in self.owner.items()}
+        # an edge with an end no part holds is apart (the defaults differ)
+        ends = [v for v, p in up.items() if part.get(v, -1) != part.get(p, -2)]
+        return self.forest._edges_up(ends, up)
 
 
 def subforest_witness(sub: Forest, sup: Forest):
     """Edge set E with ``sup.remove_edges(E)`` isomorphic to ``sub``, or None.
 
     Both forests are expanded to original labels first.  A component of the
-    candidate embeds as the contracted minimal spanning subtree of its labels,
-    so the only candidate for E is the set of edges outside those subtrees.
-    One hanging of ``sup`` (see :meth:`Forest._hanging`) gives each vertex
-    its top, which tells whether a component's labels lie in one component
-    of ``sup``, and its depth, by which the subtrees are found.  The witness
-    is then checked by the removal it names, as
-    :meth:`AgreementForest.verify` checks it: subtrees that share a vertex
-    merge into one component there, and one whose contraction differs from
-    its component has another structure, so either fails the equality test.
+    candidate embeds as the contracted Steiner subtree of its labels, the
+    least subtree that holds them, so the only candidate for E is the set
+    of edges outside those subtrees.  ``sup`` is hung once as a
+    :class:`_Hung` over ``sub``'s label partition, which claims each part's
+    subtree, and E is the set of edges that no one part holds at both ends
+    (:meth:`_Hung.apart`); a part whose labels lie in two components of
+    ``sup`` has no subtree, and the answer is None.  The witness is then
+    checked by the removal it names, as :meth:`AgreementForest.verify`
+    checks it.  Subtrees that share a vertex, where a later claim overwrote
+    an earlier one, or one whose contraction differs from its component,
+    fail that test: then ``sub`` is no subforest, as the subtrees of a
+    subforest's parts are disjoint and E is exactly the edges outside them.
     """
     if sub.rooted != sup.rooted:
         raise LabelUniverseError("rootedness mismatch")
@@ -1232,24 +1289,12 @@ def subforest_witness(sub: Forest, sup: Forest):
         sup = sup.expand_labels()
     if sub.label_ids() != sup.label_ids():
         raise LabelUniverseError("label sets differ")
-
-    order, up = sup._hanging()
-    depth, top = {}, {}
-    for v in order:
-        p = up.get(v)
-        if p is None:
-            depth[v], top[v] = 0, v
-        else:
-            depth[v], top[v] = depth[p] + 1, top[p]
-    # every component of ``sub`` must lie under one top of ``sup``
-    at = sup._label_vertex
-    lsets = sub.label_partition()
-    if any(len({top[at[l]] for l in lset}) != 1 for lset in lsets):
+    parts = sub.label_partition()
+    try:
+        hung = _Hung(sup, parts)
+    except ForestError:
         return None
-    keep_edges: set[int] = set()
-    for lset in lsets:
-        keep_edges |= _steiner(sup, up, depth, [at[l] for l in lset])[1]
-    witness = frozenset(sup.edge_ids() - keep_edges)
+    witness = frozenset(hung.apart(range(len(parts))))
     return witness if sup.remove_edges(witness).same_structure(sub) else None
 
 

@@ -162,7 +162,6 @@ from __future__ import annotations
 
 import random
 import weakref
-from collections import Counter
 
 from .forest import Forest, ForestError, LabelUniverseError
 
@@ -507,22 +506,30 @@ def find_applicable(fp: Forest, fq: Forest):
     Only the edges whose side below sums to 0 under the zero-sum weights of
     ``fp``'s components (:func:`_candidates`, from inherited side sums) are
     checked, each by walking its smaller side (:func:`_smaller_side`): that
-    side is a union of whole ``fp`` components iff the other is.  Every
-    removable edge is flagged, and a side that sums to 0 by chance fails
-    the check, so it cannot change the answer.
+    side is a union of whole ``fp`` components iff the other is.  It is one
+    iff a walk of ``fp`` from the side's labels reaches no other label
+    (:func:`_holds_whole_components`).  Every removable edge is flagged,
+    and a side that sums to 0 by chance fails the check, so it cannot
+    change the answer.
     """
     flagged = _candidates(fq, _weights_of(fp))
     if not flagged:
         return None
-    parts = fp.label_partition()
-    part_of = fp._comp_of.__getitem__
     ends = fq._edges
-    found = []
-    for eid in flagged:
-        count = Counter(map(part_of, _smaller_side(fq, *ends[eid])[0]))
-        if all(n == len(parts[c]) for c, n in count.items()):
-            found.append(eid)
+    found = [eid for eid in flagged
+             if _holds_whole_components(fp, _smaller_side(fq, *ends[eid])[0])]
     return tuple(found) or None
+
+
+def _holds_whole_components(fp: Forest, lids) -> bool:
+    """True iff the labels ``lids`` are a union of whole components of
+    ``fp``: walks of ``fp`` from each of their leaves, which stop at the
+    first label outside them, reach no such label.  Every leaf counts as
+    seen from the start, as each is walked from itself."""
+    side = set(lids)
+    starts = [fp._label_vertex[lid] for lid in side]
+    seen = set(starts)
+    return all(lid is None or lid in side for v in starts for lid in _walk(fp, v, seen, ()))
 
 
 def require_whole_partners(forests):

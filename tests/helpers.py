@@ -350,7 +350,7 @@ def sibling_case_by_pairs(forest, lids):
 
 
 def steiner_by_pruning(sup, leaf_vertices):
-    """Reference for the Steiner subtree of ``subforest_witness``.
+    """Reference for the Steiner subtree that ``forest._Hung`` claims.
 
     Copies the component holding ``leaf_vertices`` and prunes every leaf that
     is not a target until none is left; returns the vertex and edge sets.

@@ -49,16 +49,29 @@ def test_sums_the_files_it_is_given(counter, tmp_path, capsys):
     for name in ("a.py", "b.py"):
         paths.append(str(tmp_path / name))
         (tmp_path / name).write_text(FIXTURE, encoding="utf-8")
+    (tmp_path / "c.py").write_text("x = 1\n\n# done\n", encoding="utf-8")
+    paths.append(str(tmp_path / "c.py"))
     assert counter.main(paths) == 0
-    assert capsys.readouterr().out == "32 lines, 14 code lines in 2 files\n"
+    assert capsys.readouterr().out.splitlines() == [
+        f"16 lines, 7 code lines in {paths[0]}",
+        f"16 lines, 7 code lines in {paths[1]}",
+        f"3 lines, 1 code lines in {paths[2]}",
+        "35 lines, 15 code lines in 3 files",
+    ]
 
 
 def test_default_is_the_package_source(counter, capsys):
     counter.main([])
-    out = capsys.readouterr().out
+    *files, last = capsys.readouterr().out.splitlines()
     total = 0
-    for name in os.listdir(os.path.join(ROOT, "src", "mafkit")):
-        if name.endswith(".py"):
-            with open(os.path.join(ROOT, "src", "mafkit", name), encoding="utf-8") as fh:
-                total += fh.read().count("\n")
-    assert out.startswith(f"{total} lines, ")
+    names = sorted(name for name in os.listdir(os.path.join(ROOT, "src", "mafkit"))
+                   if name.endswith(".py"))
+    for name, line in zip(names, files, strict=True):
+        path = os.path.join(ROOT, "src", "mafkit", name)
+        with open(path, encoding="utf-8") as fh:
+            n = fh.read().count("\n")
+        assert line.startswith(f"{n} lines, ") and line.endswith(f" in {path}")
+        total += n
+    # the totals stay on the last line, where CI's line count reads them
+    assert last.startswith(f"{total} lines, ")
+    assert last.endswith(f" in {len(names)} files")

@@ -1,0 +1,141 @@
+"""A ground truth that shares no code with the solvers it checks.
+
+It reads the generator's Newick text with its own reader, into nested
+tuples whose leaves are name strings; ρ is a leaf like any other.  A
+partition of the labels into blocks is an agreement forest of a list of
+forests when, in every forest, each block lies in one tree, the blocks'
+Steiner vertex sets are disjoint, and each block restricts the forest to the
+tree it restricts the first forest to.  A vertex is in a block's Steiner set
+when it is a leaf of the block, or when two or more of its branches hold
+labels of the block.  A restriction is known by its split system: unrooted,
+the two sides within the block of every edge; rooted, the block's labels
+below every vertex, the cluster system, which fixes a rooted tree as splits
+fix an unrooted one.  ρ is written as a leaf of the top of its tree and
+stands for the root above that top, so it belongs to no cluster.  The
+optimum is the least number of blocks of such a partition, found by trying
+every set partition of the labels, fewer blocks first.
+"""
+
+import random
+
+import mafkit as mk
+
+RHO = "ρ"
+
+
+def read_forest(text):
+    """Each ';'-terminated line of Newick text as a nested tuple."""
+    trees = []
+    for line in text.splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        stack, name = [[]], ""
+        for ch in line.strip():
+            if ch not in "(,);":
+                name += ch
+                continue
+            if name:
+                stack[-1].append(name)
+                name = ""
+            if ch == "(":
+                stack.append([])
+            elif ch == ")":
+                node = tuple(stack.pop())
+                stack[-1].append(node)
+        (tree,) = stack[0]
+        trees.append(tree)
+    return trees
+
+
+def shape(trees):
+    """The label set of each tree; each vertex as (leaf name or None, the
+    label sets of its branches); the labels below each vertex."""
+    wholes, vertices, sides = [], [], []
+    for tree in trees:
+        seen = []
+
+        def down(node):
+            kids = [] if isinstance(node, str) else [down(child) for child in node]
+            labels = frozenset([node]) if isinstance(node, str) else frozenset().union(*kids)
+            seen.append((node if isinstance(node, str) else None, kids, labels))
+            return labels
+
+        whole = down(tree)
+        wholes.append(whole)
+        vertices += [(name, kids + [whole - labels] * (labels != whole))
+                     for name, kids, labels in seen]
+        sides += [labels for _, _, labels in seen]
+    return wholes, vertices, sides
+
+
+def restriction(sides, block, rooted):
+    if rooted:
+        return {(side - {RHO}) & block for side in sides} - {frozenset()}
+    return {frozenset((side & block, block - side)) for side in sides
+            if side & block and block - side}
+
+
+def agrees(blocks, shapes, rooted):
+    """True iff ``blocks`` is an agreement forest of the shaped forests."""
+    first = shapes[0][2]
+    for wholes, vertices, sides in shapes:
+        if not all(any(block <= whole for whole in wholes) for block in blocks):
+            return False
+        for name, branches in vertices:
+            if sum(name in block or sum(1 for b in branches if b & block) >= 2
+                   for block in blocks) > 1:
+                return False
+        if any(restriction(sides, block, rooted) != restriction(first, block, rooted)
+               for block in blocks):
+            return False
+    return True
+
+
+def set_partitions(labels):
+    if not labels:
+        yield []
+        return
+    for rest in set_partitions(labels[1:]):
+        yield [frozenset([labels[0]]), *rest]
+        for i, block in enumerate(rest):
+            yield [*rest[:i], block | {labels[0]}, *rest[i + 1:]]
+
+
+def optimum(texts, rooted):
+    shapes = [shape(read_forest(text)) for text in texts]
+    labels = sorted(set().union(*shapes[0][0]))
+    assert len(labels) <= 7
+    fewest_first = sorted(set_partitions(labels), key=len)
+    return next(len(p) for p in fewest_first if agrees(p, shapes, rooted))
+
+
+def test_optimum_matches_oracle_and_solver():
+    seen, rng = {}, random.Random(2024)
+    for seed in range(120):
+        rooted, m = seed % 2 == 0, 2 + seed % 3
+        spec = mk.GenSpec(n=rng.randint(4, 6 if rooted else 7), m=m,
+                          x=rng.randint(1, 3), seed=seed, rooted=rooted)
+        instance = mk.generate_instance(spec)
+        texts = mk.format_instance(instance).splitlines()
+        want = optimum(texts, rooted)
+        assert mk.brute_force_maf(instance).opt_order == want, spec
+        assert mk.find_min_k(instance).order == want, spec
+        seen[rooted, m, want] = seen.get((rooted, m, want), 0) + 1
+    assert {opt for _, _, opt in seen} >= {1, 2, 3, 4}
+    assert len({(rooted, m) for rooted, m, _ in seen}) == 6
+
+
+def test_subforest_verdict_matches_is_subforest():
+    outcomes, rng = {True: 0, False: 0}, random.Random(7)
+    for seed in range(150):
+        rooted = seed % 2 == 0
+        spec = mk.GenSpec(n=rng.randint(4, 6 if rooted else 7), m=2, x=rng.randint(1, 2),
+                          seed=seed, rooted=rooted)
+        t1, t2 = mk.generate_instance(spec).forests
+        sub = t1.remove_edges(rng.sample(sorted(t1.edge_ids()), rng.randint(0, 4)))
+        sup = rng.choice([t1, t2, t2.remove_edges(rng.sample(sorted(t2.edge_ids()), 1))])
+        shapes = [shape(read_forest(mk.serialize(f))) for f in (sub, sup)]
+        want = agrees(shapes[0][0], shapes, rooted)
+        assert mk.is_subforest(sub, sup) == want
+        outcomes[want] += 1
+    assert min(outcomes.values()) > 30

@@ -3,12 +3,12 @@
     python3 tools/count_lines.py              # src/mafkit/*.py
     python3 tools/count_lines.py FILE ...     # the files named
 
-Prints one line: the total lines of the files and their code lines, the
-lines left when docstrings, comments and blank lines are taken out.  A
-docstring here is any string that stands alone as a statement.  A line
-counts as code when it holds any token outside those, so a line of code
-that ends in a comment is code, and so is every line of a string that is
-part of an expression.
+Prints the lines of each file and their code lines, the lines left when
+docstrings, comments and blank lines are taken out, one line per file in
+the order given, then the totals on the last line.  A docstring here is
+any string that stands alone as a statement.  A line counts as code when
+it holds any token outside those, so a line of code that ends in a comment
+is code, and so is every line of a string that is part of an expression.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ def main(argv=None) -> int:
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             n, c = count(fh.read())
+        print(f"{n} lines, {c} code lines in {path}")
         lines += n
         code += c
     print(f"{lines} lines, {code} code lines in {len(paths)} files")
