@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .forest import RHO, Forest, Instance, LabelTable, MafError, find_root
+from .forest import RHO, Forest, Instance, LabelTable, MafError, _walk, find_root
 
 
 class GenerationError(MafError):
@@ -146,19 +146,6 @@ def contract_random_edges(f: Forest, count: int, seed) -> Forest:
     return Forest.build(f.rooted, f.labels, leaf_labels, edges)
 
 
-def _descendants(f: Forest, v) -> set[int]:
-    out = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        pe = f.parent_edge(x)
-        for e, w in f.neighbors(x):
-            if e != pe and w not in out:
-                out.add(w)
-                stack.append(w)
-    return out
-
-
 def _one_spr(f: Forest, rng: random.Random) -> Forest:
     rho_edge = f.pendant_edge(f.labels.id_of(RHO))
     prunable = sorted(e for e in f.edge_ids() if e != rho_edge)
@@ -167,7 +154,9 @@ def _one_spr(f: Forest, rng: random.Random) -> Forest:
     for _ in range(64):
         prune = prunable[rng.randrange(len(prunable))]
         _, below = f.edge_ends(prune)
-        sub = _descendants(f, below)
+        sub = {below}  # the walk adds every vertex under ``below``
+        for _lid in _walk(f, below, sub, (prune,)):
+            pass
         targets = sorted(
             e
             for e in f.edge_ids()
@@ -204,6 +193,8 @@ def apply_random_spr(f: Forest, x: int, seed) -> Forest:
     """
     if x < 0:
         raise GenerationError("SPR count cannot be negative")
+    if not f.rooted:
+        raise GenerationError("SPR moves need a rooted tree")
     rng = _as_rng(seed)
     for _ in range(x):
         f = _one_spr(f, rng)

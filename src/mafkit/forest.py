@@ -2,9 +2,12 @@
 
 A forest is a collection of trees whose leaves are bijectively labeled by a
 fixed label set; internal vertices are unlabeled.  Rooted forests carry a
-distinguished root leaf named "ρ" and keep an explicit parent orientation,
-because ancestor/descendant constraints matter for which edges may be cut.
-Unrooted forests store plain undirected adjacency.
+distinguished root leaf named "ρ" and orient every edge, because
+ancestor/descendant constraints matter for which edges may be cut.  The
+orientation is held once, in the edge map: each edge id maps to its two ends,
+parent first, so a vertex's parent edge is the entry of its own adjacency row
+that names it as the child (see :meth:`Forest.parent_edge`).  Unrooted
+forests read the same maps as plain undirected adjacency.
 
 All values are immutable: every operation returns a new ``Forest``.  Forests
 are kept irreducible at all times -- unlabeled degree-2 vertices are spliced
@@ -180,6 +183,21 @@ def find_root(parent, x):
     return x
 
 
+def _walk(forest, start, seen, removed):
+    """Yield the label id, or None, of each vertex of ``forest`` reached from
+    ``start`` without entering ``seen`` or crossing an edge in ``removed``,
+    one vertex at a time; each vertex reached joins ``seen``."""
+    adj, vlabel = forest._adj, forest._vlabel
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        yield vlabel.get(v)
+        for e, w in adj[v].items():
+            if w not in seen and e not in removed:
+                seen.add(w)
+                stack.append(w)
+
+
 def _latest_grouping(rec, g, end):
     """Start in ``rec``, the groupings of label ``g`` (see
     :meth:`Forest.originals`), of the latest of them that ends by ``end``:
@@ -253,7 +271,6 @@ class Forest:
         "_vlabel",
         "_adj",
         "_edges",
-        "_parent_edge",
         "_next_v",
         "_next_e",
         "_label_vertex",
@@ -267,14 +284,14 @@ class Forest:
         "__weakref__",
     )
 
-    def __init__(self, rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e,
-                 label_vertex):
+    def __init__(self, rooted, labels, vlabel, adj, edges, next_v, next_e, label_vertex):
         self.rooted = rooted
         self.labels = labels
         self._vlabel = vlabel          # vertex -> label id
         self._adj = adj                # vertex -> {edge id: neighbor}
-        self._edges = edges            # edge id -> (u, v); u is parent when rooted
-        self._parent_edge = parent_edge  # rooted: child vertex -> edge id
+        # edge id -> (u, v); rooted, u is the parent: the one record of the
+        # orientation, which no other map repeats
+        self._edges = edges
         self._next_v = next_v
         self._next_e = next_e
         self._label_vertex = label_vertex  # label id -> vertex
@@ -302,17 +319,19 @@ class Forest:
     def build(cls, rooted, labels, leaf_labels, edge_list) -> "Forest":
         """Assemble a forest from raw parts.
 
-        ``leaf_labels`` maps vertex id -> label id, ``edge_list`` is an
-        iterable of vertex pairs (parent first when rooted).  Each edge is
-        joined in a union-find (:func:`find_root`) as it comes, and one whose
-        ends are already joined closes a cycle and raises ``ForestError``.
-        :meth:`_settle` then normalizes the maps by forced contraction from
-        every vertex.
+        ``leaf_labels`` maps vertex id -> label id, each an index of
+        ``labels``, and ``edge_list`` is an iterable of vertex pairs (parent
+        first when rooted).  Each edge is joined in a union-find
+        (:func:`find_root`) as it comes, and one whose ends are already
+        joined closes a cycle and raises ``ForestError``.  :meth:`_settle`
+        then normalizes the maps by forced contraction from every vertex.
         """
         vlabel = dict(leaf_labels)
+        if vlabel and not 0 <= min(vlabel.values()) <= max(vlabel.values()) < len(labels):
+            raise ForestError("label id outside the label table")
         adj: dict[int, dict[int, int]] = {v: {} for v in vlabel}
         edges: dict[int, tuple[int, int]] = {}
-        parent_edge: dict[int, int] = {}
+        children: set[int] = set()
         joined: dict[int, int] = {}
         for eid, (u, v) in enumerate(edge_list):
             if u == v:
@@ -323,9 +342,9 @@ class Forest:
             adj[v][eid] = u
             edges[eid] = (u, v)
             if rooted:
-                if v in parent_edge:
+                if v in children:
                     raise ForestError(f"vertex {v} has two parents")
-                parent_edge[v] = eid
+                children.add(v)
             ru = find_root(joined, joined.setdefault(u, u))
             rv = find_root(joined, joined.setdefault(v, v))
             if ru == rv:
@@ -334,8 +353,7 @@ class Forest:
         next_v = max(adj, default=-1) + 1
         next_e = len(edges)
         label_vertex = {lid: v for v, lid in vlabel.items()}
-        f = cls(rooted, labels, vlabel, adj, edges, parent_edge, next_v, next_e,
-                label_vertex)
+        f = cls(rooted, labels, vlabel, adj, edges, next_v, next_e, label_vertex)
         return f._settle(list(adj))
 
     def _settle(self, seeds) -> "Forest":
@@ -354,7 +372,6 @@ class Forest:
             dict(self._vlabel),
             dict(self._adj),
             dict(self._edges),
-            dict(self._parent_edge),
             self._next_v,
             self._next_e,
             dict(self._label_vertex),
@@ -389,7 +406,6 @@ class Forest:
         lid = self._vlabel.pop(v, None)
         if lid is not None:
             self._label_vertex.pop(lid, None)
-        self._parent_edge.pop(v, None)
 
     def _add_edge(self, u, v) -> int:
         eid = self._next_e
@@ -397,18 +413,12 @@ class Forest:
         self._edges[eid] = (u, v)
         self._row(u)[eid] = v
         self._row(v)[eid] = u
-        if self.rooted:
-            if v in self._parent_edge:
-                raise ForestError(f"vertex {v} has two parents")
-            self._parent_edge[v] = eid
         return eid
 
     def _del_edge(self, eid):
         u, v = self._edges.pop(eid)
         del self._row(u)[eid]
         del self._row(v)[eid]
-        if self.rooted and self._parent_edge.get(v) == eid:
-            del self._parent_edge[v]
 
     def _normalize(self, dirty, log):
         """Forced contraction from the given seed vertices outward.
@@ -426,7 +436,9 @@ class Forest:
             if v not in self._adj or v in self._vlabel:
                 continue
             deg = len(self._adj[v])
-            pe = self._parent_edge.get(v) if self.rooted else None
+            if deg > 2:  # nothing to contract, whether it has a parent or not
+                continue
+            pe = self.parent_edge(v)
             if pe is None:
                 # unrooted vertex, or a rooted component root
                 if deg == 0:
@@ -482,10 +494,9 @@ class Forest:
                 if deg > 1:
                     raise ForestError(f"labeled vertex {v} has degree {deg}")
             elif self.rooted:
-                if v in self._parent_edge:
-                    if deg < 3:
-                        raise ForestError(f"unlabeled non-root {v} has degree {deg}")
-                elif deg < 2:
+                if deg < 3 and self.parent_edge(v) is not None:
+                    raise ForestError(f"unlabeled non-root {v} has degree {deg}")
+                if deg < 2:
                     raise ForestError(f"unlabeled root {v} has degree {deg}")
             elif deg < 3:
                 raise ForestError(f"unlabeled vertex {v} has degree {deg}")
@@ -554,11 +565,19 @@ class Forest:
         return tuple(out)
 
     def parent_vertex(self, v):
-        pe = self._parent_edge.get(v)
-        return None if pe is None else self._adj[v][pe]
+        pe = self.parent_edge(v)
+        return None if pe is None else self._edges[pe][0]
 
     def parent_edge(self, v):
-        return self._parent_edge.get(v)
+        """Rooted: the id of the edge from ``v`` up to its parent, the entry
+        of ``v``'s row that names ``v`` as the child; None for a component
+        root, and for every vertex of an unrooted forest."""
+        if self.rooted:
+            edges = self._edges
+            for e in self._adj[v]:
+                if edges[e][1] == v:
+                    return e
+        return None
 
     def pendant_edge(self, lid) -> int:
         v = self._label_vertex.get(lid)
@@ -677,16 +696,18 @@ class Forest:
     def remove_edges(self, eids) -> "Forest":
         """Forest with the given edges deleted, then contracted.
 
-        The new value records ``(self, log, chain length)`` as its origin,
-        so that the reduction can carry what it computed for this value to
-        the new one: ``("cut", e, u, v)`` for each deleted edge in the order
-        given, then the contraction steps (see :meth:`_normalize`).  A sibling-set table
-        already built here is patched at the vertices the removal wrote.
+        ``eids`` is read as a set: a repeated id is cut once.  The new value
+        records ``(self, log, chain length)`` as its origin, so that the
+        reduction can carry what it computed for this value to the new one:
+        ``("cut", e, u, v)`` for each deleted edge in the order of its first
+        occurrence, then the contraction steps (see :meth:`_normalize`).  A
+        sibling-set table already built here is patched at the vertices the
+        removal wrote.
         """
         f = self._copy()
         log = []
         dirty = []
-        for eid in eids:
+        for eid in dict.fromkeys(eids):
             if eid not in f._edges:
                 raise ForestError(f"unknown edge id {eid}")
             u, v = f._edges[eid]
@@ -703,22 +724,15 @@ class Forest:
     def split_labels(self, eid) -> EdgeSplit:
         """Label sets of the two subtrees obtained by deleting ``eid``.
 
-        Each side is walked from its end of the edge, so only the edge's own
-        component is visited.
+        Each side is walked (:func:`_walk`) from its end of the edge, both
+        ends seen from the outset, so only the edge's own component is
+        visited.
         """
         if eid not in self._edges:
             raise ForestError(f"unknown edge id {eid}")
-        adj, vlabel = self._adj, self._vlabel
-        sides = []
-        for start in self._edges[eid]:
-            side = {start}
-            stack = [start]
-            while stack:
-                for e, w in adj[stack.pop()].items():
-                    if e != eid and w not in side:
-                        side.add(w)
-                        stack.append(w)
-            sides.append(frozenset(vlabel[x] for x in side if x in vlabel))
+        ends = self._edges[eid]
+        seen = set(ends)
+        sides = (frozenset(_walk(self, v, seen, ())) - {None} for v in ends)
         return EdgeSplit(eid, *sides)
 
     def find_mss(self) -> frozenset[int] | None:
@@ -759,8 +773,8 @@ class Forest:
                 return None
             s = frozenset((self._vlabel[v], self._vlabel[w]))
         elif self.rooted:
-            pe = self._parent_edge.get(v)
-            kids = [w for e, w in self._adj[v].items() if e != pe]
+            edges = self._edges
+            kids = [w for e, w in self._adj[v].items() if edges[e][0] == v]
             if len(kids) < 2 or any(w not in self._vlabel for w in kids):
                 return None
             s = frozenset(self._vlabel[w] for w in kids)
@@ -902,7 +916,8 @@ class Forest:
         """
         adj = self._adj
         if self.rooted:
-            tops = [v for v in adj if v not in self._parent_edge]
+            children = {c for _, c in self._edges.values()}
+            tops = [v for v in adj if v not in children]
         else:
             at = self._label_vertex
             tops = [at[lid] for lid in sorted(at)]
@@ -923,12 +938,8 @@ class Forest:
 
     def _edges_up(self, vertices, up) -> list[int]:
         """Ids of the edges from each of ``vertices`` to the vertex above it
-        in the hanging ``up`` (see :meth:`_hanging`): the parent edge when
-        rooted, where ``up`` maps to parents, and looked up among the
-        vertex's neighbors when not."""
-        if self.rooted:
-            pe = self._parent_edge
-            return [pe[v] for v in vertices]
+        in the hanging ``up`` (see :meth:`_hanging`), looked up among the
+        vertex's neighbors; rooted, that is the parent edge."""
         adj = self._adj
         out = []
         for v in vertices:
@@ -947,7 +958,7 @@ class Forest:
         rootedness, vertex and edge counts and label-id sets must agree.
         Then from each label's leaf both forests are climbed at once, each
         hung as :meth:`_hanging` hangs it (rooted, the parents are read off
-        the parent edges, with no walk), mapping every vertex of this forest
+        the edge map, with no walk), mapping every vertex of this forest
         met to the vertex of ``other`` met with it.  A climb stops at a
         vertex already mapped, whose image must be the vertex met in
         ``other``, and fails when one side reaches a top and the other does
@@ -976,9 +987,8 @@ class Forest:
                 or self._label_vertex.keys() != other._label_vertex.keys()):
             return False
         if self.rooted:
-            adj1, adj2 = self._adj, other._adj
-            up1 = {v: adj1[v][e] for v, e in self._parent_edge.items()}
-            up2 = {v: adj2[v][e] for v, e in other._parent_edge.items()}
+            up1 = {c: p for p, c in self._edges.values()}
+            up2 = {c: p for p, c in other._edges.values()}
         else:
             up1, up2 = self._hanging()[1], other._hanging()[1]
         at2 = other._label_vertex
@@ -1029,7 +1039,7 @@ class Forest:
         The same facts tell "every two are siblings" before the sort: the
         labels all have one hub, or are two, each the other's hub.
         """
-        adj, at, pe = self._adj, self._label_vertex, self._parent_edge
+        adj, at, edges = self._adj, self._label_vertex, self._edges
         rooted = self.rooted
         hub = {}
         for l in lids:
@@ -1038,9 +1048,11 @@ class Forest:
                 raise ForestError(f"label id {l} is not in the forest")
             if not adj[v]:
                 raise ForestError("sibling case undefined for singleton label")
-            if rooted and v not in pe:
+            # a labeled vertex has one edge: rooted, the one up to its parent, but ρ's
+            e, w = next(iter(adj[v].items()))
+            if rooted and edges[e][1] != v:
                 raise ForestError("sibling case undefined for parentless label (ρ)")
-            hub[l] = next(iter(adj[v].values()))
+            hub[l] = w
         if len(hub) < 2:
             raise ForestError("sibling set needs at least two labels")
         if len(hub) == 2:
@@ -1050,7 +1062,7 @@ class Forest:
         hubs = set(hub.values())
         if len(hubs) == 1:
             (p,) = hubs
-            up = pe.get(p) if rooted else None
+            up = self.parent_edge(p)
             surplus = len(adj[p]) - len(hub) - (up is not None)
             if surplus <= (0 if rooted else 1):
                 return SiblingCase("mss", hub=p)

@@ -169,8 +169,7 @@ def _tree_to_forest(tree, rooted, table: LabelTable, line_no) -> Forest:
     can contract."""
     names, adj, edges, next_v, next_e, top = tree
     vlabel = dict(zip(names, map(table.id_of, names.values())))
-    parent_edge = dict(zip([c for _, c in edges.values()], edges)) if rooted else {}
-    f = Forest(rooted, table, vlabel, adj, edges, parent_edge, next_v, next_e,
+    f = Forest(rooted, table, vlabel, adj, edges, next_v, next_e,
                dict(zip(vlabel.values(), vlabel)))
     try:
         return f._settle([top])

@@ -163,7 +163,7 @@ from __future__ import annotations
 import random
 import weakref
 
-from .forest import Forest, ForestError, LabelUniverseError
+from .forest import Forest, ForestError, LabelUniverseError, _walk
 
 
 # the answer does not depend on the weights, only the number of false
@@ -296,21 +296,6 @@ def _rezero(forest, weight, removed, a, b):
 
 # what ``next`` gives for a walk that has run out
 _END = object()
-
-
-def _walk(forest, start, seen, removed):
-    """Yield the label id, or None, of each vertex of ``forest`` reached from
-    ``start`` without entering ``seen`` or crossing an edge in ``removed``,
-    one vertex at a time; each vertex reached joins ``seen``."""
-    adj, vlabel = forest._adj, forest._vlabel
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        yield vlabel.get(v)
-        for e, w in adj[v].items():
-            if w not in seen and e not in removed:
-                seen.add(w)
-                stack.append(w)
 
 
 def _smaller_side(forest, a, b, removed=()):

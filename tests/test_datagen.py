@@ -76,6 +76,12 @@ def test_spr_rejects_negative_count():
         mk.apply_random_spr(t, -2, seed=5)
 
 
+def test_spr_rejects_an_unrooted_tree():
+    t = mk.generate_instance(mk.GenSpec(n=7, m=2, x=0, seed=1, rooted=False)).forests[0]
+    with pytest.raises(mk.GenerationError, match="SPR moves need a rooted tree"):
+        mk.apply_random_spr(t, 1, seed=5)
+
+
 def test_spr_preserves_leafset_and_stays_a_tree():
     t = mk.random_binary_tree(8, seed=1)
     for seed in range(8):

@@ -173,6 +173,10 @@ def test_removal_properties(rng):
         sub = rng.sample(eids, rng.randint(0, len(eids)))
         g = f.remove_edges(sub)
         assert f.order_without(sub) == g.order()
+        # a repeated id is cut once, where it first occurs
+        again = f.remove_edges(sub + sub[::-1])
+        assert again.same_structure(g) and again._origin[1] == g._origin[1]
+        assert f.order_without(sub + sub) == g.order()
         assert g.order() <= f.order() + len(sub)
         assert g.label_ids() == f.label_ids()
         # removal never merges: new components refine old ones
@@ -611,6 +615,11 @@ def test_bad_label_sets_raise_forest_error():
         for lid in (b, 99):
             with pytest.raises(mk.ForestError, match=f"label id {lid} is not in"):
                 grouped.pendant_edge(lid)
+    # a leaf map naming an id past the table, or a negative one
+    table = mk.LabelTable.from_names("ab")
+    for lid in (7, 2, -1):
+        with pytest.raises(mk.ForestError, match="label id outside the label table"):
+            mk.Forest.build(False, table, {0: lid, 1: 1}, [(0, 1)])
 
 
 # -- group / expand ----------------------------------------------------------
@@ -772,9 +781,7 @@ def test_unscanned_derivations_do_not_hold_every_ancestor(rng):
 
 
 def _snapshot(f):
-    return copy.deepcopy(
-        (f._adj, f._edges, f._vlabel, f._label_vertex, f._parent_edge)
-    )
+    return copy.deepcopy((f._adj, f._edges, f._vlabel, f._label_vertex))
 
 
 def test_derivations_leave_every_ancestor_untouched(rng):

@@ -14,6 +14,11 @@ fix an unrooted one.  ρ is written as a leaf of the top of its tree and
 stands for the root above that top, so it belongs to no cluster.  The
 optimum is the least number of blocks of such a partition, found by trying
 every set partition of the labels, fewer blocks first.
+
+For two rooted binary trees there is a second measure: by Bordewich and
+Semple (2005), the optimum minus one is their rSPR distance, the fewest
+subtree prune-and-regraft moves that turn one into the other, which a
+breadth-first search over such moves finds.
 """
 
 import random
@@ -139,3 +144,88 @@ def test_subforest_verdict_matches_is_subforest():
         assert mk.is_subforest(sub, sup) == want
         outcomes[want] += 1
     assert min(outcomes.values()) > 30
+
+
+def rooted_binary(text):
+    """A rooted binary tree's line as nested pairs without ρ, which the
+    writer puts beside the top's two branches; every pair is in a fixed
+    order, so equal trees are equal tuples."""
+    (top,) = read_forest(text)
+    branches = tuple(x for x in top if x != RHO)
+    assert len(top) == 3 and len(branches) == 2
+    return canon(branches)
+
+
+def canon(node):
+    return node if isinstance(node, str) else tuple(sorted(map(canon, node), key=str))
+
+
+def prunings(node):
+    """Each subtree below ``node``'s top, with what is left once it is cut
+    away and its parent suppressed."""
+    if isinstance(node, str):
+        return
+    a, b = node
+    yield a, b
+    yield b, a
+    for sub, rest in prunings(a):
+        yield sub, (rest, b)
+    for sub, rest in prunings(b):
+        yield sub, (a, rest)
+
+
+def graftings(node, sub):
+    """``sub`` joined to each edge of ``node``, the edge above its top too."""
+    yield node, sub
+    if not isinstance(node, str):
+        a, b = node
+        for t in graftings(a, sub):
+            yield t, b
+        for t in graftings(b, sub):
+            yield a, t
+
+
+def spr_neighbors(tree):
+    return {canon(t) for sub, rest in prunings(tree) for t in graftings(rest, sub)}
+
+
+def rspr_distance(t1, t2):
+    """Fewest rSPR moves from ``t1`` to ``t2``, by a breadth-first search
+    from both ends that grows the smaller frontier a whole level at a time.
+    The first level that meets the other side holds a shortest path's
+    middle, so the least sum of distances met over that level is the
+    answer."""
+    if t1 == t2:
+        return 0
+    dist, frontier = ({t1: 0}, {t2: 0}), [[t1], [t2]]
+    while True:
+        side = int(len(frontier[0]) > len(frontier[1]))
+        mine, theirs = dist[side], dist[1 - side]
+        met, grown = [], []
+        for t in frontier[side]:
+            for u in spr_neighbors(t):
+                if u in theirs:
+                    met.append(mine[t] + 1 + theirs[u])
+                if u not in mine:
+                    mine[u] = mine[t] + 1
+                    grown.append(u)
+        if met:
+            return min(met)
+        frontier[side] = grown
+
+
+def test_rspr_distance_is_order_minus_one():
+    instances = [mk.generate_instance(mk.GenSpec(n=4 + seed % 3, m=2, x=1 + seed % 3, seed=seed,
+                                                 contract_count=0))
+                 for seed in range(64)]
+    # independent trees lie further apart than the generator's moved copies
+    instances += [mk.Instance(rooted=True, forests=(mk.random_binary_tree(n, seed),
+                                                    mk.random_binary_tree(n, 1000 + seed)))
+                  for seed in range(64) for n in [4 + seed % 3]]
+    seen = set()
+    for instance in instances:
+        t1, t2 = (rooted_binary(mk.serialize(f)) for f in instance.forests)
+        want = rspr_distance(t1, t2)
+        assert mk.find_min_k(instance).order - 1 == want, instance.name
+        seen.add(want)
+    assert seen == {0, 1, 2, 3}

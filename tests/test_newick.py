@@ -193,7 +193,7 @@ def test_reader_whitespace_is_regex_space():
 def _maps(f):
     """Every map of a forest value, in insertion order."""
     return (list(f._vlabel.items()), list(f._edges.items()), list(f._adj.items()),
-            list(f._parent_edge.items()), f._next_v, f._next_e)
+            f._next_v, f._next_e)
 
 
 def _dress(rng, text):
