@@ -25,8 +25,9 @@ instance whose later forests are not raises ``ForestError``.
 
 Every step is recorded with the removed edges, the working-forest subset, and
 an essential subset (a removal set of the same effect in which every edge
-genuinely splits a component); ``check_metastep_ratio`` re-audits a record's
-bookkeeping after the fact.
+genuinely splits a component).  ``check_metastep_ratio`` audits each record
+where the step is made, against the forests the step passed through, and a
+record keeps edge ids only, not those forests.
 
 The trace also bounds the optimum from below (``ApproxResult.lower_bound``).
 For a pair (F1, F2) let d(F1, F2) be the number of further cuts of F1 that
@@ -85,7 +86,8 @@ def declared_ratio(kind: str, rooted: bool) -> int:
 
 @dataclass(frozen=True)
 class MetaStepRecord:
-    """Bookkeeping for one meta-step application."""
+    """Bookkeeping for one meta-step application: edge ids and the declared
+    ratio, but not the forests the step passed through."""
 
     kind: str
     partner_index: int
@@ -93,8 +95,6 @@ class MetaStepRecord:
     removed_partner: tuple[int, ...]
     essential: tuple[int, ...]
     declared_ratio: int
-    f1_before: Forest
-    f1_after: Forest
 
 
 @dataclass(frozen=True)
@@ -130,28 +130,25 @@ class ApproxResult:
 essential_subset = Forest.essential_edges
 
 
-def check_metastep_ratio(rec: MetaStepRecord) -> bool:
-    """Re-audit one record's identities; False on any violation.
+def check_metastep_ratio(rec: MetaStepRecord, before: Forest, after: Forest) -> bool:
+    """Audit one record against its step's forests; False on any violation.
 
-    A reduction step keeps every edge it removes as essential, a grouping
-    has none, and a cut step removes at most as many essential edges
-    as its ratio; a record of any other kind fails.
+    ``before`` is the working forest the step started from and ``after``
+    the one the step derived itself.  The essential edges are among the
+    removed ones, removing them alone from ``before`` gives ``after`` (made
+    only when they are fewer than the removal, as ``after`` is that
+    derivation otherwise), and each raises the order by one.  A reduction
+    step keeps every edge it removes as essential, a grouping has none,
+    and a cut step removes at most as many essential edges as its ratio; a
+    record of any other kind fails.
     """
-    before = rec.f1_before
     try:
         ess, removed = set(rec.essential), set(rec.removed_f1)
         if not ess <= removed:
             return False
-        # an empty removal gives ``before`` back, and an essential set equal
-        # to the whole removal names the same derivation, so neither is made
-        # again; the identities below are checked all the same
-        after_full = before.remove_edges(rec.removed_f1) if removed else before
-        after_ess = after_full if ess == removed else before.remove_edges(rec.essential)
-        if not after_full.same_structure(after_ess):
+        if ess != removed and not before.remove_edges(rec.essential).same_structure(after):
             return False
-        if after_full.order() != before.order() + len(rec.essential):
-            return False
-        if len(rec.essential) != rec.f1_after.order() - before.order():
+        if len(rec.essential) != after.order() - before.order():
             return False
         ratio = declared_ratio(rec.kind, before.rooted)
         if rec.kind == RULE1:
@@ -169,19 +166,16 @@ def check_metastep_ratio(rec: MetaStepRecord) -> bool:
     return True
 
 
-def _record(kind, idx, f1_before, f1_after, removed_f1, removed_partner) -> MetaStepRecord:
-    ess = essential_subset(f1_before, removed_f1)
+def _record(kind, idx, before, after, removed_f1, removed_partner) -> MetaStepRecord:
     rec = MetaStepRecord(
         kind=kind,
         partner_index=idx,
         removed_f1=tuple(sorted(removed_f1)),
         removed_partner=tuple(sorted(removed_partner)),
-        essential=ess,
-        declared_ratio=declared_ratio(kind, f1_before.rooted),
-        f1_before=f1_before,
-        f1_after=f1_after,
+        essential=essential_subset(before, removed_f1),
+        declared_ratio=declared_ratio(kind, before.rooted),
     )
-    if not check_metastep_ratio(rec):
+    if not check_metastep_ratio(rec, before, after):
         raise MafError(f"meta-step {kind} failed its own ratio audit")
     return rec
 

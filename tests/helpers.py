@@ -409,6 +409,24 @@ def approximate(instance):
     return mk.approx_rmaf(instance) if instance.rooted else mk.approx_umaf(instance)
 
 
+def audited_steps(instance):
+    """``(record, before, after)`` for each record of the approximation of
+    ``instance``: the working forests its step passed through, as the step
+    handed them to ``check_metastep_ratio``."""
+    steps = []
+    audit = mk.approx.check_metastep_ratio
+
+    def captured(rec, before, after):
+        steps.append((rec, before, after))
+        return audit(rec, before, after)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mk.approx, "check_metastep_ratio", captured)
+        res = approximate(instance)
+    assert [rec for rec, _, _ in steps] == list(res.trace)
+    return steps
+
+
 def _search_eagerly(forests, k, stats, depth, settle):
     """The exact search as it was before children were built on entry.
 

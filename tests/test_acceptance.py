@@ -22,6 +22,7 @@ from helpers import (
     reduction_preserves_optimum,
     reductions_seen,
 )
+from test_ground_truth import optimum
 
 
 @dataclass
@@ -164,6 +165,19 @@ def test_incumbent_keeps_every_exact_order(corpus):
         answered += res.af.forest is merged
     print(f"incumbent PASS: find_min_k == oracle on {len(corpus)} instances, "
           f"{answered} answered by the merged forest")
+
+
+def test_exact_orders_match_the_independent_oracle(corpus):
+    # the oracle of criterion 1 derives forests through the solver's own
+    # code; this one shares none, and tries every partition of at most 7
+    # labels, ρ included
+    small = [r for r in corpus if r.inst.n_labels <= 7]
+    assert len(small) >= 190
+    for r in small:
+        want = optimum(mk.format_instance(r.inst).splitlines(), r.spec.rooted)
+        assert r.minres.order == want, (r.spec, r.minres.order, want)
+    print(f"independent oracle PASS: find_min_k == partition oracle on {len(small)} "
+          f"instances of at most 7 labels")
 
 
 def test_criterion_6_throughput():

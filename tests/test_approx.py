@@ -1,6 +1,8 @@
 """Approximation driver: ratio ceilings, meta-step bookkeeping, audits."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -9,7 +11,14 @@ from mafkit import approx
 from mafkit.approx import GROUP, MS2, MS31, MS32, RULE1
 from mafkit.forest import Forest, LabelTable
 
-from helpers import approximate, greedy_essential_by_order, random_forest, random_instance
+from helpers import (
+    approximate,
+    audited_steps,
+    greedy_essential_by_order,
+    random_forest,
+    random_instance,
+)
+from test_deep_trees import ladder
 
 
 def test_identical_trees(identical_rooted):
@@ -56,23 +65,21 @@ def test_every_record_passes_audit(rng):
     for _ in range(20):
         rooted = rng.random() < 0.5
         inst = random_instance(rng, rooted, x=rng.randint(1, 2))
-        res = approximate(inst)
-        for rec in res.trace:
-            assert mk.check_metastep_ratio(rec)
+        for rec, before, after in audited_steps(inst):
+            assert mk.check_metastep_ratio(rec, before, after)
 
 
 def test_audit_fails_a_record_of_unknown_kind(rooted_pair):
-    for rec in mk.approx_rmaf(rooted_pair).trace:
-        assert mk.check_metastep_ratio(rec)
-        assert not mk.check_metastep_ratio(dataclasses.replace(rec, kind="bogus"))
+    for rec, before, after in audited_steps(rooted_pair):
+        assert mk.check_metastep_ratio(rec, before, after)
+        assert not mk.check_metastep_ratio(dataclasses.replace(rec, kind="bogus"), before, after)
 
 
 def test_working_order_never_decreases(rng):
     for _ in range(15):
         inst = random_instance(rng, rooted=True, x=2)
-        res = mk.approx_rmaf(inst)
-        for rec in res.trace:
-            assert rec.f1_after.order() >= rec.f1_before.order()
+        for _, before, after in audited_steps(inst):
+            assert after.order() >= before.order()
 
 
 def test_rule1_records_are_fully_essential(rooted_pair):
@@ -179,7 +186,7 @@ def test_auditing_a_group_record_builds_no_key(monkeypatch):
     # a GROUP record removes nothing, so its audit compares a forest with
     # itself; that needs no canonical key
     inst = mk.parse_instance("((a,b),(c,d));\n((a,b),c,d);", rooted=True)
-    groups = [r for r in mk.approx_rmaf(inst).trace if r.kind == GROUP]
+    groups = [step for step in audited_steps(inst) if step[0].kind == GROUP]
     keyed = []
     canonical_key = Forest.canonical_key
 
@@ -189,13 +196,15 @@ def test_auditing_a_group_record_builds_no_key(monkeypatch):
 
     monkeypatch.setattr(Forest, "canonical_key", counting)
     assert groups
-    for rec in groups:
-        assert approx.check_metastep_ratio(rec)
+    for step in groups:
+        assert approx.check_metastep_ratio(*step)
     assert keyed == []
 
 
-def test_auditing_a_fully_essential_record_derives_once(rng, monkeypatch):
-    # when the essential set is the whole removal, both removals are one
+def test_auditing_derives_only_a_partial_essential_removal(rng, monkeypatch):
+    # the step's own after is the removal of all its edges, so the audit
+    # derives nothing when every removed edge is essential, and only the
+    # essential removal otherwise
     derived = []
     remove_edges = Forest.remove_edges
 
@@ -203,25 +212,46 @@ def test_auditing_a_fully_essential_record_derives_once(rng, monkeypatch):
         derived.append(tuple(sorted(eids)))
         return remove_edges(self, eids)
 
-    recs = [rec for _ in range(30)
-            for rec in approximate(random_instance(rng, rng.random() < 0.5,
-                                                   n=rng.randint(8, 14), x=2)).trace
-            if rec.removed_f1]
+    steps = [step for _ in range(30)
+             for step in audited_steps(random_instance(rng, rng.random() < 0.5,
+                                                       n=rng.randint(8, 14), x=2))
+             if step[0].removed_f1]
     monkeypatch.setattr(Forest, "remove_edges", counting)
     full = partial = 0
-    for rec in recs:
+    for rec, before, after in steps:
         derived.clear()
-        assert approx.check_metastep_ratio(rec)
+        assert approx.check_metastep_ratio(rec, before, after)
         if set(rec.essential) == set(rec.removed_f1):
-            assert derived == [rec.removed_f1]
+            assert derived == []
             full += 1
-            # the identities are still checked against the record's after
-            wrong = dataclasses.replace(rec, f1_after=rec.f1_before)
-            assert not approx.check_metastep_ratio(wrong)
         else:
-            assert derived == [rec.removed_f1, rec.essential]
+            assert derived == [rec.essential]
             partial += 1
+        # the identities are still checked against the after it is given
+        assert not approx.check_metastep_ratio(rec, before, before)
     assert full > 20 and partial > 5
+
+
+@pytest.mark.parametrize("rooted", [True, False])
+def test_only_the_result_outlives_the_approximation(rooted, rng, monkeypatch):
+    # a record keeps edge ids, not forests, so once the call returns every
+    # forest it derived is garbage but the one it hands back
+    inst = mk.parse_instance(ladder(200, rng) + "\n" + ladder(200, rng) + "\n", rooted)
+    made = []
+    copy = Forest._copy
+
+    def tracked(self):
+        f = copy(self)
+        made.append(weakref.ref(f))
+        return f
+
+    monkeypatch.setattr(Forest, "_copy", tracked)
+    res = approximate(inst)
+    monkeypatch.undo()
+    gc.collect()
+    alive = [f for f in (ref() for ref in made) if f is not None]
+    assert len(made) > 100
+    assert len(alive) == 1 and alive[0] is res.forest
 
 
 def test_output_is_over_original_labels(rng):

@@ -115,12 +115,19 @@ def test_the_root_label_joins_from_above():
 @pytest.mark.parametrize("rooted", [True, False])
 def test_deep_ladders_go_through_the_pass(rooted, rng):
     # every leaf of a ladder hangs off one spine, so the singletons are all
-    # next to each other: long paths, deep subtrees and many pairs
-    text = ladder(1500, rng) + "\n" + ladder(1500, rng) + "\n"
-    inst = mk.parse_instance(text, rooted)
-    merged = mk.coarsen(inst, singletons(inst))
-    assert merged.order() < inst.n_labels
-    mk.certify(merged, inst)
+    # next to each other: long paths, deep subtrees and many pairs.  The
+    # approximation's forest, deeper than the recursion limit of 1,000,
+    # starts the pass too
+    def approximated(inst):
+        return approximate(inst).forest
+
+    for levels, start in ((1500, singletons), (1100, approximated)):
+        text = ladder(levels, rng) + "\n" + ladder(levels, rng) + "\n"
+        inst = mk.parse_instance(text, rooted)
+        first = start(inst)
+        merged = mk.coarsen(inst, first)
+        assert merged.order() < first.order()
+        mk.certify(merged, inst)
 
 
 # rooted t40-2 x5, generator seeds 41–47, and t50-5 x2, seeds 41–43: the

@@ -18,7 +18,9 @@ every set partition of the labels, fewer blocks first.
 For two rooted binary trees there is a second measure: by Bordewich and
 Semple (2005), the optimum minus one is their rSPR distance, the fewest
 subtree prune-and-regraft moves that turn one into the other, which a
-breadth-first search over such moves finds.
+breadth-first search over such moves finds.  For two unrooted binary trees,
+by Allen and Steel (2001), it is their TBR distance, the fewest tree
+bisection and reconnection moves, found the same way.
 """
 
 import random
@@ -189,12 +191,12 @@ def spr_neighbors(tree):
     return {canon(t) for sub, rest in prunings(tree) for t in graftings(rest, sub)}
 
 
-def rspr_distance(t1, t2):
-    """Fewest rSPR moves from ``t1`` to ``t2``, by a breadth-first search
-    from both ends that grows the smaller frontier a whole level at a time.
-    The first level that meets the other side holds a shortest path's
-    middle, so the least sum of distances met over that level is the
-    answer."""
+def move_distance(t1, t2, neighbors):
+    """Fewest moves from ``t1`` to ``t2``, where ``neighbors(t)`` is every
+    tree one move from ``t``, by a breadth-first search from both ends that
+    grows the smaller frontier a whole level at a time.  The first level
+    that meets the other side holds a shortest path's middle, so the least
+    sum of distances met over that level is the answer."""
     if t1 == t2:
         return 0
     dist, frontier = ({t1: 0}, {t2: 0}), [[t1], [t2]]
@@ -203,7 +205,7 @@ def rspr_distance(t1, t2):
         mine, theirs = dist[side], dist[1 - side]
         met, grown = [], []
         for t in frontier[side]:
-            for u in spr_neighbors(t):
+            for u in neighbors(t):
                 if u in theirs:
                     met.append(mine[t] + 1 + theirs[u])
                 if u not in mine:
@@ -225,7 +227,76 @@ def test_rspr_distance_is_order_minus_one():
     seen = set()
     for instance in instances:
         t1, t2 = (rooted_binary(mk.serialize(f)) for f in instance.forests)
-        want = rspr_distance(t1, t2)
+        want = move_distance(t1, t2, spr_neighbors)
+        assert mk.find_min_k(instance).order - 1 == want, instance.name
+        seen.add(want)
+    assert seen == {0, 1, 2, 3}
+
+
+def unrooted_splits(text):
+    """An unrooted tree's line as its split system: each edge as the side,
+    a bit mask over the sorted labels, that does not hold the first label;
+    and the mask of all labels."""
+    (whole,), _, sides = shape(read_forest(text))
+    bit = {name: 1 << i for i, name in enumerate(sorted(whole))}
+    full = (1 << len(bit)) - 1
+    masks = {sum(bit[name] for name in side) for side in sides}
+    return frozenset(m ^ full if m & 1 else m for m in masks if m != full), full
+
+
+def restricted_splits(splits, part):
+    """The split system of T|part: each edge as the side that does not hold
+    the lowest label of ``part``."""
+    low = part & -part
+    return {x ^ part if x & low else x
+            for x in (s & part for s in splits) if x and x != part}
+
+
+def tbr_neighbors(tree):
+    """Every tree one TBR move from a binary tree: cut an edge A|B, and join
+    the middle of an edge of T|A, or its one leaf, to the middle of an edge
+    of T|B, or its one leaf, by a new edge.  The edge that holds a joined
+    point becomes two; every other edge S of T|A keeps its far side and
+    gains B on the side nearer the point, the side that holds one side of
+    the point's edge and more."""
+    splits, full = tree
+
+    def reconnected(edges, part, point):
+        for s in edges:
+            if s == point:
+                yield from (s, part ^ s)
+                continue
+            near = next(side for side in (s, part ^ s)
+                        if any(p & side == p != side for p in (point, part ^ point)))
+            yield part ^ near
+
+    trees = set()
+    for cut in splits:
+        a, b = cut, full ^ cut
+        edges_a, edges_b = restricted_splits(splits, a), restricted_splits(splits, b)
+        for pa in edges_a or [None]:
+            for pb in edges_b or [None]:
+                moved = [cut, *reconnected(edges_a, a, pa), *reconnected(edges_b, b, pb)]
+                trees.add((frozenset(m ^ full if m & 1 else m for m in moved), full))
+    return trees
+
+
+def test_tbr_distance_is_order_minus_one():
+    def unrooted(n, x, seed):
+        return mk.generate_instance(mk.GenSpec(n=n, m=2, x=x, seed=seed, rooted=False,
+                                               contract_count=0))
+
+    instances = [unrooted(4 + seed % 4, 1 + seed % 3, seed) for seed in range(60)]
+    # independent trees lie further apart than the generator's moved copies
+    instances += [mk.Instance(rooted=False, forests=(unrooted(n, 0, seed).forests[0],
+                                                     unrooted(n, 0, 1000 + seed).forests[0]))
+                  for seed in range(60) for n in [4 + seed % 4]]
+    seen = set()
+    for instance in instances:
+        t1, t2 = (unrooted_splits(mk.serialize(f)) for f in instance.forests)
+        # binary: 2n - 3 edges over n labels
+        assert len(t1[0]) == len(t2[0]) == 2 * t1[1].bit_length() - 3
+        want = move_distance(t1, t2, tbr_neighbors)
         assert mk.find_min_k(instance).order - 1 == want, instance.name
         seen.add(want)
     assert seen == {0, 1, 2, 3}

@@ -13,7 +13,7 @@ import pytest
 
 import mafkit as mk
 
-from helpers import approximate, labels_of, vertex_sides_by_walk
+from helpers import audited_steps, labels_of, vertex_sides_by_walk
 
 STATS_FIELDS = ("k", "nodes", "leaves", "max_depth", "case1", "case2", "case31",
                 "case32", "rule1_edges", "collapses")
@@ -269,7 +269,8 @@ def approximation_records(inst, monkeypatch):
     their ids depend on how earlier reductions derived the partner, so each
     is named by its smaller side's labels instead.  The partner is the
     forest the step derives right after the working forest: every
-    derivation is logged, in call order, to find it.
+    derivation is logged, in call order, and the step's working forests,
+    as its audit gets them, find it.
     """
     derived = []
     remove = mk.Forest.remove_edges
@@ -281,14 +282,14 @@ def approximation_records(inst, monkeypatch):
         return entry[2]
 
     monkeypatch.setattr(mk.Forest, "remove_edges", logged)
-    trace = approximate(inst).trace
+    steps = audited_steps(inst)
     monkeypatch.undo()
     records = []
-    for rec in trace:
+    for rec, before, after in steps:
         partner = rec.removed_partner
         if rec.kind not in ("rule1", "group"):
             at = next(i for i, (f, _, out) in enumerate(derived)
-                      if f is rec.f1_before and out is rec.f1_after)
+                      if f is before and out is after)
             forest, eids, _ = derived[at + 1]
             assert eids == partner
             partner = tuple(sorted(smaller_side(forest, e) for e in eids))
