@@ -27,7 +27,10 @@ Every step is recorded with the removed edges, the working-forest subset, and
 an essential subset (a removal set of the same effect in which every edge
 genuinely splits a component).  ``check_metastep_ratio`` audits each record
 where the step is made, against the forests the step passed through, and a
-record keeps edge ids only, not those forests.
+record keeps edge ids only, not those forests.  ``next_case`` makes a run of
+groupings as one derivation, so each ``group`` record of a run is audited
+against the working forests the run starts and ends with: a grouping
+removes no edge and keeps the order, and so does the run.
 
 The trace also bounds the optimum from below (``ApproxResult.lower_bound``).
 For a pair (F1, F2) let d(F1, F2) be the number of further cuts of F1 that
@@ -201,8 +204,8 @@ def _approximate(instance: Instance) -> ApproxResult:
                 break
             start = f1
             f1, fi, case, grouped = next_case(f1, fi)
-            for prev, nxt in zip((start, *grouped), grouped):
-                trace.append(_record(GROUP, idx, prev, nxt, (), ()))
+            for _ in grouped:
+                trace.append(_record(GROUP, idx, start, f1, (), ()))
             if case is None:  # impossible by the lemmas in ``reduction``
                 raise MafError("unequal reduced pair with no sibling set")
 

@@ -19,13 +19,15 @@ are defined for irreducible forests only.
 A derived value is built from its parent, not from scratch, and a value is
 never written again once it has been returned.  So a derived value shares
 every adjacency row it does not change with its parent: it copies the outer
-maps and copies a row only the first time it writes it.  Only the rows it
-wrote are checked against the degree rules.  A removal or a grouping also
-patches its parent's sibling-set table (see :meth:`Forest.find_mss`) where
-it can change, instead of leaving it to be built again.  Derivations record
-their parent and a log of what they changed, which ``reduction`` reads.
-Other derived data (the label partition) is built at most once per value,
-on first use.
+maps and copies a row only the first time it writes it.  Before it is
+returned, it may be written any number of times: a run of groupings is one
+derivation (see ``reduction.next_case``).  Only the rows it wrote are
+checked against the degree rules.  A removal or a grouping also takes over
+its parent's sibling-set table (see :meth:`Forest.find_mss`) and patches it
+where it can change, instead of leaving it to be built again.  Derivations
+record their parent and a log of what they changed, which ``reduction``
+reads.  Other derived data (the label partition) is built at most once per
+value, on first use.
 
 Grouping (:meth:`Forest.group_labels`) shrinks a sibling set into one leaf
 that takes the least label id of the set, so every label id is the least
@@ -300,7 +302,7 @@ class Forest:
         self._partition = None
         self._weights = None           # label weights as a reduction witness
         self._sums = None              # side sums of the latest reduction scan
-        self._groups = {}              # see originals; never written once set
+        self._groups = {}              # see originals
         self._origin = None            # (parent, change log, chain length)
 
     def __getstate__(self):
@@ -365,7 +367,11 @@ class Forest:
         return self
 
     def _copy(self) -> "Forest":
-        """Writable child value sharing every adjacency row with this one."""
+        """Writable child value sharing every adjacency row with this one.
+
+        It takes over copies of the record of groupings and of the
+        sibling-set table, if there is one, for its writer to change (see
+        :meth:`_group` and :meth:`_patch_mss`)."""
         f = Forest(
             self.rooted,
             self.labels,
@@ -376,7 +382,9 @@ class Forest:
             self._next_e,
             dict(self._label_vertex),
         )
-        f._groups = self._groups
+        f._groups = dict(self._groups)
+        if self._mss is not None:
+            f._mss = dict(self._mss)
         return f
 
     # -- internal mutation, used only on fresh copies ----------------------
@@ -715,10 +723,9 @@ class Forest:
             log.append(("cut", eid, u, v))
             dirty.extend((u, v))
         f._normalize(dirty, log)
-        f._check(vertices=f._own)
-        f._link(self, log)
         # labels stay where they are, so only a written row changes an entry
-        f._patch_mss(self, f._own)
+        f._patch_mss(f._own)
+        f._link(self, log)
         return f
 
     def split_labels(self, eid) -> EdgeSplit:
@@ -749,8 +756,10 @@ class Forest:
         its least label, or if none of them is grouped, the largest label.
 
         The candidates are kept in a table, one ``(least label id, labels)``
-        entry per hub.  The table is built on the first call and carried
-        through :meth:`group_labels` and :meth:`remove_edges`.
+        entry per hub.  The table is built on the first call, carried
+        through every derivation but :meth:`expand_labels` and patched by
+        each removal and grouping; :meth:`_filed_hub` reads the hub a
+        picked set is filed under.
         """
         if self._mss is None:
             self._mss = {
@@ -793,10 +802,38 @@ class Forest:
                 s -= {next((g for g in reversed(self._groups) if g in rest), max(rest))}
         return min(s), s
 
+    def _filed_hub(self, lids):
+        """The hub under which the sibling-set table files ``lids``, a set
+        :meth:`find_mss` picked: the one neighbor of its least label's leaf,
+        or that leaf itself, the smaller vertex of an unrooted single-edge
+        tree.  It is the hub :meth:`sibling_case` names, found without it."""
+        least = min(lids)
+        v = self._label_vertex[least]
+        w = next(iter(self._adj[v].values()))
+        entry = self._mss.get(w)
+        return w if entry is not None and entry[0] == least else v
+
     def group_labels(self, lids) -> "Forest":
         """Shrink the maximal sibling set ``lids`` (label ids) into one
         grouped leaf label; :meth:`sibling_case` decides that it is one and
         names its hub, and any other label set raises ``ForestError``.
+
+        The one-set case of a run of groupings (see ``reduction.next_case``):
+        one writable child (:meth:`_copy`), grouped in place (:meth:`_group`),
+        then checked and linked to this value (:meth:`_link`).
+        """
+        lids = frozenset(lids)
+        case = self.sibling_case(lids)
+        if case.kind != "mss":
+            raise ForestError("labels are not a maximal sibling set")
+        f, log = self._copy(), []
+        f._group(lids, case.hub, log)
+        f._link(self, log)
+        return f
+
+    def _group(self, lids, hub, log):
+        """Shrink the maximal sibling set ``lids`` around its ``hub`` in
+        place, on a value not yet returned (:meth:`_copy`).
 
         Every shape takes one path: each leaf of ``lids`` but the hub is
         dropped with its edge, and the hub keeps its vertex id and becomes
@@ -804,55 +841,44 @@ class Forest:
         smaller leaf vertex, so the two leaves merge into one.  The new leaf
         takes the least id of ``lids``, and the grouping is recorded (see
         :meth:`originals`); the label table and the component count are
-        unchanged.  The origin log (see :meth:`remove_edges`) holds
-        ``("merge", v, e, hub)`` for each leaf ``v`` dropped with its edge
-        ``e``, then ``("group", lids, new_id)``.
+        unchanged.  Appended to the origin log ``log`` (see
+        :meth:`remove_edges`): ``("merge", v, e, hub)`` for each leaf ``v``
+        dropped with its edge ``e``, then ``("group", lids, new_id)``.
         """
-        lids = frozenset(lids)
-        case = self.sibling_case(lids)
-        if case.kind != "mss":
-            raise ForestError("labels are not a maximal sibling set")
-        hub = case.hub
         new_id = min(lids)
-        groups = dict(self._groups)
-        groups[new_id] = groups.pop(new_id, ()) + tuple(sorted(lids))
-        f = self._copy()
-        f._groups = groups
-        log = []
+        self._groups[new_id] = self._groups.pop(new_id, ()) + tuple(sorted(lids))
         for l in lids:
-            v = f._label_vertex.pop(l)
+            v = self._label_vertex.pop(l)
             if v == hub:  # a leaf of a single-edge tree keeps its place
                 continue
-            eid = next(iter(f._adj[v]))
-            f._del_edge(eid)
-            del f._vlabel[v]
-            f._drop_vertex(v)
+            eid = next(iter(self._adj[v]))
+            self._del_edge(eid)
+            del self._vlabel[v]
+            self._drop_vertex(v)
             log.append(("merge", v, eid, hub))
-        f._vlabel[hub] = new_id
-        f._label_vertex[new_id] = hub
-        # the hub's neighbor left, if any: rooted, its parent; unrooted, the
-        # one non-leaf neighbor or a leaf of a new single-edge tree (a
-        # single-edge tree grouped whole leaves none)
-        touched = (hub, *f._adj[hub].values())
+        self._vlabel[hub] = new_id
+        self._label_vertex[new_id] = hub
         log.append(("group", lids, new_id))
-        f._check(vertices=f._own)
-        f._link(self, log)
-        # the hub turned into a leaf, so its neighbors' entries can change too
-        f._patch_mss(self, touched)
-        return f
+        # the hub turned into a leaf, so its neighbors' entries can change
+        # too: rooted, its parent; unrooted, the one non-leaf neighbor or a
+        # leaf of a new single-edge tree (a single-edge tree grouped whole
+        # leaves none)
+        self._patch_mss((hub, *self._adj[hub].values()))
 
     def _link(self, parent, log):
-        """Record ``(parent, log, chain length)`` as this value's origin."""
+        """Finish a derivation of ``parent``: check the rows it wrote, and
+        record ``(parent, log, chain length)`` as this value's origin."""
+        self._check(vertices=self._own)
         links = parent._origin[2] + 1 if parent._origin is not None else 1
         if links <= _ORIGIN_CHAIN:
             self._origin = (parent, log, links)
 
-    def _patch_mss(self, parent, touched):
-        """Take over ``parent``'s sibling-set table, if it has one, with the
-        entries of the ``touched`` vertices made afresh."""
-        if parent._mss is None:
+    def _patch_mss(self, touched):
+        """Make the entries of the ``touched`` vertices afresh in this
+        value's sibling-set table, if it has one."""
+        table = self._mss
+        if table is None:
             return
-        table = self._mss = dict(parent._mss)
         for v in touched:
             entry = self._mss_entry(v) if v in self._adj else None
             if entry is None:
@@ -870,7 +896,8 @@ class Forest:
         leaf for the other.  A part grouped earlier waits for the next round.
         """
         f = self._copy()
-        groups = dict(f._groups)
+        f._mss = None  # labels move, so no table survives
+        groups = f._groups
         while grouped := sorted((v, lid) for v, lid in f._vlabel.items() if lid in groups):
             for v, lid in grouped:
                 rec = groups.pop(lid)

@@ -80,9 +80,11 @@ test of one side would miss edges.
 
 This module owns the weights and the sums, and inherits them instead of
 rebuilding them, because a search node's children differ from it by a few
-edits (``Forest.remove_edges`` and ``Forest.group_labels`` record each
-value's parent and a log of what changed).  A witness keeps its weights on
-the value itself, and a scanned forest the side sums of its latest scan.
+edits (``Forest.remove_edges`` and the groupings of :func:`next_case`
+record each value's parent and a log of what changed; a run of groupings
+is one derivation, whose log holds every grouping in order).  A witness
+keeps its weights on the value itself, and a scanned forest the side sums
+of its latest scan.
 The carried invariant is the one above: the weights of every component of the
 witness forest sum to 0 mod 2^64.
 
@@ -203,9 +205,12 @@ def _nearest(f: Forest, slot: str):
 
 
 def _release_origin(f: Forest):
-    """Forget ``f``'s origin once it has both weights and side sums: its
-    descendants stop there, and the chain of ancestors can go."""
-    if f._weights is not None and f._sums is not None:
+    """Forget ``f``'s origin once it has side sums: the scanned partner's
+    descendants stop there, and the chain of ancestors can go.  A witness,
+    which has weights only, keeps it; a value whose origin went and that
+    later needs what it would have inherited takes a fresh walk instead,
+    which gives the same answer."""
+    if f._sums is not None:
         f._origin = None
 
 
@@ -552,11 +557,19 @@ def next_case(f1: Forest, f2: Forest):
 
     ``(f1, f2)`` must be a reduced pair, as :func:`reduce_pair` leaves it.
     Each sibling set that ``f2.find_mss`` picks and that ``f1`` calls
-    ``"mss"`` (Case 1: maximal in both) is grouped in both forests in
-    lockstep, until one is not.  Returns ``(f1, f2, case, grouped)``: the
-    grouped pair, ``f1.sibling_case`` of the first set that is not Case 1,
-    or None if ``f2`` has no sibling set left, and the working forests the
-    groupings made, in order.
+    ``"mss"`` (Case 1: maximal in both) is grouped in both forests, until
+    one is not.  Returns ``(f1, f2, case, grouped)``: the grouped pair,
+    ``f1.sibling_case`` of the first set that is not Case 1, or None if
+    ``f2`` has no sibling set left, and the label sets grouped, in order.
+
+    The run is one derivation per forest.  The first set grouped copies
+    each forest once (``Forest._copy``), and every set is grouped in place
+    on those two copies, which no one else holds yet; then the rows they
+    wrote are checked and each is linked to its input with one log of the
+    whole run.  Each set is classified once: ``f1.sibling_case`` names its
+    hub in ``f1``, and its hub in ``f2`` is the one ``f2``'s sibling-set
+    table files it under (``Forest._filed_hub``).  A pair with no set to
+    group comes back as it was given.
 
     Two of the pair lemmas in the module docstring make this the one Case-1
     loop both solvers share.  A grouping keeps a reduced pair reduced, and
@@ -564,11 +577,19 @@ def next_case(f1: Forest, f2: Forest):
     between groupings.  A reduced pair with no sibling set is equal, so
     ``case`` is None exactly when the grouped pair is equal.
     """
-    grouped = []
+    start, logs, grouped = (f1, f2), ([], []), []
     while (mss := f2.find_mss()) is not None:
         case = f1.sibling_case(mss)
         if case.kind != "mss":
-            return f1, f2, case, grouped
-        f1, f2 = f1.group_labels(mss), f2.group_labels(mss)
-        grouped.append(f1)
-    return f1, f2, None, grouped
+            break
+        if not grouped:
+            f1, f2 = f1._copy(), f2._copy()
+        f1._group(mss, case.hub, logs[0])
+        f2._group(mss, f2._filed_hub(mss), logs[1])
+        grouped.append(mss)
+    else:
+        case = None
+    if grouped:
+        f1._link(start[0], logs[0])
+        f2._link(start[1], logs[1])
+    return f1, f2, case, grouped

@@ -180,6 +180,25 @@ def test_exact_orders_match_the_independent_oracle(corpus):
           f"instances of at most 7 labels")
 
 
+def test_sibling_table_files_each_pick_under_its_hub(corpus):
+    # ``next_case`` groups the partner around the hub its sibling-set table
+    # files the picked set under, without classifying the set there: every
+    # set picked in a run, on every pair the solvers reduced, is filed under
+    # the hub ``sibling_case`` names
+    picks = 0
+    for r in corpus:
+        for f1, _, (_, f2, _) in r.reductions:
+            while (mss := f2.find_mss()) is not None:
+                filed = [v for v, (_, labels) in f2._mss.items() if labels == mss]
+                assert filed == [f2.sibling_case(mss).hub] == [f2._filed_hub(mss)], r.spec
+                picks += 1
+                if f1.sibling_case(mss).kind != "mss":
+                    break
+                f1, f2 = f1.group_labels(mss), f2.group_labels(mss)
+    assert picks > 1000
+    print(f"table hubs PASS: {picks} picked sets filed under their hub")
+
+
 def test_criterion_6_throughput():
     inst = mk.generate_instance(mk.GenSpec(n=50, m=5, x=2, seed=606))
     t0 = time.perf_counter()

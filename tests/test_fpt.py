@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 import mafkit as mk
-from mafkit import fpt
+from mafkit import approx, fpt
 
 from helpers import approximate, brute_is_subforest, random_instance, solve_eagerly
 
@@ -402,21 +402,28 @@ def test_lockstep_grouping_builds_no_table(monkeypatch):
     # both forests of a pair group one set into one label id
     inst = mk.generate_instance(mk.GenSpec(n=20, m=3, x=1, seed=1_001_000, rooted=True))
     table = inst.forests[0].labels
-    calls = []
-    group_labels = mk.Forest.group_labels
+    runs = {fpt: [], approx: []}
+    next_case = fpt.next_case
 
-    def counted(forest, lids):
-        got = group_labels(forest, lids)
-        calls.append((frozenset(lids), got))
-        return got
+    def noting(module):
+        def noted(f1, f2):
+            got = next_case(f1, f2)
+            runs[module].append(got)
+            return got
+        monkeypatch.setattr(module, "next_case", noted)
 
-    monkeypatch.setattr(mk.Forest, "group_labels", counted)
-    res = mk.find_min_k(inst, mk.approx_rmaf(inst).lower_bound())
+    noting(fpt)
+    noting(approx)
+    amaf = mk.approx_rmaf(inst)
+    res = mk.find_min_k(inst, amaf.lower_bound())
     assert res.order == 3 and res.stats.collapses == 4
-    assert all(g.labels is table for _, g in calls)
-    # groupings come in pairs, the first forest's then the second's
-    pairs = list(zip(calls[::2], calls[1::2]))
-    assert len(pairs) == 36
-    for (lids1, g1), (lids2, g2) in pairs:
-        assert lids1 == lids2 and g1.label_ids() == g2.label_ids()
-        assert g1.originals(min(lids1))[0] == min(lids1)
+    both = runs[fpt] + runs[approx]
+    assert all(g.labels is table for g1, g2, _, _ in both for g in (g1, g2))
+    counts = {m: sum(len(grouped) for *_, grouped in r) for m, r in runs.items()}
+    assert counts[fpt] == sum(a.case1 for a in res.attempts)
+    assert counts[approx] == amaf.step_counts()["group"]
+    assert counts[fpt] + counts[approx] == 36
+    for g1, g2, _, grouped in both:
+        assert g1.label_ids() == g2.label_ids()
+        for lids in grouped:
+            assert g1.originals(min(lids))[0] == min(lids)

@@ -16,6 +16,7 @@ from helpers import (
     brute_is_subforest,
     find_applicable_by_bfs,
     is_closed,
+    mss_candidates_by_scan,
     random_instance,
     reduce_by_steps,
     reduction_preserves_optimum,
@@ -436,6 +437,29 @@ def test_scanned_child_lets_its_parent_go():
         assert parent() is None
 
 
+def test_scanned_partner_lets_its_ancestors_go():
+    # a partner gets side sums but never weights: once scanned it lets go
+    # of its origin, while a witness, which has weights only, keeps its own
+    for rooted in (True, False):
+        t1, t2 = mk.parse_instance(
+            "((a,b),(c,(d,e)));\n((a,c),(b,(d,e)));", rooted).forests
+        witness, partner, ancestors = t1, t2, []
+        for name in "ca":  # each label cut off in both, as the solvers cut
+            lid = t1.labels.id_of(name)
+            witness = witness.remove_edges([witness.pendant_edge(lid)])
+            ancestors.append(weakref.ref(partner))
+            partner = partner.remove_edges([partner.pendant_edge(lid)])
+        del t1, t2
+        assert partner._origin is not None
+        find_applicable(witness, partner)
+        assert partner._sums is not None and partner._weights is None
+        assert partner._origin is None
+        assert witness._weights is not None and witness._sums is None
+        assert witness._origin is not None
+        gc.collect()
+        assert all(ref() is None for ref in ancestors)
+
+
 # -- grouping keeps a reduced pair reduced (the lemma the solvers rely on) ----
 
 
@@ -444,16 +468,16 @@ def group_checked(f1, f2):
 
     After each grouping the per-edge reference must find nothing in either
     direction, and the pair must be equal exactly when it was before.
-    Returns the grouped pair and the number of groupings.
+    Returns the grouped pair and the label sets grouped, in order.
     """
-    groupings = 0
+    groupings = []
     while (mss := f2.find_mss()) is not None and f1.sibling_case(mss).kind == "mss":
         equal = f1.same_structure(f2)
         f1, f2 = f1.group_labels(mss), f2.group_labels(mss)
         assert find_applicable_by_bfs(f1, f2) is None
         assert find_applicable_by_bfs(f2, f1) is None
         assert f1.same_structure(f2) == equal
-        groupings += 1
+        groupings.append(mss)
     return f1, f2, groupings
 
 
@@ -469,8 +493,8 @@ def test_grouping_keeps_pair_reduced_and_unequal(rng):
             while True:
                 f1, fi, _ = mk.reduce_pair(f1, fi)
                 equal = f1.same_structure(fi)
-                f1, fi, n = group_checked(f1, fi)
-                groupings[equal] += n
+                f1, fi, sets = group_checked(f1, fi)
+                groupings[equal] += len(sets)
                 mss = fi.find_mss()
                 if mss is None or f1.same_structure(fi):
                     break
@@ -481,25 +505,9 @@ def test_grouping_keeps_pair_reduced_and_unequal(rng):
     assert groupings[False] > 200 and groupings[True] > 500
 
 
-def one_grouping(prev, nxt):
-    """Whether ``nxt`` is ``prev`` with one sibling set, maximal in
-    ``prev``, grouped into its least label."""
-    if not nxt.label_ids() < prev.label_ids():
-        return False
-    gone = prev.label_ids() - nxt.label_ids()
-    changed = [lid for lid in nxt.label_ids() if nxt.originals(lid) != prev.originals(lid)]
-    if len(changed) != 1 or changed[0] > min(gone):
-        return False
-    group = gone | {changed[0]}
-    behind = sorted(b for lid in group for b in prev.originals(lid))
-    return (sorted(nxt.originals(changed[0])) == behind
-            and prev.sibling_case(group).kind == "mss"
-            and prev.group_labels(group).same_structure(nxt))
-
-
 def test_next_case_matches_lockstep_grouping(rng):
     # every reduced pair the solvers reach, against the lockstep loop
-    # ``group_checked``, which checks each grouping on its own
+    # ``group_checked``, which groups and checks each set on its own
     seen = {"groupings": 0, "equal": 0, "unequal": 0}
     for i in range(40):
         rooted = i % 2 == 0
@@ -510,17 +518,60 @@ def test_next_case_matches_lockstep_grouping(rng):
             approximate(inst)
         for _, _, (f1, f2, _) in calls:
             g1, g2, case, grouped = reduction.next_case(f1, f2)
-            r1, r2, n = group_checked(f1, f2)
+            r1, r2, sets = group_checked(f1, f2)
             assert g1.same_structure(r1) and g2.same_structure(r2)
-            assert len(grouped) == n
+            assert grouped == sets
+            # the run records every grouping as the lockstep loop does
+            assert all(g.originals(lid) == r.originals(lid)
+                       for g, r in ((g1, r1), (g2, r2)) for lid in r.label_ids())
             assert (case is None) == f1.same_structure(f2)
             if case is not None:
                 assert case.kind != "mss" and case == r1.sibling_case(r2.find_mss())
-            assert all(map(one_grouping, (f1, *grouped), grouped))
-            assert not grouped or grouped[-1] is g1
-            seen["groupings"] += n
+            seen["groupings"] += len(sets)
             seen["equal" if case is None else "unequal"] += 1
     assert seen["groupings"] > 800 and seen["equal"] > 200 and seen["unequal"] > 400
+
+
+def as_written(f):
+    """What a derivation may not write once ``f`` is returned."""
+    return ({v: dict(row) for v, row in f._adj.items()}, dict(f._vlabel),
+            dict(f._groups), None if f._mss is None else dict(f._mss))
+
+
+def test_next_case_derives_each_forest_once(rng, monkeypatch):
+    # a run of groupings copies each forest once, and a pair with nothing
+    # to group none; the forests given stay as they were, and the tables
+    # the run carries are those a full scan finds
+    copies = []
+    copy = mk.Forest._copy
+
+    def counted(forest):
+        copies.append(forest)
+        return copy(forest)
+
+    runs = [0, 0, 0]  # by the sets grouped: none, one, more
+    for i in range(30):
+        inst = random_instance(rng, i % 2 == 0, n=rng.randint(4, 9), m=2 + i % 2,
+                               x=rng.randint(1, 2))
+        with reductions_seen() as calls:
+            mk.find_min_k(inst)
+            approximate(inst)
+        for f1, f2 in ((f1, f2) for _, _, (f1, f2, _) in calls):
+            f1.find_mss()  # so that the run carries both tables
+            f2.find_mss()
+            before = [as_written(f) for f in (f1, f2)]
+            copies.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(mk.Forest, "_copy", counted)
+                g1, g2, _, grouped = reduction.next_case(f1, f2)
+            assert [as_written(f) for f in (f1, f2)] == before
+            assert copies == ([f1, f2] if grouped else [])
+            if not grouped:
+                assert g1 is f1 and g2 is f2
+            for g in (g1, g2):
+                assert set(g._mss) == {c.hub for c in mss_candidates_by_scan(g)}
+            runs[min(len(grouped), 2)] += 1
+    assert min(runs) > 20
 
 
 def cut_off(forest, names):
@@ -545,8 +596,8 @@ def test_grouping_a_single_edge_tree_keeps_pair_reduced():
     mss = f2.find_mss()
     hub = min(f2.vertex_of_label(l) for l in mss)  # the smaller leaf vertex
     assert f2.sibling_case(mss).hub == hub and f1.sibling_case(mss).kind == "mss"
-    g1, g2, n = group_checked(f1, f2)
-    assert n >= 1 and g1.order() == f1.order()
+    g1, g2, sets = group_checked(f1, f2)
+    assert sets and g1.order() == f1.order()
 
 
 def test_grouping_a_full_star_keeps_pair_reduced():
@@ -562,7 +613,7 @@ def test_grouping_a_full_star_keeps_pair_reduced():
     assert find_applicable_by_bfs(g2, g1) is None
     assert not g1.same_structure(g2)
     # and the grouping find_mss prefers, two of the three star leaves
-    assert group_checked(f1, f2)[2] >= 1
+    assert group_checked(f1, f2)[2]
 
 
 # -- a reduced pair whose second forest has no sibling set is equal -----------

@@ -8,8 +8,10 @@ compares every recorded count of the workload with it: the exact search's
 ``fpt.*`` counters, the approximation's ``approx.steps.*``, the
 reduction's ``reduction.reduce_pair.removals``, and the call counts of the
 scan and the derivations (``find_applicable``, one per ``reduce_pair``;
-``split_labels``, which the solvers do not call; ``remove_edges`` and
-``group_labels``).  It also compares ``forest.canonical_key.calls``: only
+``split_labels``, which the solvers do not call; ``remove_edges``; and
+``group_labels``, which the solvers do not call either, as
+``reduction.next_case`` groups each run of sibling sets in one derivation
+per forest).  It also compares ``forest.canonical_key.calls``: only
 the Newick writer builds keys, one per forest it writes (a certificate, or
 a tree of ``newick-io``), since the equality test builds none.  And it
 compares the call counts of every other solver-layer span the trace
