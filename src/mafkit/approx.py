@@ -14,8 +14,8 @@ then ``reduction.next_case``, which groups every maximal sibling set the
 pair shares and names the case to act on.  The approximation stops when the
 reduced pair is equal, before it groups, and otherwise cuts on the case: a
 meta-step cuts the pendant edges of the case's pair plus the first edge of
-each of its ``cuts``, except that an unrooted path step takes the two
-smallest edges off the whole path interior.  It records one ``rule1`` step
+each of its ``cuts``, so an unrooted path step cuts one edge off
+``path[1]`` and one off ``path[-2]``.  It records one ``rule1`` step
 per essential edge the reduction removes and one ``group`` step per
 grouping.  A cut step cuts the pair's labels off in the partner too, so the
 partner's components stay unions of the working forest's, and the working
@@ -45,6 +45,20 @@ optimum of that pair minus 1, and d never falls below 0.  So the optimum of
 optimum, whose agreement forests are agreement forests of (T1, T2), is at
 least that too.  Later partners start from a working forest that is not an
 agreement forest of optimal order, so their steps are not counted.
+
+The lemma asks of a cut step only that some maximum agreement forest F* of
+the pair cuts one of its edges: F* with the other edges cut as well is an
+agreement forest of the pair the step leaves, of order at most one more per
+edge, so d falls by at least one while the step removes at most r essential
+edges.  On an unrooted path the case's pair a, b are siblings in the
+partner and joined in F1 by a path a, v1, …, vt, b with t ≥ 2.  If F*
+parts a from b, one of them is alone in it, as F* is a cut of the partner,
+where they are siblings.  If it keeps them together they are siblings in
+F* too, so the rest of their part meets the path at one vi at most, and
+every edge off each other vj is cut; as t ≥ 2, every edge off v1 or every
+edge off vt is.  So F* cuts one of the four edges the step removes, and
+the ratio is 4.  Two edges chosen anywhere off the interior would not do:
+both may hang off the vi that F* keeps, and then F* cuts none of the four.
 
 The forest the approximation ends with is seldom maximal: often two of its
 parts can be joined and the result is still an agreement forest.  That
@@ -115,7 +129,10 @@ class ApproxResult:
 
         ⌈k'/r⌉ for the approximation's order k' and ratio r (3 rooted, 4
         unrooted), or 1 plus the partner-1 steps with a non-empty essential
-        set if larger (see the module docstring).
+        set if larger (see the module docstring).  Agreement forests do not
+        depend on the order of the input trees, so the bound an
+        approximation of the trees in any order gives holds for every
+        order (see :func:`bootstrap`).
         """
         ratio = 3 if self.forest.rooted else 4
         steps = sum(1 for rec in self.trace if rec.partner_index == 1 and rec.essential)
@@ -210,10 +227,7 @@ def _approximate(instance: Instance) -> ApproxResult:
                 raise MafError("unequal reduced pair with no sibling set")
 
             a, b = case.pair
-            if case.kind == "path" and not f1.rooted:
-                extra = f1.offpath_edges(case.path)[:2]
-            else:
-                extra = tuple(e for cut in case.cuts for e in cut[:1])
+            extra = tuple(e for cut in case.cuts for e in cut[:1])
             removed_f1 = (f1.pendant_edge(a), f1.pendant_edge(b), *extra)
             removed_fi = (fi.pendant_edge(a), fi.pendant_edge(b))
             nf1 = f1.remove_edges(removed_f1)
