@@ -158,18 +158,18 @@ PINNED = {
         ],
         [
             ('group', (), (), ()),
-            ('ms32', (6, 7, 8, 11), ((2,), (4,)), (6, 7, 8, 11)),
-            ('rule1', (), (8,), ()),
+            ('ms32', (7, 8, 11, 12), ((2,), (4,)), (7, 8, 11, 12)),
+            ('rule1', (), (11,), ()),
             ('rule1', (), (19,), ()),
-            ('ms2', (5, 14, 15, 20), ((0,), (10,)), (14, 15, 20)),
-            ('rule1', (), (22,), ()),
+            ('ms2', (5, 14, 15, 21), ((0,), (8,)), (14, 15, 21)),
+            ('rule1', (), (23,), ()),
             ('rule1', (), (5,), ()),
             ('rule1', (), (6,), ()),
             ('rule1', (), (8,), ()),
             ('rule1', (), (9,), ()),
             ('rule1', (), (10,), ()),
             ('rule1', (), (19,), ()),
-            ('ms31', (21, 22), ((0,), (11,)), (21, 22)),
+            ('ms31', (22, 23), ((0,), (11,)), (22, 23)),
             ('rule1', (), (17,), ()),
         ],
     ),
@@ -183,23 +183,23 @@ PINNED = {
             (6, 280, 117, 5, 90, 2, 12, 35, 166, 32),
         ],
         [
-            ('ms32', (13, 14, 17, 19), ((0,), (5,)), (13, 14, 17, 19)),
+            ('ms32', (13, 14, 19, 20), ((0,), (5,)), (13, 14, 19, 20)),
             ('rule1', (), (14,), ()),
-            ('rule1', (), (18,), ()),
+            ('rule1', (), (20,), ()),
             ('group', (), (), ()),
             ('ms2', (3, 4, 7, 8), ((2,), (7,)), (4, 7, 8)),
-            ('rule1', (), (26,), ()),
+            ('rule1', (), (23,), ()),
             ('rule1', (), (0,), ()),
             ('rule1', (), (3,), ()),
+            ('rule1', (), (10,), ()),
             ('rule1', (), (11,), ()),
-            ('rule1', (), (14,), ()),
-            ('rule1', (), (15,), ()),
             ('rule1', (), (17,), ()),
-            ('ms31', (24, 27), ((1,), (11,)), (24, 27)),
-            ('rule1', (), (29,), ()),
-            ('ms2', (9, 10, 11, 28), ((3,), (4,)), (10, 11, 28)),
-            ('rule1', (), (30,), ()),
-            ('rule1', (), (2,), ()),
+            ('rule1', (), (18,), ()),
+            ('group', (), (), ()),
+            ('ms32', (9, 11, 24, 26), ((9,), (10,)), (9, 11, 24, 26)),
+            ('rule1', (), (6,), ()),
+            ('rule1', (), (9,), ()),
+            ('rule1', (), (27,), ()),
             ('rule1', (), (7,), ()),
             ('rule1', (), (8,), ()),
             ('rule1', (), (10,), ()),
@@ -235,7 +235,7 @@ PINNED = {
             ('group', (), (), ()),
             ('group', (), (), ()),
             ('group', (), (), ()),
-            ('ms32', (16, 20, 23, 30), ((0,), (14,)), (16, 20, 23, 30)),
+            ('ms32', (16, 20, 29, 30), ((0,), (14,)), (16, 20, 29, 30)),
             ('rule1', (), (21,), ()),
             ('rule1', (), (27,), ()),
             ('rule1', (), (0,), ()),
@@ -245,9 +245,9 @@ PINNED = {
             ('rule1', (), (20,), ()),
             ('rule1', (), (21,), ()),
             ('group', (), (), ()),
-            ('ms31', (35, 37), ((0,), (10,)), (35, 37)),
+            ('ms31', (36, 38), ((0,), (10,)), (36, 38)),
             ('rule1', (), (27,), ()),
-            ('ms2', (36, 38, 39, 40), ((1,), (11,)), (38, 39, 40)),
+            ('ms2', (37, 39, 40, 41), ((1,), (11,)), (39, 40, 41)),
             ('rule1', (), (29,), ()),
         ],
     ),
