@@ -73,13 +73,17 @@ stronger bound; the coarsened order bounds the optimum from above, and
 ``maf pmaf`` hands the coarsened forest to the exact ascent as its
 incumbent (see ``fpt.find_min_k``).  ``maf amaf`` prints the
 approximation's own forest.
+
+Both bounds hold whatever the order of the input trees, so ``bootstrap``
+approximates and coarsens with other pairs of trees first while the two
+are at least 2 apart, and keeps the best of each.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, permutations
 
 from .forest import Forest, Instance, MafError, _Hung, find_root
 from .reduction import next_case, reduce_pair, require_whole_partners
@@ -484,3 +488,54 @@ def coarsen(instance: Instance, forest: Forest) -> Forest:
     :func:`~mafkit.fpt.find_min_k` certifies the result before it uses it.
     """
     return _MergePass(instance, forest).run()
+
+
+# ---------------------------------------------------------------------------
+# bootstrap: the exact search's bounds from several tree orders
+
+
+@dataclass(frozen=True)
+class Bootstrap:
+    """The bounds :func:`bootstrap` found: the approximation of the trees in
+    the given order, and the largest lower bound and the smallest coarsened
+    agreement forest over the orders it tried."""
+
+    given: ApproxResult
+    lower_bound: int
+    incumbent: Forest
+
+
+def bootstrap(instance: Instance, given: ApproxResult | None = None) -> Bootstrap:
+    """Bounds on the optimum for :func:`~mafkit.fpt.find_min_k`, from the
+    approximation of the instance's trees in more than one order.
+
+    Agreement forests do not depend on the order of the input trees, so
+    the approximation of the trees in any order gives a lower bound
+    (:meth:`ApproxResult.lower_bound`), and :func:`coarsen` of its forest an
+    agreement forest of the instance.  The given order comes first
+    (``given`` is its approximation, if it has been run).  Then, while the
+    smallest coarsened order and the largest bound are at least 2 apart,
+    the next ordered pair (i, j) of trees, in lexicographic order, is put
+    first with the rest in input order, and approximated; its forest is
+    coarsened only if the gap is still at least 2, and kept if smaller.
+    At a gap of 1, ``find_min_k`` makes one search, at the bound, the
+    cheapest it makes, and another approximation tends to cost more.
+    """
+    approximate = approx_rmaf if instance.rooted else approx_umaf
+    if given is None:
+        given = approximate(instance)
+    lower = given.lower_bound()
+    best = coarsen(instance, given.forest)
+    forests = instance.forests
+    for i, j in permutations(range(instance.m), 2):
+        if best.order() - lower < 2:
+            break
+        if (i, j) == (0, 1):
+            continue
+        rest = (f for t, f in enumerate(forests) if t not in (i, j))
+        tried = Instance(instance.rooted, (forests[i], forests[j], *rest), instance.name)
+        ares = approximate(tried)
+        lower = max(lower, ares.lower_bound())
+        if best.order() - lower >= 2:
+            best = min(best, coarsen(tried, ares.forest), key=Forest.order)
+    return Bootstrap(given, lower, best)

@@ -3,7 +3,10 @@
 ``maf pmaf`` mirrors the experimental protocol: it first runs the
 approximation to get an order k', starts the exact search at the lower bound
 its trace gives (``ApproxResult.lower_bound``, at least ⌈k'/3⌉ rooted and
-⌈k'/4⌉ unrooted), and walks k upward until a certificate appears.
+⌈k'/4⌉ unrooted), and walks k upward until a certificate appears, or up to
+the coarsened approximation, which answers if every k below it fails.
+``approx.bootstrap`` runs the approximation with other pairs of trees first
+too while the bounds are 2 or more apart, and takes the best of each.
 ``maf amaf`` runs the approximation alone, ``maf gen`` writes simulated
 instances, and ``maf bench`` sweeps a directory and emits one CSV row per
 instance and method plus per-(n,m) aggregate rows; a file that fails to parse
@@ -25,7 +28,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from .approx import approx_rmaf, approx_umaf, coarsen
+from .approx import approx_rmaf, approx_umaf, bootstrap
 from .datagen import GenerationError, GenSpec, generate_instance
 from .forest import Instance, MafError, certify
 from .fpt import NoSolutionError, find_min_k
@@ -100,12 +103,10 @@ def _verify_or_die(af, instance):
 def cmd_pmaf(args) -> int:
     instance = _read_instance(args.input, args.rooted)
     t0 = time.perf_counter()
-    ares = _approximate(instance)
-    k_lo = ares.lower_bound()
-    merged = coarsen(instance, ares.forest)
+    boot = bootstrap(instance)
     try:
         # a cap below the bound leaves no k to try, so this fails at once
-        res = find_min_k(instance, k_lo, args.k, incumbent=merged)
+        res = find_min_k(instance, boot.lower_bound, args.k, incumbent=boot.incumbent)
     except NoSolutionError:
         if args.k is None:
             raise
@@ -115,7 +116,8 @@ def cmd_pmaf(args) -> int:
     cert = serialize(res.af.forest)
     print(f"order {res.order}")
     print(cert)
-    print(f"# bootstrap k'={ares.order} start k={k_lo} merged={merged.order()}")
+    print(f"# bootstrap k'={boot.given.order} start k={boot.lower_bound} "
+          f"merged={boot.incumbent.order()}")
     print(f"# {res.stats.summary()} wall_ms={wall_ms:.1f}")
     if args.verify:
         _verify_or_die(res.af, instance)
@@ -184,8 +186,8 @@ def _bench_file(job):
                 row(method="approx", order=ares.order, wall_ms=f"{ms:.2f}", **common)
         if mode in ("all", "fpt"):
             t0 = time.perf_counter()
-            res = find_min_k(instance, ares.lower_bound(),
-                             incumbent=coarsen(instance, ares.forest))
+            boot = bootstrap(instance, ares)
+            res = find_min_k(instance, boot.lower_bound, incumbent=boot.incumbent)
             ms = (time.perf_counter() - t0) * 1000.0
             exact_order = res.order
             row(

@@ -77,7 +77,10 @@ def test_unexpected_exception_exits_internal_with_traceback(tmp_path, capsys, mo
     def broken(*args, **kwargs):
         raise RuntimeError("solver fell over")
 
+    # ``maf amaf`` approximates through the CLI's binding, ``maf pmaf``
+    # through the bootstrap's
     monkeypatch.setattr(cli, "approx_rmaf", broken)
+    monkeypatch.setattr(mk.approx, "approx_rmaf", broken)
     for command in ("amaf", "pmaf"):
         code, _, err = run(capsys, command, str(p))
         assert code == 3
