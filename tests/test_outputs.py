@@ -26,10 +26,10 @@ def test_outputs_match_the_recorded_digests(checker, capsys):
 def test_checker_names_every_digest_that_moved(checker, tmp_path, capsys):
     with open(RECORD, encoding="utf-8") as fh:
         record = json.load(fh)
-    names = [f"{what} t{n}-{m}-x{x}-s{seed}{'r' if rooted else 'u'}"
-             for n, m, x, seed, rooted in checker.CORPUS
+    names = [f"{what} {name}" for name, _, _ in checker.instances()
              for what in ("gen", "amaf", "pmaf", "pmaf-search", "serialize")]
     assert sorted(record) == sorted(names)
+    assert "gen t18-3-x1-s1255u-o102" in names
     moved = dict(record, **{names[1]: "0" * 64})
     path = tmp_path / "record.json"
     path.write_text(json.dumps(moved))
