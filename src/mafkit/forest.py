@@ -26,8 +26,9 @@ checked against the degree rules.  A removal or a grouping also takes over
 its parent's sibling-set table (see :meth:`Forest.find_mss`) and patches it
 where it can change, instead of leaving it to be built again.  Derivations
 record their parent and a log of what they changed, which ``reduction``
-reads.  Other derived data (the label partition) is built at most once per
-value, on first use.
+reads.  Other derived data (the hanging, its preorder numbering and the
+label partition) is built at most once per value, on first use, and never
+passes to a derived value.  Every reader takes the kept maps as read-only.
 
 Grouping (:meth:`Forest.group_labels`) shrinks a sibling set into one leaf
 that takes the least label id of the set, so every label id is the least
@@ -36,9 +37,11 @@ themselves.  The label table is the instance's and never changes; each
 forest records its own groupings (see :meth:`Forest.originals`).
 
 One walk finds a forest's components: :meth:`Forest._hanging` hangs each
-from one top, the root or the leaf with the least label id.  The
-label partition, structural equality, the reduction's side sums, the
-Steiner witness and the canonical key all read that hanging.  Structural
+from one top, the root or the leaf with the least label id, once per value.
+The label partition, unrooted structural equality, the reduction's side
+sums, the preorder numbering (:meth:`Forest._numbering`) that the
+certificate and the merge pass claim Steiner subtrees on, and the canonical
+key that the Newick writer renders all read that one hanging.  Structural
 equality (:meth:`Forest.same_structure`) maps the vertices of one forest
 onto the other's, climbing from the labeled leaves; it builds no canonical
 key.  The canonical key holds one flat tuple of ints per component (see
@@ -279,6 +282,8 @@ class Forest:
         "_own",
         "_mss",
         "_partition",
+        "_hang",
+        "_numbers",
         "_weights",
         "_sums",
         "_groups",
@@ -300,6 +305,8 @@ class Forest:
         self._own = set()              # vertices whose adjacency row is private
         self._mss = None               # sibling-set table, see find_mss
         self._partition = None
+        self._hang = None              # see _hanging
+        self._numbers = None           # see _numbering
         self._weights = None           # label weights as a reduction witness
         self._sums = None              # side sums of the latest reduction scan
         self._groups = {}              # see originals
@@ -636,27 +643,67 @@ class Forest:
         Putting one removed edge back either joins two labeled components,
         which lowers the order by one, or re-attaches an unlabeled piece
         that contraction deletes again, which leaves the forest unchanged.
-        So one union-find pass decides every trial: join every edge that is
-        not removed, then walk the removed ids in order, keeping an edge
+        So one union-find over the pieces of this forest minus the removal
+        decides every trial: walk the removed ids in order, keeping an edge
         whose two ends lie in labeled components and joining the ends of any
         other, as putting it back does.
+
+        Only the pieces at the ends of removed edges take part, and only an
+        unlabeled piece needs an identity.  Two labeled components are never
+        joined, as an edge between them is kept, so the union-find holds one
+        token, None, for every labeled piece, and a join with it makes a
+        component labeled.  The two ends of an edge never share any other
+        root: the edges put back form a forest without it.  Each end's piece
+        is found by a walk from it that crosses no removed edge
+        (:meth:`_reaches_label`), so every vertex the walk reaches lies in
+        its start's piece.  The walk stops once a label, or a vertex an
+        earlier walk reached, comes in view; then the piece is labeled, as
+        an earlier walk that sees no label walks its whole piece, which
+        would hold this start too.  A walk that stops at neither has walked
+        its whole piece, and it is unlabeled.  Such a piece has fewer
+        vertices than ends of removed edges in it (each of its vertices has
+        degree 3 or more in the forest, a rooted top 2), and a walk in a
+        labeled piece ends at the first label in view, so the walks cost
+        about the removal's size, not the forest's.
         """
-        removed = sorted(set(eids))
-        if not removed:
-            return ()
-        parent = self.joined_without(removed)
-        labeled = {find_root(parent, v) for v in self._label_vertex.values()}
+        removed = set(eids)
+        if not removed <= self._edges.keys():
+            raise ForestError(f"unknown edge ids {sorted(removed - self._edges.keys())}")
+        piece = {}          # vertex -> the end whose walk reached it
+        root = {None: None}  # union-find over pieces, None for the labeled
         keep = []
-        for eid in removed:
-            u, v = self._edges[eid]
-            ru, rv = find_root(parent, u), find_root(parent, v)
-            if ru in labeled and rv in labeled:
+        for eid in sorted(removed):
+            ends = []
+            for x in self._edges[eid]:
+                if x not in piece:
+                    root[x] = None if self._reaches_label(x, removed, piece) else x
+                ends.append(find_root(root, piece[x]))
+            ru, rv = ends
+            if ru == rv:  # both labeled
                 keep.append(eid)
+            elif ru is None:
+                root[rv] = ru
             else:
-                parent[rv] = ru
-                if rv in labeled:
-                    labeled.add(ru)
+                root[ru] = rv
         return tuple(keep)
+
+    def _reaches_label(self, x, removed, piece) -> bool:
+        """Walk from ``x`` without crossing an edge in ``removed``, entering
+        each vertex reached in ``piece`` as ``x``'s.  True once a label, or a
+        vertex another walk entered, comes in view; False once the walk has
+        run out with neither (see :meth:`essential_edges`)."""
+        adj, vlabel = self._adj, self._vlabel
+        piece[x] = x
+        stack = [x]
+        while stack:
+            for e, w in adj[stack.pop()].items():
+                if e in removed or piece.get(w) == x:
+                    continue
+                if w in vlabel or w in piece:
+                    return True
+                piece[w] = x
+                stack.append(w)
+        return x in vlabel
 
     def label_partition(self) -> tuple[frozenset[int], ...]:
         """The label set of every component, in the order of the runs of
@@ -939,8 +986,11 @@ class Forest:
         label id.  ``order`` lists every vertex, each component as one
         run that starts at its top, parents before children; ``up`` maps
         every vertex but the tops to the vertex above it.  The walk grows a
-        list while it reads it, without recursion.
+        list while it reads it, without recursion.  It is made once per
+        value and kept, and every reader takes both maps as read-only.
         """
+        if self._hang is not None:
+            return self._hang
         adj = self._adj
         if self.rooted:
             children = {c for _, c in self._edges.values()}
@@ -961,7 +1011,34 @@ class Forest:
                         up[w] = v
                         run.append(w)
             order += run
-        return order, up
+        self._hang = order, up
+        return self._hang
+
+    def _numbering(self):
+        """``(up, depth, lo, size, at)`` of :class:`_Hung`: the hanging's
+        ``up``, and a preorder numbering of it.  Made once per value from
+        :meth:`_hanging` and kept; every reader takes it as read-only."""
+        if self._numbers is None:
+            order, up = self._hanging()
+            size = dict.fromkeys(order, 1)
+            for v in reversed(order):  # children before parents
+                p = up.get(v)
+                if p is not None:
+                    size[p] += size[v]
+            depth, lo, free = {}, {}, {}
+            numbered = 0
+            for v in order:  # parents before children
+                p = up.get(v)
+                if p is None:
+                    depth[v], lo[v] = 0, numbered
+                    numbered += size[v]
+                else:
+                    depth[v], lo[v] = depth[p] + 1, free[p]
+                    free[p] += size[v]
+                free[v] = lo[v] + 1
+            at = {lid: lo[v] for lid, v in self._label_vertex.items()}
+            self._numbers = up, depth, lo, size, at
+        return self._numbers
 
     def _edges_up(self, vertices, up) -> list[int]:
         """Ids of the edges from each of ``vertices`` to the vertex above it
@@ -1226,7 +1303,10 @@ class _Hung:
     ``depth`` counts the vertices above each vertex.  ``lo`` and ``size``
     number the vertices in a preorder of that hanging, so the vertices below
     ``v`` are those numbered ``lo[v]`` up to but excluding ``lo[v] +
-    size[v]``, and ``at`` gives each label its leaf's number.  ``owner``
+    size[v]``, and ``at`` gives each label its leaf's number.  These five
+    maps depend on the forest alone: they are the forest's
+    :meth:`Forest._numbering`, made once per value and shared, read-only,
+    by every ``_Hung`` of it.  The claims are this object's own: ``owner``
     maps every vertex of a part's Steiner subtree to a part id, which
     ``coarsen`` may have joined since, and ``top`` maps each part id to the
     highest vertex of its subtree.  Where two parts' subtrees share a
@@ -1236,26 +1316,9 @@ class _Hung:
     __slots__ = ("forest", "up", "depth", "lo", "size", "at", "owner", "top")
 
     def __init__(self, forest: Forest, parts):
-        order, up = forest._hanging()
-        size = dict.fromkeys(order, 1)
-        for v in reversed(order):  # children before parents
-            p = up.get(v)
-            if p is not None:
-                size[p] += size[v]
-        depth, lo, free = {}, {}, {}
-        numbered = 0
-        for v in order:  # parents before children
-            p = up.get(v)
-            if p is None:
-                depth[v], lo[v] = 0, numbered
-                numbered += size[v]
-            else:
-                depth[v], lo[v] = depth[p] + 1, free[p]
-                free[p] += size[v]
-            free[v] = lo[v] + 1
-        self.forest, self.up, self.depth, self.lo, self.size = forest, up, depth, lo, size
+        self.forest = forest
+        self.up, self.depth, self.lo, self.size, self.at = forest._numbering()
         leaf = forest._label_vertex
-        self.at = {lid: lo[v] for lid, v in leaf.items()}
         self.owner, self.top = {}, {}
         for pid, labs in enumerate(parts):
             self._claim(pid, [leaf[l] for l in labs])

@@ -107,7 +107,8 @@ def greedy_essential_by_order(forest, eids):
     """Essential subset by one ``order_without`` per removed edge.
 
     Reference for ``essential_subset``, which decides every trial in one
-    union-find pass.
+    union-find pass over the pieces its local walks find.  ``eids`` must
+    not repeat an id.
     """
     keep = sorted(eids)
     if not keep:

@@ -137,17 +137,50 @@ def test_ms2_unrooted_star_has_nontrivial_essential_subset():
 
 
 def test_essential_subset_matches_the_greedy(rng):
+    # removal sets of every size from one edge to every edge, some naming
+    # an edge twice, on rooted and unrooted forests
     stranded = 0
     for i in range(360):
         f = random_forest(rng, rng.randint(4, 12), rooted=i % 2 == 0)
         eids = sorted(f.edge_ids())
-        sub = rng.sample(eids, rng.randint(1, len(eids))) if eids else []
-        ess = approx.essential_subset(f, sub)
-        assert ess == greedy_essential_by_order(f, sub)
-        assert f.remove_edges(ess).same_structure(f.remove_edges(sub))
+        if not eids:
+            continue
+        subs = [rng.sample(eids, rng.randint(1, len(eids))), eids, eids[-1:]]
+        subs.append(subs[0] + rng.sample(subs[0], rng.randint(1, len(subs[0]))))
+        for sub in subs:
+            ess = approx.essential_subset(f, sub)
+            assert ess == greedy_essential_by_order(f, set(sub))
+            assert f.remove_edges(ess).same_structure(f.remove_edges(sub))
         # an unlabeled piece left by the removal: some removed edge is dropped
-        stranded += len(ess) < len(sub)
+        stranded += len(approx.essential_subset(f, subs[0])) < len(subs[0])
     assert stranded > 100
+
+
+def test_essential_subset_walks_only_near_the_removal(monkeypatch):
+    # the greedy needs the pieces at the ends of the removed edges only: no
+    # union-find over the whole forest, and a few vertices walked
+    f = mk.generate_instance(mk.GenSpec(n=2000, m=2, x=0, seed=5, rooted=True)).forests[0]
+
+    class CountingRows(dict):
+        read = 0
+
+        def __getitem__(self, v):
+            CountingRows.read += 1
+            return dict.__getitem__(self, v)
+
+    def whole_forest(*args):
+        raise AssertionError("joined the whole forest")
+
+    eids = sorted(f.edge_ids())
+    pairs = [eids[i:i + 2] for i in range(0, len(eids), 97)]
+    expected = [greedy_essential_by_order(f, pair) for pair in pairs[:5]]
+    monkeypatch.setattr(Forest, "joined_without", whole_forest)
+    f._adj = CountingRows(f._adj)
+    for pair in pairs:
+        CountingRows.read = 0
+        approx.essential_subset(f, pair)
+        assert CountingRows.read <= 40
+    assert [approx.essential_subset(f, pair) for pair in pairs[:5]] == expected
 
 
 def test_essential_subset_of_nothing_builds_nothing(monkeypatch):

@@ -2,16 +2,22 @@
 
 import copy
 import gc
+import importlib.util
+import os
 import pickle
+import sys
 import weakref
 from collections import Counter
 
 import pytest
 
 import mafkit as mk
+import mafkit.cli  # noqa: F401, the benchmark's ops call mk.cli
 from mafkit import forest as forest_mod
 from mafkit import reduction
 from mafkit.forest import Forest, LabelTable
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 from helpers import (
     all_removal_keys,
@@ -356,6 +362,76 @@ def hanging_depths(f):
     for v in order:
         depth[v] = depth[up[v]] + 1 if v in up else 0
     return up, depth
+
+
+def fresh_walks(f):
+    """``f``'s hanging and numbering walked afresh: a copy keeps every
+    vertex id and caches nothing."""
+    g = f._copy()
+    return g._hanging(), g._numbering()
+
+
+def test_readers_leave_the_cached_walks_as_they_were():
+    # the scan, the merge pass, the certificate, the writer and equality
+    # all read each input tree's one hanging and numbering, and none writes
+    for rooted in (True, False):
+        inst = mk.generate_instance(mk.GenSpec(n=14, m=3, x=2, seed=7, rooted=rooted))
+        found = mk.find_min_k(inst, incumbent=mk.bootstrap(inst).incumbent)
+        mk.certify(found.af.forest, inst)
+        for f in inst.forests:
+            mk.serialize(f)
+            assert f.same_structure(mk.parse_instance(mk.serialize(f), rooted).forests[0])
+        for f in inst.forests:
+            assert f._hang is not None and f._numbers is not None
+            assert (f._hang, f._numbers) == fresh_walks(f)
+
+
+def test_derived_values_walk_afresh():
+    inst = mk.parse_instance("((a,b),(c,(d,e)));\n((a,b),(c,d),e);", rooted=True)
+    f1, f2 = inst.forests
+    for f in (f1, f2):
+        f._numbering()
+    _, r2, _ = mk.reduce_pair(f1, f2)
+    g1, g2, _, grouped = reduction.next_case(f1, r2)
+    assert grouped
+    derived = [f1._copy(), f1.remove_edges([f1.pendant_edge(f1.labels.id_of("c"))]),
+               g1, g2, g1.expand_labels()]
+    for g in derived:
+        g._numbering()  # the parent's walk is hung: a derived value must not take it
+    for g in derived:
+        assert (g._hang, g._numbers) == fresh_walks(g)
+    assert all(g._hang is not f1._hang and g._numbers is not f1._numbers for g in derived)
+
+
+def test_a_pmaf_pass_hangs_each_value_once(tmp_path, monkeypatch):
+    # one seed-1 pass of the benchmark's pmaf-exact workload; before the
+    # walk was kept on the value it made 90 walks of 44 values
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_workloads", workloads)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["pmaf-exact"]
+    walked, live = [], weakref.WeakSet()
+    hanging = Forest._hanging
+
+    def counting(f):
+        if f._hang is None:
+            walked.append(f in live)
+            live.add(f)
+        return hanging(f)
+
+    cases = workload.build(1, mk)
+    for i, case in enumerate(cases):
+        case.path = str(tmp_path / f"{i}.nwk")
+        (tmp_path / f"{i}.nwk").write_text(case.text)
+    monkeypatch.setattr(Forest, "_hanging", counting)
+    for case in cases:
+        assert workload.op(mk, case).ok
+    assert not any(walked)  # no value is walked twice
+    # 44 values at most, and 11 more: a pair of whole trees makes no scan,
+    # so the first scan of a partner derived from one walks that partner
+    assert len(walked) <= 55
 
 
 def test_hanging_contract(rng):
