@@ -38,8 +38,8 @@ holding it, so it is not a union of whole F2 components.  So the rule only
 ever removes edges of F2, and :func:`reduce_pair` scans only that way.
 When F1 is one tree, no side of an F2 edge is a union of its components
 either: each side holds a label and misses one.  So a pair of two whole
-trees, as each partner starts, is reduced as it is, and
-:func:`reduce_pair` hands it back with no scan.
+trees, such as the first two inputs before any cut, is reduced as it is,
+and :func:`reduce_pair` hands it back with no scan.
 
 Lemma B.  Let F2 be closed over a fixed witness F1.  Within a component C of
 F2, one side of an edge is a union of whole F1 components iff the other side

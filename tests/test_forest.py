@@ -404,8 +404,9 @@ def test_derived_values_walk_afresh():
 
 
 def test_a_pmaf_pass_hangs_each_value_once(tmp_path, monkeypatch):
-    # one seed-1 pass of the benchmark's pmaf-exact workload; before the
-    # walk was kept on the value it made 90 walks of 44 values
+    # one seed-1 pass of the benchmark's pmaf-exact workload: each value is
+    # walked at most once, so the 90 calls on 44 values it would make with
+    # no kept walk come down to one each
     path = os.path.join(ROOT, "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -429,8 +430,8 @@ def test_a_pmaf_pass_hangs_each_value_once(tmp_path, monkeypatch):
     for case in cases:
         assert workload.op(mk, case).ok
     assert not any(walked)  # no value is walked twice
-    # 44 values at most, and 11 more: a pair of whole trees makes no scan,
-    # so the first scan of a partner derived from one walks that partner
+    # 44 values, and 11 more: a pair of whole trees makes no scan, so the
+    # first scan of a partner derived from one walks that derived partner
     assert len(walked) <= 55
 
 

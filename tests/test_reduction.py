@@ -361,9 +361,9 @@ def test_carried_scan_matches_full_walk(rng, monkeypatch):
     counts = check_every_scan(monkeypatch)
     solve_every_way(rng, 100)
     # one per reduce_pair call but the 385 on two whole trees, which make
-    # none; those calls still count in the share below, which they were
-    # part of before they stopped scanning (their partners keep no sums,
-    # so the first scan below one walks afresh)
+    # none; those calls still count in the share below, as a whole-pair
+    # partner keeps no sums, so the first scan below one walks afresh
+    # where it would carry the partner's
     whole_pairs = 385
     assert counts["scans"] > 2000 - whole_pairs
     # most scans inherit their sums (a scan under weights not derived from
