@@ -617,13 +617,19 @@ class Forest:
         parent = self.joined_without(eids)
         return len({find_root(parent, v) for v in self._label_vertex.values()})
 
+    def _known_edges(self, eids) -> set[int]:
+        """The set of ``eids``, which must be edges of this forest;
+        ``ForestError`` is raised otherwise."""
+        removed = set(eids)
+        if not removed <= self._edges.keys():
+            raise ForestError(f"unknown edge ids {sorted(removed - self._edges.keys())}")
+        return removed
+
     def joined_without(self, eids) -> dict[int, int]:
         """Union-find ``parent`` map of the vertices (see :func:`find_root`)
         with every edge joined but those in ``eids``, which must be edges of
         this forest."""
-        removed = set(eids)
-        if not removed <= self._edges.keys():
-            raise ForestError(f"unknown edge ids {sorted(removed - self._edges.keys())}")
+        removed = self._known_edges(eids)
         parent = {v: v for v in self._adj}
         for eid, (u, v) in self._edges.items():
             if eid not in removed:
@@ -660,15 +666,14 @@ class Forest:
         earlier walk reached, comes in view; then the piece is labeled, as
         an earlier walk that sees no label walks its whole piece, which
         would hold this start too.  A walk that stops at neither has walked
-        its whole piece, and it is unlabeled.  Such a piece has fewer
-        vertices than ends of removed edges in it (each of its vertices has
-        degree 3 or more in the forest, a rooted top 2), and a walk in a
-        labeled piece ends at the first label in view, so the walks cost
-        about the removal's size, not the forest's.
+        its whole piece, and it is unlabeled.  Over all the walks each
+        vertex is entered at most once, so they cost no more than the
+        union-find over every edge that :meth:`joined_without` builds.  A
+        walk in a labeled piece ends at the first label in view, which is
+        usually near its start, but nothing bounds how far: a path of
+        unlabeled vertices can run as deep as the tree.
         """
-        removed = set(eids)
-        if not removed <= self._edges.keys():
-            raise ForestError(f"unknown edge ids {sorted(removed - self._edges.keys())}")
+        removed = self._known_edges(eids)
         piece = {}          # vertex -> the end whose walk reached it
         root = {None: None}  # union-find over pieces, None for the labeled
         keep = []

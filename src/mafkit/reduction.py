@@ -8,7 +8,7 @@ working forest and F2 its partner, and :func:`reduce_pair` drives a pair to
 the fixpoint ("strongly reducible") before any case analysis or branching:
 the exact search reduces its first two forests, the approximation its
 working forest against the current partner.  It makes one scan and one
-derivation, because of two lemmas, and none for a pair of whole trees.
+derivation, because of two lemmas.
 
 Call F2 *closed* over F1 when every component of F2 is a union of
 components of F1.
@@ -36,10 +36,6 @@ and each of its sides is a part of D that holds a leaf, so a label (F1 is
 irreducible), and is not the whole of D.  Such a side meets C without
 holding it, so it is not a union of whole F2 components.  So the rule only
 ever removes edges of F2, and :func:`reduce_pair` scans only that way.
-When F1 is one tree, no side of an F2 edge is a union of its components
-either: each side holds a label and misses one.  So a pair of two whole
-trees, such as the first two inputs before any cut, is reduced as it is,
-and :func:`reduce_pair` hands it back with no scan.
 
 Lemma B.  Let F2 be closed over a fixed witness F1.  Within a component C of
 F2, one side of an edge is a union of whole F1 components iff the other side
@@ -539,10 +535,7 @@ def reduce_pair(f1: Forest, f2: Forest):
     ``f2`` must be closed over ``f1``, as it is in both solvers (Lemma A in
     the module docstring): then no edge of ``f1`` is removable, and one
     scan (:func:`find_applicable`) and one ``remove_edges`` reach the
-    fixpoint (Lemma B).  A pair of two whole trees needs no scan, as no
-    edge is removable with one tree as witness; every other pair is
-    scanned, which raises ``ForestError`` on a pair outside the contract.
-    Both forests must carry the same label ids
+    fixpoint (Lemma B).  Both forests must carry the same label ids
     (grouping applied to both alike); ``LabelUniverseError`` is raised
     otherwise.
 
@@ -553,8 +546,6 @@ def reduce_pair(f1: Forest, f2: Forest):
     """
     if f1.label_ids() != f2.label_ids():
         raise LabelUniverseError("forests to reduce carry different label ids")
-    if f1.order() == 1 == f2.order():
-        return f1, f2, ()
     found = find_applicable(f1, f2)
     if found is None:
         return f1, f2, ()

@@ -158,7 +158,8 @@ def test_essential_subset_matches_the_greedy(rng):
 
 def test_essential_subset_walks_only_near_the_removal(monkeypatch):
     # the greedy needs the pieces at the ends of the removed edges only: no
-    # union-find over the whole forest, and a few vertices walked
+    # union-find over the whole forest, a few vertices walked on a random
+    # tree, and never a vertex walked twice, whatever the removal
     f = mk.generate_instance(mk.GenSpec(n=2000, m=2, x=0, seed=5, rooted=True)).forests[0]
 
     class CountingRows(dict):
@@ -181,6 +182,10 @@ def test_essential_subset_walks_only_near_the_removal(monkeypatch):
         approx.essential_subset(f, pair)
         assert CountingRows.read <= 40
     assert [approx.essential_subset(f, pair) for pair in pairs[:5]] == expected
+    for sub in (eids, eids[::2], eids[-1:]):
+        CountingRows.read = 0
+        approx.essential_subset(f, sub)
+        assert CountingRows.read <= len(f._adj)
 
 
 def test_essential_subset_of_nothing_builds_nothing(monkeypatch):

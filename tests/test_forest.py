@@ -430,9 +430,7 @@ def test_a_pmaf_pass_hangs_each_value_once(tmp_path, monkeypatch):
     for case in cases:
         assert workload.op(mk, case).ok
     assert not any(walked)  # no value is walked twice
-    # 44 values, and 11 more: a pair of whole trees makes no scan, so the
-    # first scan of a partner derived from one walks that derived partner
-    assert len(walked) <= 55
+    assert len(walked) <= 44
 
 
 def test_hanging_contract(rng):

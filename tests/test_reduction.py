@@ -190,18 +190,6 @@ def test_pair_outside_the_contract_is_refused():
         assert mk.reduce_pair(cut, t1)[2]  # the other way round is closed
 
 
-def test_whole_pair_makes_no_scan(monkeypatch):
-    # no side of a partner edge is a union of whole components of a
-    # one-tree witness, so two whole trees are reduced as they are
-    def no_scan(fp, fq):
-        raise AssertionError("scanned a pair of whole trees")
-
-    monkeypatch.setattr(reduction, "find_applicable", no_scan)
-    for rooted in (True, False):
-        t1, t2 = mk.parse_instance("((a,b),(c,d));\n((a,c),(b,d));", rooted).forests
-        assert mk.reduce_pair(t1, t2) == (t1, t2, ())
-
-
 def test_solvers_refuse_a_later_input_that_is_not_a_tree():
     # the first input may be a forest; a later one must be one tree, or the
     # solvers' pairs would leave the contract
@@ -221,8 +209,7 @@ def test_solvers_refuse_a_later_input_that_is_not_a_tree():
 def test_solver_pairs_are_closed(rng, monkeypatch):
     # Lemma A on every call the solvers make: the partner's components are
     # unions of the working forest's before and after, no working-forest
-    # edge is removable, and each call makes one scan, but a pair of whole
-    # trees, which has nothing removable, makes none
+    # edge is removable, and each call makes one scan
     scans = []
     scan = reduction.find_applicable
 
@@ -240,9 +227,7 @@ def test_solver_pairs_are_closed(rng, monkeypatch):
         with reductions_seen() as seen:
             mk.find_min_k(inst)
             approximate(inst)
-        whole = [(f2, got) for f1, f2, got in seen if f1.order() == 1 == f2.order()]
-        assert len(scans) == len(seen) - len(whole)
-        assert all(got[1] is f2 and not got[2] for f2, got in whole)
+        assert len(scans) == len(seen)
         for f1, f2, (g1, g2, _) in seen:
             assert g1 is f1
             assert is_closed(f1, f2) and is_closed(f1, g2)
@@ -360,15 +345,10 @@ def solve_every_way(rng, instances):
 def test_carried_scan_matches_full_walk(rng, monkeypatch):
     counts = check_every_scan(monkeypatch)
     solve_every_way(rng, 100)
-    # one per reduce_pair call but the 385 on two whole trees, which make
-    # none; those calls still count in the share below, as a whole-pair
-    # partner keeps no sums, so the first scan below one walks afresh
-    # where it would carry the partner's
-    whole_pairs = 385
-    assert counts["scans"] > 2000 - whole_pairs
+    assert counts["scans"] > 2000  # one per reduce_pair call
     # most scans inherit their sums (a scan under weights not derived from
     # the ones its inherited sums hold walks afresh)
-    assert counts["walks"] < (counts["scans"] + whole_pairs) / 2
+    assert counts["walks"] < counts["scans"] / 2
 
 
 def test_carried_scan_survives_evicted_sums(rng, monkeypatch):

@@ -7,8 +7,7 @@ Reads the run's output on stdin, takes its last line (one JSON object) and
 compares every recorded count of the workload with it: the exact search's
 ``fpt.*`` counters, the approximation's ``approx.steps.*``, the
 reduction's ``reduction.reduce_pair.removals``, and the call counts of the
-scan and the derivations (``find_applicable``, one per ``reduce_pair``
-but none on a pair of two whole trees;
+scan and the derivations (``find_applicable``, one per ``reduce_pair``;
 ``split_labels``, which the solvers do not call; ``remove_edges``; and
 ``group_labels``, which the solvers do not call either, as
 ``reduction.next_case`` groups each run of sibling sets in one derivation
