@@ -305,3 +305,28 @@ def test_search_stats_and_approx_trace_are_pinned(key, monkeypatch):
     res = mk.find_min_k(inst)
     assert [tuple(getattr(st, f) for f in STATS_FIELDS) for st in res.attempts] == attempts
     assert approximation_records(inst, monkeypatch) == records
+
+
+# GenSpec arguments -> (bootstrap bound, incumbent order, answer order, every
+# attempt's counters, in STATS_FIELDS order).  Searches of thousands of nodes,
+# where a changed edge id or cut order would show.
+LARGE_SEARCHES = {
+    (60, 2, 8, 41, True): (8, 9, 9, [(8, 2202, 944, 7, 867, 42, 1, 429, 409, 0)]),
+    (40, 3, 4, 41, False): (7, 8, 8, [(7, 5254, 2132, 6, 2395, 17, 103, 659, 1384, 113)]),
+    (40, 4, 3, 41, True): (8, 10, 10, [
+        (8, 2541, 570, 7, 1764, 9, 7, 272, 866, 134),
+        (9, 5570, 1240, 8, 3826, 10, 47, 586, 2248, 315),
+    ]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LARGE_SEARCHES))
+def test_large_search_shape_is_pinned(key):
+    n, m, x, seed, rooted = key
+    inst = mk.generate_instance(mk.GenSpec(n, m, x, seed, rooted=rooted))
+    bound, incumbent, order, attempts = LARGE_SEARCHES[key]
+    boot = mk.bootstrap(inst)
+    assert (boot.lower_bound, boot.incumbent.order()) == (bound, incumbent)
+    res = mk.find_min_k(inst, boot.lower_bound, incumbent=boot.incumbent)
+    assert res.order == order
+    assert [tuple(getattr(st, f) for f in STATS_FIELDS) for st in res.attempts] == attempts
