@@ -438,6 +438,12 @@ class Forest:
     def _normalize(self, dirty, log):
         """Forced contraction from the given seed vertices outward.
 
+        One rule for both rootednesses, by the degree of an unlabeled
+        vertex: an isolated one is dropped, a leaf is dropped with its edge,
+        and a pass-through vertex is spliced out, its two edges, in id order
+        but a rooted vertex's parent edge first, joined into one new edge.
+        A rooted component root of degree 2 stays: it is a retained LCA.
+
         Every step is appended to the list ``log`` (see :meth:`remove_edges`):
         ``("drop", v)`` for an isolated vertex, ``("gone", v, e, w)`` for a
         leaf ``v`` dropped with its edge ``e`` to ``w``, and ``("splice", v,
@@ -450,46 +456,27 @@ class Forest:
             v = queue.popleft()
             if v not in self._adj or v in self._vlabel:
                 continue
-            deg = len(self._adj[v])
-            if deg > 2:  # nothing to contract, whether it has a parent or not
-                continue
-            pe = self.parent_edge(v)
-            if pe is None:
-                # unrooted vertex, or a rooted component root
-                if deg == 0:
-                    self._drop_vertex(v)
-                    note(("drop", v))
-                elif deg == 1:
-                    eid, w = next(iter(self._adj[v].items()))
-                    self._del_edge(eid)
-                    self._drop_vertex(v)
-                    note(("gone", v, eid, w))
-                    queue.append(w)
-                elif deg == 2 and not self.rooted:
-                    (e1, w1), (e2, w2) = sorted(self._adj[v].items())
-                    if w1 == w2:
-                        raise ForestError("edge list has a cycle")
-                    self._del_edge(e1)
-                    self._del_edge(e2)
-                    self._drop_vertex(v)
-                    note(("splice", v, e1, w1, e2, w2, self._add_edge(w1, w2)))
-                # rooted roots keep degree 2: they are retained LCAs
-            else:
-                if deg == 1:
-                    parent = self._adj[v][pe]
-                    self._del_edge(pe)
-                    self._drop_vertex(v)
-                    note(("gone", v, pe, parent))
-                    queue.append(parent)
-                elif deg == 2:
-                    parent = self._adj[v][pe]
-                    ce, child = next((e, w) for e, w in self._adj[v].items() if e != pe)
-                    if parent == child:
-                        raise ForestError("edge list has a cycle")
-                    self._del_edge(pe)
-                    self._del_edge(ce)
-                    self._drop_vertex(v)
-                    note(("splice", v, pe, parent, ce, child, self._add_edge(parent, child)))
+            row = self._adj[v]
+            if not row:
+                self._drop_vertex(v)
+                note(("drop", v))
+            elif len(row) == 1:
+                eid, w = next(iter(row.items()))
+                self._del_edge(eid)
+                self._drop_vertex(v)
+                note(("gone", v, eid, w))
+                queue.append(w)
+            elif len(row) == 2:
+                pe = self.parent_edge(v)
+                if self.rooted and pe is None:
+                    continue
+                (e1, w1), (e2, w2) = sorted(row.items(), key=lambda item: (item[0] != pe, item))
+                if w1 == w2:
+                    raise ForestError("edge list has a cycle")
+                self._del_edge(e1)
+                self._del_edge(e2)
+                self._drop_vertex(v)
+                note(("splice", v, e1, w1, e2, w2, self._add_edge(w1, w2)))
 
     def _check(self, vertices=None):
         """Degree rules of an irreducible forest, and one vertex per label.
@@ -730,26 +717,27 @@ class Forest:
         return self._partition
 
     def tree_path(self, v1, v2):
-        """Vertex path between v1 and v2, or None if in different components."""
-        if v1 == v2:
-            return [v1]
+        """Vertex path between v1 and v2, or None if in different components.
+
+        One breadth-first search from v1 until it reaches v2; the path, which
+        is unique in a forest, is then read back from the map of the vertex
+        each was reached from.
+        """
         prev = {v1: None}
         queue = deque((v1,))
-        while queue:
+        while queue and v2 not in prev:
             v = queue.popleft()
             for w in self._adj[v].values():
                 if w not in prev:
                     prev[w] = v
-                    if w == v2:
-                        out = []
-                        x = v2
-                        while x is not None:
-                            out.append(x)
-                            x = prev[x]
-                        out.reverse()
-                        return out
                     queue.append(w)
-        return None
+        if v2 not in prev:
+            return None
+        out = [v2]
+        while out[-1] != v1:
+            out.append(prev[out[-1]])
+        out.reverse()
+        return out
 
     # -- core operations ------------------------------------------------------
 
@@ -760,7 +748,9 @@ class Forest:
         records ``(self, log, chain length)`` as its origin, so that the
         reduction can carry what it computed for this value to the new one:
         ``("cut", e, u, v)`` for each deleted edge in the order of its first
-        occurrence, then the contraction steps (see :meth:`_normalize`).  A
+        occurrence, then the steps of the one contraction rule, ``drop``,
+        ``gone`` and ``splice`` (see :meth:`_normalize`).  A grouping's log
+        uses the same ``gone`` step and adds ``group`` (see :meth:`_group`).  A
         sibling-set table already built here is patched at the vertices the
         removal wrote.
         """
@@ -894,8 +884,9 @@ class Forest:
         takes the least id of ``lids``, and the grouping is recorded (see
         :meth:`originals`); the label table and the component count are
         unchanged.  Appended to the origin log ``log`` (see
-        :meth:`remove_edges`): ``("merge", v, e, hub)`` for each leaf ``v``
-        dropped with its edge ``e``, then ``("group", lids, new_id)``.
+        :meth:`remove_edges`): the contraction step ``("gone", v, e, hub)``
+        for each leaf ``v`` dropped with its edge ``e``, then ``("group",
+        lids, new_id)``.
         """
         new_id = min(lids)
         self._groups[new_id] = self._groups.pop(new_id, ()) + tuple(sorted(lids))
@@ -905,9 +896,8 @@ class Forest:
                 continue
             eid = next(iter(self._adj[v]))
             self._del_edge(eid)
-            del self._vlabel[v]
             self._drop_vertex(v)
-            log.append(("merge", v, eid, hub))
+            log.append(("gone", v, eid, hub))
         self._vlabel[hub] = new_id
         self._label_vertex[new_id] = hub
         log.append(("group", lids, new_id))
@@ -1186,32 +1176,20 @@ class Forest:
         path = self.tree_path(at[pair[0]], at[pair[1]])
         if path is None:
             return SiblingCase("split", pair=pair)
+
+        def off(i):  # the edges of path[i] that leave the path
+            ends = (path[i - 1], path[i + 1])
+            return [e for e, w in adj[path[i]].items() if w not in ends]
+
         if rooted:
             # every other path vertex has its parent on the path
             on = set(path)
             lca = next(v for v in path if self.parent_vertex(v) not in on)
-            cuts = (self.offpath_edges(path, exclude=lca),)
+            cuts = [[e for i in range(1, len(path) - 1) if path[i] != lca for e in off(i)]]
         else:
-            cuts = (
-                self.offpath_edges(path, at=path[1]),
-                self.offpath_edges(path, at=path[-2]),
-            )
+            cuts = [off(1), off(-2)]
+        cuts = tuple(tuple(sorted(cut)) for cut in cuts)
         return SiblingCase("path", pair=pair, path=tuple(path), cuts=cuts)
-
-    def offpath_edges(self, path, at=None, exclude=None) -> tuple[int, ...]:
-        """Edges hanging off the interior of a vertex path.
-
-        ``at`` restricts to one interior vertex; ``exclude`` skips a vertex
-        (the rooted rules spare the least common ancestor).
-        """
-        out = []
-        for i in range(1, len(path) - 1):
-            c = path[i]
-            if c == exclude or (at is not None and c != at):
-                continue
-            ends = (path[i - 1], path[i + 1])
-            out.extend(e for e, w in self._adj[c].items() if w not in ends)
-        return tuple(sorted(out))
 
     # -- misc ---------------------------------------------------------------
 

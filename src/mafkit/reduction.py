@@ -403,7 +403,8 @@ def _carry_side_sums(log, up, below):
     grouping move no label to the other side of any edge: a dropped or
     spliced vertex hands its place in the hanging to a neighbor, and a
     grouped leaf's weight stays in the sums of the vertex that takes its
-    label.  So the tops need not be the ones :meth:`Forest._hanging` picks
+    label.  A grouping logs each leaf it drops as contraction does, a
+    ``gone`` step toward the hub, so one branch reads both.  So the tops need not be the ones :meth:`Forest._hanging` picks
     (a cut leaves one wherever it falls); the side sums of every edge are
     the same.
     """
@@ -415,7 +416,7 @@ def _carry_side_sums(log, up, below):
             del up[child]
             if below[child]:
                 _add_on_path(up, below, other, -below[child])
-        elif kind == "gone" or kind == "merge":
+        elif kind == "gone":
             _, v, _, w = step
             if up.get(v) == w:
                 del up[v]  # a leaf of the hanging

@@ -151,8 +151,8 @@ def test_amaf_verify_compares_each_input_once(tmp_path, capsys, monkeypatch):
 
 
 def test_pmaf_verify_builds_keys_only_for_the_certificate(tmp_path, capsys, monkeypatch):
-    # the search, the certificate and its re-validation test equality many
-    # times; only the writer builds a canonical key
+    # the search and the certificate's check of each witness test equality
+    # many times; only the writer builds a canonical key
     p = tmp_path / "i.nwk"
     inst = mk.generate_instance(mk.GenSpec(n=12, m=3, x=2, seed=5, rooted=True))
     p.write_text(mk.format_instance(inst))
@@ -188,6 +188,25 @@ def test_amaf_verify_fails_when_certify_does(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "certify", refuse)
     code, out, err = run(capsys, "amaf", str(p), "--verify")
     assert code != 0 and "verified" not in out
+    assert "not a subforest" in err
+
+
+def test_pmaf_verify_reports_the_check_certify_made(tmp_path, capsys, monkeypatch):
+    # ``find_min_k`` returns a certificate, which ``certify`` has checked by
+    # each witness's removal; nothing checks it again
+    p = tmp_path / "i.nwk"
+    p.write_text("((a,b),(c,d));\n((a,c),(b,d));\n((a,d),(b,c));\n")
+    monkeypatch.setattr(mk.AgreementForest, "verify", None)
+    code, out, _ = run(capsys, "pmaf", str(p), "--unrooted", "--verify")
+    assert code == 0 and out.splitlines()[-1] == "verified against 3 input trees"
+
+
+def test_pmaf_verify_fails_when_certify_does(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "i.nwk"
+    p.write_text("((a,b),c);\n((a,c),b);\n")
+    monkeypatch.setattr(mk.forest, "subforest_witness", lambda sub, sup: None)
+    code, out, err = run(capsys, "pmaf", str(p), "--verify")
+    assert code == 3 and "verified" not in out
     assert "not a subforest" in err
 
 

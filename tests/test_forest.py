@@ -143,6 +143,34 @@ def test_degree_two_root_is_kept():
     assert mk.serialize(g) == "((a,b),(c,d));\nρ;"
 
 
+@pytest.mark.parametrize("text, rooted", [("(((a,b),c),d);", True), ("((a,b),c,(d,e));", False)])
+def test_contraction_steps_are_one_rule_for_both_rootednesses(text, rooted):
+    f = parse1(text, rooted)
+    a, b, c = (f.labels.id_of(name) for name in "abc")
+    ec = f.pendant_edge(c)
+    hub = f.edge_ends(ec)[0] if rooted else next(w for _, w in f.neighbors(f.vertex_of_label(c)))
+    # the cut leaves ``hub`` a pass-through vertex: one new edge, id next_e,
+    # its edges in id order, but a rooted vertex's parent edge first
+    g = f.remove_edges([ec])
+    cut, splice = g._origin[1]
+    assert cut == ("cut", ec, *f.edge_ends(ec))
+    kind, v, e1, w1, e2, w2, e = splice
+    assert (kind, v, e, g.edge_ends(e)) == ("splice", hub, f._next_e, (w1, w2))
+    if rooted:
+        assert e1 == f.parent_edge(hub) and e1 > e2  # not id order here
+    else:
+        assert e1 < e2
+    # a leaf left behind is dropped with its edge, then its neighbor spliced
+    g = f.remove_edges([f.pendant_edge(a), f.pendant_edge(b)])
+    assert [step[0] for step in g._origin[1]] == ["cut", "cut", "gone", "splice"]
+    # a grouping drops each leaf but the hub as contraction does
+    va, vb = f.vertex_of_label(a), f.vertex_of_label(b)
+    (ea, x), (eb, _) = (next(iter(f.neighbors(v))) for v in (va, vb))
+    g = f.group_labels([a, b])
+    assert g._origin[1] == [("gone", va, ea, x), ("gone", vb, eb, x),
+                            ("group", frozenset((a, b)), a)]
+
+
 # -- remove_edges ------------------------------------------------------------
 
 
