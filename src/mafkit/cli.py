@@ -114,8 +114,8 @@ def cmd_pmaf(args) -> int:
           f"merged={boot.incumbent.order()}")
     print(f"# {res.stats.summary()} wall_ms={wall_ms:.1f}")
     if args.verify:
-        # ``find_min_k`` returns what ``certify`` made, which checked each
-        # input's witness by the removal it names, as ``maf amaf`` relies on
+        # ``find_min_k``'s certificate comes from ``certify``, which has
+        # checked each input's witness by the removal it names
         _print_verified(instance)
     if args.out:
         _emit(cert + "\n", args.out)

@@ -404,9 +404,9 @@ def _carry_side_sums(log, up, below):
     spliced vertex hands its place in the hanging to a neighbor, and a
     grouped leaf's weight stays in the sums of the vertex that takes its
     label.  A grouping logs each leaf it drops as contraction does, a
-    ``gone`` step toward the hub, so one branch reads both.  So the tops need not be the ones :meth:`Forest._hanging` picks
-    (a cut leaves one wherever it falls); the side sums of every edge are
-    the same.
+    ``gone`` step toward the hub, so one branch reads both.  So the tops
+    need not be the ones :meth:`Forest._hanging` picks (a cut leaves one
+    wherever it falls); the side sums of every edge are the same.
     """
     for step in log:
         kind = step[0]
